@@ -230,10 +230,20 @@ def cmd_act(args: argparse.Namespace) -> int:
     return 0
 
 
+MAX_STRATA = 100_000
+
+
 def cmd_strata(args: argparse.Namespace) -> int:
     g = args.genus
     if g < 1:
         raise CliError("genus must be at least 1")
+    # p(n) never decreases, so the first term over the budget settles it
+    # without counting up to p(2g - 2) or building the list.
+    for n, total in enumerate(strata.partition_numbers()):
+        if total > MAX_STRATA:
+            raise CliError(f"budget exceeded: genus {g} has more than {MAX_STRATA} strata")
+        if n == 2 * g - 2:
+            break
     rows = []
     for orders in strata.partitions(g):
         dim = strata.dimension(orders) if g >= 2 else 2

@@ -393,16 +393,16 @@ def _corner_orbits(surf: TranslationSurface) -> list[list[tuple[int, int]]]:
     return orbits
 
 
-def singularities(surf: TranslationSurface) -> list[ConePoint]:
-    """All identified vertices with their exact cone angles.
+def _sweep(surf: TranslationSurface) -> tuple[list[ConePoint], int]:
+    """Cone points and genus of a surface that has already passed validate.
 
     The angle around a vertex is a positive multiple of 2*pi.  It is counted
     without transcendental functions: a fixed reference direction crosses the
     interior sector of a corner at most once, and the number of corners in an
     orbit whose sector contains the reference direction equals the number of
-    full turns.
+    full turns.  The genus comes from the Euler characteristic of the induced
+    cell structure.
     """
-    _require_valid(surf)
     ref = _reference_direction(surf)
     points: list[ConePoint] = []
     total_turns = 0
@@ -427,16 +427,9 @@ def singularities(surf: TranslationSurface) -> list[ConePoint]:
             f"expected {expected_double}/2"
         )
     points.sort(key=lambda cp: cp.corners[0])
-    return points
 
-
-def genus(surf: TranslationSurface) -> int:
-    """Genus via the Euler characteristic of the induced cell structure."""
-    points = singularities(surf)
-    n_vertices = len(points)
     n_edges = sum(poly.n for poly in surf.polygons) // 2
-    n_faces = len(surf.polygons)
-    chi = n_vertices - n_edges + n_faces
+    chi = len(points) - n_edges + len(surf.polygons)
     if chi % 2 != 0:
         raise RuntimeError(f"odd Euler characteristic {chi}")
     g = (2 - chi) // 2
@@ -445,7 +438,19 @@ def genus(surf: TranslationSurface) -> int:
         raise RuntimeError(
             f"zero orders sum to {zeros} but 2g-2 = {2 * g - 2}; broken representation"
         )
-    return g
+    return points, g
+
+
+def singularities(surf: TranslationSurface) -> list[ConePoint]:
+    """All identified vertices with their exact cone angles."""
+    _require_valid(surf)
+    return _sweep(surf)[0]
+
+
+def genus(surf: TranslationSurface) -> int:
+    """Genus via the Euler characteristic of the induced cell structure."""
+    _require_valid(surf)
+    return _sweep(surf)[1]
 
 
 @dataclass(frozen=True)
@@ -461,8 +466,8 @@ class StratumSignature:
 
 def stratum(surf: TranslationSurface) -> StratumSignature:
     """Stratum of the surface; zero orders of marked regular points are dropped."""
-    points = singularities(surf)
-    g = genus(surf)
+    _require_valid(surf)
+    points, g = _sweep(surf)
     orders = tuple(sorted((cp.zero_order for cp in points if cp.zero_order > 0), reverse=True))
     return StratumSignature(g, orders)
 
@@ -532,7 +537,7 @@ def periods(surf: TranslationSurface) -> PeriodData:
             row[pair_index[e]] += 1 if e == rep else -1
         boundary_rows.append(row)
 
-    points = singularities(surf)
+    points, g = _sweep(surf)
     orbit_of: dict[tuple[int, int], int] = {}
     for idx, cp in enumerate(points):
         for corner in cp.corners:
@@ -557,7 +562,6 @@ def periods(surf: TranslationSurface) -> PeriodData:
             endpoint_rows[row_of_orbit[head]][k] += 1
 
     rank = n_pairs - _rational_rank(endpoint_rows) - _rational_rank(boundary_rows)
-    g = genus(surf)
     expected = 2 * g + len(marked) - 1
     if rank != expected:
         raise RuntimeError(
@@ -590,6 +594,26 @@ def _coord_from_json(raw: object) -> Fraction:
         raise ValueError(f"bad coordinate {raw!r}: {exc}") from exc
 
 
+def _list_from_json(raw: object, what: str) -> list:
+    if not isinstance(raw, list):
+        raise ValueError(f"{what} must be a list, got {raw!r}")
+    return raw
+
+
+def _pair_from_json(raw: object, what: str) -> list:
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ValueError(f"{what} must be a pair, got {raw!r}")
+    return raw
+
+
+def _edge_from_json(raw: object) -> EdgeRef:
+    pair = _pair_from_json(raw, "edge reference [polygon, edge]")
+    # bool is a subclass of int, and int() would truncate 0.9 to 0.
+    if any(isinstance(i, bool) or not isinstance(i, int) for i in pair):
+        raise ValueError(f"edge indices must be integers, got {raw!r}")
+    return EdgeRef(*pair)
+
+
 def surface_to_json(surf: TranslationSurface) -> dict:
     polys = [
         [[_coord_to_json(p.x), _coord_to_json(p.y)] for p in poly.vertices]
@@ -609,18 +633,21 @@ def surface_from_json(data: Union[str, dict]) -> TranslationSurface:
     if not isinstance(data, dict):
         raise ValueError("surface JSON must be an object")
     try:
-        raw_polys = data["polygons"]
-        raw_pairs = data["pairings"]
+        raw_polys = _list_from_json(data["polygons"], '"polygons"')
+        raw_pairs = _list_from_json(data["pairings"], '"pairings"')
     except KeyError as exc:
         raise ValueError(f"surface JSON missing key {exc}") from exc
     polys = []
-    for raw in raw_polys:
-        polys.append(PolygonChain(tuple(PlanarVec(_coord_from_json(x), _coord_from_json(y)) for x, y in raw)))
+    for i, raw in enumerate(raw_polys):
+        points = (
+            _pair_from_json(pt, f"vertex of polygon {i}")
+            for pt in _list_from_json(raw, f"polygon {i}")
+        )
+        polys.append(PolygonChain(tuple(PlanarVec(_coord_from_json(x), _coord_from_json(y)) for x, y in points)))
     edge_counts = [p.n for p in polys]
     pairing: dict[EdgeRef, EdgeRef] = {}
     for entry in raw_pairs:
-        (p1, e1), (p2, e2) = entry
-        a, b = EdgeRef(int(p1), int(e1)), EdgeRef(int(p2), int(e2))
+        a, b = (_edge_from_json(ref) for ref in _pair_from_json(entry, "pairing entry"))
         for ref in (a, b):
             if not (0 <= ref.polygon < len(polys)) or not (0 <= ref.edge < edge_counts[ref.polygon]):
                 raise ValueError(f"pairing refers to nonexistent edge {tuple(ref)}")

@@ -5,10 +5,11 @@ glued to the left edge of square h(s) and the top edge of s glued to the
 bottom edge of v(s); the pair must act transitively so the surface is
 connected.  Squares are 0-based internally; the text format is 1-based.
 
-Provides conversion to a polygon surface, stratum computation (cross-checked
-against the polygon route on every call), canonical forms and isomorphism,
-the shear and quarter-turn actions with orbit enumeration, horizontal
-cylinder decompositions, and exhaustive enumeration by stratum.
+Provides conversion to a polygon surface, stratum computation from the
+corner permutation (the source of truth; the tests check it against the
+polygon model), canonical forms and isomorphism, the shear and quarter-turn
+actions with orbit enumeration, horizontal cylinder decompositions, and
+exhaustive enumeration by stratum.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from . import flatcore
 from .flatcore import EdgeRef, PlanarVec, PolygonChain, StratumSignature, TranslationSurface
 
 Perm = tuple[int, ...]
@@ -265,23 +265,16 @@ def _orders_from_commutator(o: Origami) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=65536)
 def singularity_orders(o: Origami) -> StratumSignature:
-    """Stratum from the corner permutation, verified against the polygon route.
+    """Stratum from the cycles of the corner permutation.
 
-    The permutation-level count is fast; the polygon-based computation is the
-    normative reference, so the two are compared on every distinct input and
-    a mismatch (a convention bug, not a data error) aborts.
+    A cycle of length k is a zero of order k - 1, and the orders sum to
+    2g - 2.  This count is the source of truth for origami strata; the tests
+    check it against the stratum of the polygon model on every class up to
+    degree 6 and on random origamis.
     """
     orders = _orders_from_commutator(o)
-    g = sum(orders) // 2 + 1
-    signature = StratumSignature(g, orders)
-    oracle = flatcore.stratum(to_polygons(o))
-    if oracle != signature:
-        raise RuntimeError(
-            f"corner-permutation stratum {signature} disagrees with polygon stratum {oracle}"
-        )
-    return signature
+    return StratumSignature(sum(orders) // 2 + 1, orders)
 
 
 def genus(o: Origami) -> int:
@@ -448,14 +441,13 @@ def cylinders(o: Origami) -> CylinderDecomposition:
     """Horizontal cylinders: rows of squares merged across clean interfaces.
 
     Each cycle of h is a row.  The interface above a row is free of cone
-    points exactly when no top corner of the row lies in a singular vertex
-    (read off the polygon model); then the row above continues the same
-    cylinder.
+    points exactly when no top corner of the row lies in a singular vertex;
+    then the row above continues the same cylinder.  The cycle of s under the
+    corner permutation is the vertex at the bottom-left corner of s, so the
+    top-left corner of s is the vertex of v(s); the top-right corner of s is
+    the top-left corner of h(s), in the same row.
     """
-    sing = flatcore.singularities(to_polygons(o))
-    singular_corners = {
-        corner for cp in sing if cp.angle_turns > 1 for corner in cp.corners
-    }
+    singular = {s for cyc in cycles_of(commutator(o)) if len(cyc) > 1 for s in cyc}
     rows = cycles_of(o.h)
     row_of = {}
     for r, row in enumerate(rows):
@@ -471,10 +463,7 @@ def cylinders(o: Origami) -> CylinderDecomposition:
         return a
 
     for r, row in enumerate(rows):
-        clean = all(
-            (s, 2) not in singular_corners and (s, 3) not in singular_corners
-            for s in row
-        )
+        clean = all(o.v[s] not in singular for s in row)
         if not clean:
             continue
         above = {row_of[o.v[s]] for s in row}

@@ -395,11 +395,6 @@ def spin_parity(o: Origami, rng: Optional[random.Random] = None) -> int:
 # --- flat involution ---------------------------------------------------------
 
 
-def _permutation_genus(o: Origami) -> int:
-    orders = [len(c) - 1 for c in cycles_of(commutator(o))]
-    return sum(orders) // 2 + 1
-
-
 def _involution_core(
     d: int,
     h: Sequence[int],
@@ -486,8 +481,9 @@ def hyperelliptic_involution(o: Origami) -> Optional[tuple[int, ...]]:
     0.  Returns the first accepting sigma, or None.
 
     This works at the permutation level throughout so that exhaustive scans
-    stay fast; the stratum bookkeeping it relies on is validated elsewhere
-    against the polygon model.
+    stay fast.  The genus comes from the corner permutation, the source of
+    truth for origami strata, which the tests check against the polygon
+    model.
     """
     return _involution_core(o.d, o.h, o.v, invert_perm(o.h), invert_perm(o.v))
 

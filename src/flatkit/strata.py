@@ -9,6 +9,7 @@ formulas, and classifies the connected components of each stratum.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import count
 from typing import Iterator, Sequence
 
 
@@ -58,6 +59,30 @@ def partitions(g: int) -> list[tuple[int, ...]]:
     if target == 0:
         return [()]
     return list(gen(target, target))
+
+
+def partition_numbers() -> Iterator[int]:
+    """p(0), p(1), p(2), ...: how many strata genus g has is p(2g - 2).
+
+    Euler's pentagonal number recurrence: p(n) is the sum over k >= 1 of
+    (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)), terms with a negative
+    argument dropped.  The sequence is nondecreasing, so a caller can stop
+    at the first term over a budget.
+    """
+    p = [1]
+    yield 1
+    for n in count(1):
+        total = 0
+        for k in count(1):
+            first = k * (3 * k - 1) // 2
+            if first > n:
+                break
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - first]
+            if first + k <= n:
+                total += sign * p[n - first - k]
+        p.append(total)
+        yield total
 
 
 def dimension(orders: Sequence[int]) -> int:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -64,6 +65,38 @@ def test_analyze_unreadable_input(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 1
     assert "error:" in err
+
+
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+SQUARE_PAIRS = [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"polygons": 4, "pairings": SQUARE_PAIRS}, '"polygons" must be a list'),
+        ({"polygons": [SQUARE], "pairings": {"0": 2}}, '"pairings" must be a list'),
+        ({"polygons": [7], "pairings": SQUARE_PAIRS}, "polygon 0 must be a list"),
+        ({"polygons": [[[0, 0, 0], [1, 0], [1, 1]]], "pairings": []}, "vertex of polygon 0"),
+        ({"polygons": [SQUARE], "pairings": [SQUARE_PAIRS[0], 3]}, "pairing entry must be a pair"),
+        ({"polygons": [SQUARE], "pairings": [[[0, 0], [0, 2], [0, 1]]]}, "pairing entry must be a pair"),
+        ({"polygons": [SQUARE], "pairings": [[[0, 0], 2], SQUARE_PAIRS[1]]}, "edge reference"),
+        ({"polygons": [SQUARE], "pairings": [[[0.9, 0], [0, 2]], SQUARE_PAIRS[1]]}, "must be integers, got [0.9, 0]"),
+        ({"polygons": [SQUARE], "pairings": [[[0, True], [0, 3]], [[0, 0], [0, 2]]]}, "must be integers, got [0, True]"),
+    ],
+    ids=[
+        "polygons_not_list", "pairings_not_list", "polygon_not_list", "vertex_not_pair",
+        "entry_not_pair", "entry_of_three", "edge_not_pair", "index_float", "index_bool",
+    ],
+)
+def test_analyze_malformed_surface_json(tmp_path, capsys, payload, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert message in err
 
 
 def test_orbit_command(capsys):
@@ -147,6 +180,16 @@ def test_strata_command(capsys):
     payload = json.loads(out)
     assert payload["genus"] == 3
     assert len(payload["strata"]) == 5
+
+
+def test_strata_budget(capsys):
+    for genus in ("24", "40"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "strata", "--genus", genus)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: budget exceeded")
 
 
 def test_divisor_command(capsys):

@@ -1,8 +1,12 @@
 """Square-tiled surfaces: parsing, invariants, moves, enumeration, cylinders."""
 
-import pytest
+from collections import Counter
 
-from flatkit import flatcore, origami
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from flatkit import flatcore, origami, strata
 from flatkit.origami import make
 
 from conftest import make_rng
@@ -227,3 +231,68 @@ def test_stratum_pairs_raw_matches_classes():
     for h, v in raw[:5]:
         o = origami.Origami(5, h, v)
         assert origami.singularity_orders(o).orders == (2,)
+
+
+# Connected origamis up to relabeling, by degree d = 1..6 (OEIS A057005;
+# also re-derived by brute force over all pairs in S_d).
+CLASSES_BY_DEGREE = {1: 1, 2: 3, 3: 7, 4: 26, 5: 97, 6: 624}
+
+
+def all_classes(d):
+    """Every class of degree d, one stratum at a time (the torus first)."""
+    signatures = [()] + [
+        orders for g in range(2, d // 2 + 2) for orders in strata.partitions(g)
+    ]
+    return [o for orders in signatures for o in origami.origamis_in_stratum(d, orders)]
+
+
+@pytest.mark.parametrize("d", sorted(CLASSES_BY_DEGREE))
+def test_commutator_stratum_matches_polygons_on_all_classes(d):
+    classes = all_classes(d)
+    assert len(classes) == CLASSES_BY_DEGREE[d]
+    assert len({origami.canonical_form(o) for o in classes}) == len(classes)
+    for o in classes:
+        assert origami.singularity_orders(o) == flatcore.stratum(origami.to_polygons(o))
+
+
+@st.composite
+def relabeled_origamis(draw):
+    d = draw(st.integers(7, 12))
+    h, v = draw(st.permutations(range(d))), draw(st.permutations(range(d)))
+    o = origami.Origami(d, tuple(h), tuple(v))
+    assume(origami.is_connected(o))
+    return origami.relabel(o, draw(st.permutations(range(d))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabeled_origamis())
+def test_commutator_stratum_matches_polygons_random(o):
+    assert origami.singularity_orders(o) == flatcore.stratum(origami.to_polygons(o))
+
+
+def polygon_cylinders(o):
+    """Reference decomposition: rows merged across interfaces whose top
+    corners (polygon vertices 2 and 3 of each square) are regular points of
+    the polygon model."""
+    singular = {
+        corner
+        for cp in flatcore.singularities(origami.to_polygons(o))
+        if cp.angle_turns > 1
+        for corner in cp.corners
+    }
+    rows = origami.cycles_of(o.h)
+    row_of = {s: r for r, row in enumerate(rows) for s in row}
+    label = list(range(len(rows)))
+    for r, row in enumerate(rows):
+        if all((s, 2) not in singular and (s, 3) not in singular for s in row):
+            old, new = label[r], label[row_of[o.v[row[0]]]]
+            label = [new if x == old else x for x in label]
+    heights = Counter(label)
+    return sorted((len(rows[r]), heights[r]) for r in set(label))
+
+
+@pytest.mark.parametrize("d", sorted(CLASSES_BY_DEGREE))
+def test_cylinders_match_polygon_model_on_all_classes(d):
+    for o in all_classes(d):
+        got = sorted((c.width, c.height) for c in origami.cylinders(o).cylinders)
+        assert got == polygon_cylinders(o), origami.origami_to_text(o)

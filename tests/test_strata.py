@@ -1,5 +1,7 @@
 """Stratum signatures, dimension formulas, component classification."""
 
+from itertools import islice
+
 import pytest
 
 from flatkit import strata
@@ -51,6 +53,14 @@ def test_partitions_counts_and_order():
         for mu in parts:
             assert sum(mu) == 2 * g - 2
             assert all(m > 0 for m in mu)
+
+
+def test_partition_numbers():
+    p = list(islice(strata.partition_numbers(), 47))
+    assert p[:12] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56]
+    assert (p[44], p[46]) == (75175, 105558)
+    for g in range(1, 10):
+        assert p[2 * g - 2] == len(strata.partitions(g))
 
 
 def test_dimension():
