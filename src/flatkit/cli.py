@@ -17,10 +17,6 @@ from typing import Optional, Sequence, Union
 from . import flatcore, gl2, hyperell, origami as origami_mod, spin, strata
 
 
-def _fmt_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 @dataclass
 class Report:
     """Analysis record for one input; keys serialize in fixed order."""
@@ -93,9 +89,9 @@ def _read_text(path: str) -> str:
 
 
 def _load_input(path: str) -> tuple[str, Union[flatcore.TranslationSurface, origami_mod.Origami]]:
-    """Sniff the format: JSON object -> surface, otherwise origami text."""
+    """Sniff the format: JSON object or array -> surface, otherwise origami text."""
     text = _read_text(path)
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         try:
             return "surface", flatcore.surface_from_json(text)
         except json.JSONDecodeError as exc:

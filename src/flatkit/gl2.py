@@ -10,18 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from . import flatcore
-from .flatcore import PlanarVec, PolygonChain, TranslationSurface
-
-Rational = Union[int, str, Fraction]
-
-
-def _frac(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
+from .flatcore import PlanarVec, PolygonChain, Rational, TranslationSurface, _as_fraction
 
 
 @dataclass(frozen=True)
@@ -35,7 +27,7 @@ class Mat2:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
 
     @property
     def det(self) -> Fraction:
@@ -60,12 +52,12 @@ IDENTITY = Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
 
 
 def mat2(a: Rational, b: Rational, c: Rational, d: Rational) -> Mat2:
-    return Mat2(_frac(a), _frac(b), _frac(c), _frac(d))
+    return Mat2(a, b, c, d)
 
 
 def rotation(cos_value: Rational, sin_value: Rational) -> Mat2:
     """Rational rotation matrix; (cos, sin) must lie on the unit circle."""
-    c, s = _frac(cos_value), _frac(sin_value)
+    c, s = _as_fraction(cos_value), _as_fraction(sin_value)
     if c * c + s * s != 1:
         raise ValueError(f"({c}, {s}) is not on the unit circle")
     return Mat2(c, -s, s, c)
@@ -114,7 +106,7 @@ def check_linear_relations(
     function makes that claim executable.
     """
     before = flatcore.periods(surf).vectors
-    parsed = [[_frac(c) for c in rel] for rel in relations]
+    parsed = [[_as_fraction(c) for c in rel] for rel in relations]
     for rel in parsed:
         if len(rel) != len(before):
             raise ValueError(

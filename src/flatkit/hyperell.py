@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Union[int, str, Fraction]
-
-
-def _frac(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
+from .flatcore import Rational, _as_fraction
 
 
 @dataclass(frozen=True)
@@ -34,7 +28,7 @@ class BranchSet:
     points: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(_frac(p) for p in self.points)
+        pts = tuple(_as_fraction(p) for p in self.points)
         object.__setattr__(self, "points", pts)
         if len(pts) < 4 or len(pts) % 2 != 0:
             raise ValueError(f"need an even number >= 4 of branch points, got {len(pts)}")
@@ -47,7 +41,7 @@ class BranchSet:
 
 
 def branch_set(points: Iterable[Rational]) -> BranchSet:
-    return BranchSet(tuple(_frac(p) for p in points))
+    return BranchSet(tuple(points))
 
 
 @dataclass(frozen=True)
@@ -58,8 +52,8 @@ class FactoredForm:
     factors: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        c = _frac(self.constant)
-        facs = tuple((_frac(b), int(k)) for b, k in self.factors)
+        c = _as_fraction(self.constant)
+        facs = tuple((_as_fraction(b), int(k)) for b, k in self.factors)
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "factors", facs)
         if c == 0:
@@ -98,7 +92,7 @@ class FactoredForm:
 def factored_form(
     constant: Rational, factors: Iterable[tuple[Rational, int]] = ()
 ) -> FactoredForm:
-    return FactoredForm(_frac(constant), tuple((_frac(b), int(k)) for b, k in factors))
+    return FactoredForm(constant, tuple(factors))
 
 
 _FACTOR_RE = re.compile(

@@ -9,7 +9,11 @@ Provides conversion to a polygon surface, stratum computation from the
 corner permutation (the source of truth; the tests check it against the
 polygon model), canonical forms and isomorphism, the shear and quarter-turn
 actions with orbit enumeration, horizontal cylinder decompositions, and
-exhaustive enumeration by stratum.
+exhaustive enumeration by stratum.  The enumeration is one pipeline for
+every degree: a scan yields the raw (h, v) pairs with the right corner cycle
+type, and one loop drops disconnected pairs and isomorphic duplicates.  Only
+the scan kernel depends on the degree: pure Python below degree 9, numpy
+from degree 9 on, since importing numpy costs more than the small scans.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .flatcore import EdgeRef, PlanarVec, PolygonChain, StratumSignature, TranslationSurface
+from .strata import int_partitions
 
 Perm = tuple[int, ...]
 CanonicalForm = tuple[int, ...]
@@ -507,18 +511,6 @@ def random_origami(d: int, rng: random.Random) -> Origami:
             return o
 
 
-def _int_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    def gen(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    yield from gen(n, n)
-
-
 def _cycle_type_rep(parts: Sequence[int]) -> Perm:
     """The permutation with consecutive cycles of the given lengths."""
     images = []
@@ -538,34 +530,28 @@ def _target_type(d: int, orders: Sequence[int]) -> tuple[int, ...]:
     return tuple(lengths + [1] * (d - sum(lengths)))
 
 
-def _cycle_lengths(p: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted((len(c) for c in cycles_of(p)), reverse=True))
-
-
-@lru_cache(maxsize=None)
-def _stratum_classes_python(d: int, orders: tuple[int, ...]) -> tuple[CanonicalForm, ...]:
-    """All degree-d isomorphism classes with the given zero orders (d small).
+def _labeled_stratum_pairs_python(d: int, orders: tuple[int, ...]) -> Iterator[tuple[Perm, Perm]]:
+    """Raw (h, v) pairs with the given corner cycle type, h fixed per type.
 
     h runs over one representative per cycle type (any pair can be relabeled
-    so that h is its type representative), v over all permutations; matches
-    are deduplicated by canonical form.
+    so that h is its type representative), v over all permutations.  Yields
+    the same pairs as _labeled_stratum_pairs_numpy, with no connectivity
+    check and no removal of isomorphic duplicates.
     """
-    target = _target_type(d, orders)
-    found: set[CanonicalForm] = set()
-    squares = list(range(d))
-    for parts in _int_partitions(d):
+    target = list(_target_type(d, orders))
+    squares = range(d)
+    for parts in int_partitions(d):
         h = _cycle_type_rep(parts)
         hinv = invert_perm(h)
         for v in permutations(squares):
             vinv = invert_perm(v)
-            comm = tuple(h[v[hinv[vinv[s]]]] for s in squares)
-            if _cycle_lengths(comm) != target:
-                continue
-            o = Origami(d, h, v)
-            if not is_connected(o):
-                continue
-            found.add(canonical_form(o))
-    return tuple(sorted(found))
+            comm = [h[v[hinv[vinv[s]]]] for s in squares]
+            if sorted(map(len, cycles_of(comm)), reverse=True) == target:
+                yield h, v
+
+
+_NUMPY_THRESHOLD = 9
+_CHUNK = 2000000  # rows of v per numpy block
 
 
 def _all_perms_array(d: int):
@@ -586,9 +572,7 @@ def _all_perms_array(d: int):
     return out
 
 
-def _labeled_stratum_pairs_numpy(
-    d: int, orders: tuple[int, ...], chunk: int = 2000000
-) -> Iterator[tuple[Perm, Perm]]:
+def _labeled_stratum_pairs_numpy(d: int, orders: tuple[int, ...]) -> Iterator[tuple[Perm, Perm]]:
     """Raw (h, v) pairs with the given corner cycle type, h fixed per type.
 
     Vectorized scan over all v for each cycle-type representative h.  The
@@ -613,14 +597,14 @@ def _labeled_stratum_pairs_numpy(
 
     all_perms = _all_perms_array(d)
     identity = np.arange(d, dtype=np.int8)
-    for parts in _int_partitions(d):
+    for parts in int_partitions(d):
         h = np.array(_cycle_type_rep(parts), dtype=np.int8)
         hinv = np.empty(d, dtype=np.int8)
         hinv[h] = identity
         hinv_cols = hinv.astype(np.intp)
         h_tuple = tuple(int(x) for x in h)
-        for lo in range(0, all_perms.shape[0], chunk):
-            v_block = all_perms[lo : lo + chunk]
+        for lo in range(0, all_perms.shape[0], _CHUNK):
+            v_block = all_perms[lo : lo + _CHUNK]
             g = h[v_block[:, hinv_cols]]
             keep = (g == v_block).sum(axis=1) == expected_fix[1]
             if not keep.any():
@@ -648,35 +632,27 @@ def _labeled_stratum_pairs_numpy(
                 yield h_tuple, tuple(int(x) for x in row)
 
 
-_NUMPY_THRESHOLD = 9
+def _labeled_pairs(d: int, orders: Sequence[int]) -> Iterator[tuple[Perm, Perm]]:
+    """Raw (h, v) pairs of the stratum, from the kernel chosen by degree.
 
-
-def origamis_in_stratum(
-    d: int, orders: Sequence[int], up_to_iso: bool = True
-) -> Iterator[Origami]:
-    """All connected degree-d origamis whose zero orders equal the given ones.
-
-    With up_to_iso (default) one representative per isomorphism class is
-    produced; otherwise every (cycle-type representative h, v) pair that
-    matches is yielded, which is cheaper for large d and sufficient for
-    universally quantified checks.  Degrees too small to carry the orders
-    give an empty enumeration.
+    Both kernels yield the same pairs.  Below _NUMPY_THRESHOLD the scan is
+    short enough that importing numpy would cost more memory and start-up
+    time than the vectorized scan saves.  Degrees too small to carry the
+    orders give no pairs.
     """
     orders = tuple(sorted((int(m) for m in orders), reverse=True))
     if sum(m + 1 for m in orders) > d:
         return
     if d < _NUMPY_THRESHOLD:
-        for code in _stratum_classes_python(d, orders):
-            yield decode_canonical(code)
-        return
-    if not up_to_iso:
-        for h, v in _labeled_stratum_pairs_numpy(d, orders):
-            o = Origami(d, h, v)
-            if is_connected(o):
-                yield o
-        return
+        yield from _labeled_stratum_pairs_python(d, orders)
+    else:
+        yield from _labeled_stratum_pairs_numpy(d, orders)
+
+
+def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
+    """One canonical origami per isomorphism class, in discovery order."""
     seen: set[CanonicalForm] = set()
-    for h, v in _labeled_stratum_pairs_numpy(d, orders):
+    for h, v in _labeled_pairs(d, orders):
         o = Origami(d, h, v)
         if not is_connected(o):
             continue
@@ -686,21 +662,27 @@ def origamis_in_stratum(
             yield decode_canonical(code)
 
 
+def origamis_in_stratum(d: int, orders: Sequence[int]) -> Iterator[Origami]:
+    """All connected degree-d origamis whose zero orders equal the given ones.
+
+    One representative per isomorphism class, in its canonical labeling, in
+    the order the scan first meets the class.  Degrees too small to carry
+    the orders give an empty enumeration.
+    """
+    yield from _classes(d, orders)
+
+
 def stratum_pairs_raw(d: int, orders: Sequence[int]) -> Iterator[tuple[Perm, Perm]]:
     """Raw (h, v) permutation pairs whose corner cycle type matches orders.
 
-    For d below the vectorized threshold this decodes one pair per
-    isomorphism class (all connected).  For larger d it yields every labeled
-    pair with the right cycle type WITHOUT the connectivity check, which is
-    the cheap superset appropriate for universally quantified scans: any
-    property verified on all raw pairs holds on all origamis in the stratum.
+    For d below _NUMPY_THRESHOLD this yields one pair per isomorphism class
+    (all connected).  For larger d it yields every labeled pair with the
+    right cycle type WITHOUT the connectivity check, which is the cheap
+    superset appropriate for universally quantified scans: any property
+    verified on all raw pairs holds on all origamis in the stratum.
     """
-    orders = tuple(sorted((int(m) for m in orders), reverse=True))
-    if sum(m + 1 for m in orders) > d:
-        return
     if d < _NUMPY_THRESHOLD:
-        for code in _stratum_classes_python(d, orders):
-            o = decode_canonical(code)
+        for o in _classes(d, orders):
             yield o.h, o.v
-        return
-    yield from _labeled_stratum_pairs_numpy(d, orders)
+    else:
+        yield from _labeled_pairs(d, orders)

@@ -39,14 +39,11 @@ def genus_of_orders(orders: Sequence[int]) -> int:
     return sum(orders) // 2 + 1
 
 
-def partitions(g: int) -> list[tuple[int, ...]]:
-    """All strata signatures in genus g, descending-lexicographically.
+def int_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into positive parts, descending-lexicographically.
 
-    For g = 1 the single empty signature is returned.
+    Parts are listed largest first; n = 0 has the single empty partition.
     """
-    if g < 1:
-        raise ValueError(f"genus must be at least 1, got {g}")
-    target = 2 * g - 2
 
     def gen(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -56,9 +53,17 @@ def partitions(g: int) -> list[tuple[int, ...]]:
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    if target == 0:
-        return [()]
-    return list(gen(target, target))
+    yield from gen(n, n)
+
+
+def partitions(g: int) -> list[tuple[int, ...]]:
+    """All strata signatures in genus g, descending-lexicographically.
+
+    For g = 1 the single empty signature is returned.
+    """
+    if g < 1:
+        raise ValueError(f"genus must be at least 1, got {g}")
+    return list(int_partitions(2 * g - 2))
 
 
 def partition_numbers() -> Iterator[int]:

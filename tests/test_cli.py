@@ -83,10 +83,12 @@ SQUARE_PAIRS = [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]
         ({"polygons": [SQUARE], "pairings": [[[0, 0], 2], SQUARE_PAIRS[1]]}, "edge reference"),
         ({"polygons": [SQUARE], "pairings": [[[0.9, 0], [0, 2]], SQUARE_PAIRS[1]]}, "must be integers, got [0.9, 0]"),
         ({"polygons": [SQUARE], "pairings": [[[0, True], [0, 3]], [[0, 0], [0, 2]]]}, "must be integers, got [0, True]"),
+        ([1, 2], "surface JSON must be an object"),
     ],
     ids=[
         "polygons_not_list", "pairings_not_list", "polygon_not_list", "vertex_not_pair",
         "entry_not_pair", "entry_of_three", "edge_not_pair", "index_float", "index_bool",
+        "top_level_array",
     ],
 )
 def test_analyze_malformed_surface_json(tmp_path, capsys, payload, message):
@@ -97,6 +99,7 @@ def test_analyze_malformed_surface_json(tmp_path, capsys, payload, message):
     assert out == ""
     assert err.startswith("error:")
     assert message in err
+    assert "Traceback" not in err
 
 
 def test_orbit_command(capsys):

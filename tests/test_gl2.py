@@ -39,6 +39,16 @@ def test_rotation_validation():
         gl2.rotation(Fraction(1, 2), Fraction(1, 2))
 
 
+def test_entries_must_be_exact_rationals():
+    m = gl2.mat2(1, "1/2", Fraction(1, 3), "-2")
+    assert (m.a, m.b, m.c, m.d) == (1, Fraction(1, 2), Fraction(1, 3), -2)
+    assert gl2.rotation("3/5", Fraction(4, 5)) == gl2.rotation(Fraction(3, 5), Fraction(4, 5))
+    with pytest.raises(TypeError, match="not a rational value"):
+        gl2.mat2(0.1, 0, 0, 1)
+    with pytest.raises(TypeError, match="not a rational value"):
+        gl2.rotation(0.6, 0.8)
+
+
 def test_apply_preserves_invariants(octagon, decagon, rng):
     for surf in (octagon, decagon):
         sig = flatcore.stratum(surf)

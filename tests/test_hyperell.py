@@ -35,6 +35,19 @@ def test_branch_set_validation():
         branch_set([0, 1, 2, 1])
 
 
+def test_values_must_be_exact_rationals():
+    assert branch_set([0, "1/2", Fraction(2), 3]).points == (0, Fraction(1, 2), 2, 3)
+    f = factored_form("2", [("1/2", 1), (Fraction(3), 2)])
+    assert f.constant == 2
+    assert f.factors == ((Fraction(1, 2), 1), (3, 2))
+    with pytest.raises(TypeError, match="not a rational value"):
+        branch_set([0.5, 1, 2, 3])
+    with pytest.raises(TypeError, match="not a rational value"):
+        factored_form(1.5)
+    with pytest.raises(TypeError, match="not a rational value"):
+        factored_form(1, [(0.5, 1)])
+
+
 def test_factored_form_basic():
     f = factored_form(3, [(1, 2), (Fraction(-1, 2), 1)])
     assert f.degree == 3

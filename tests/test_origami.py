@@ -231,6 +231,8 @@ def test_stratum_pairs_raw_matches_classes():
     for h, v in raw[:5]:
         o = origami.Origami(5, h, v)
         assert origami.singularity_orders(o).orders == (2,)
+    codes = {origami.canonical_form(origami.Origami(5, h, v)) for h, v in raw}
+    assert codes == {origami.canonical_form(o) for o in origami.origamis_in_stratum(5, (2,))}
 
 
 # Connected origamis up to relabeling, by degree d = 1..6 (OEIS A057005;
@@ -238,12 +240,27 @@ def test_stratum_pairs_raw_matches_classes():
 CLASSES_BY_DEGREE = {1: 1, 2: 3, 3: 7, 4: 26, 5: 97, 6: 624}
 
 
-def all_classes(d):
-    """Every class of degree d, one stratum at a time (the torus first)."""
-    signatures = [()] + [
-        orders for g in range(2, d // 2 + 2) for orders in strata.partitions(g)
+def signatures(d):
+    """Every stratum with origamis of degree d (the torus first)."""
+    return [()] + [
+        orders
+        for g in range(2, d // 2 + 2)
+        for orders in strata.partitions(g)
+        if sum(m + 1 for m in orders) <= d
     ]
-    return [o for orders in signatures for o in origami.origamis_in_stratum(d, orders)]
+
+
+def all_classes(d):
+    """Every class of degree d, one stratum at a time."""
+    return [o for orders in signatures(d) for o in origami.origamis_in_stratum(d, orders)]
+
+
+def test_python_kernel_matches_numpy_kernel():
+    """The two raw-pair scans behind the enumeration yield the same pairs."""
+    cases = [(d, orders) for d in range(1, 7) for orders in signatures(d)]
+    for d, orders in cases + [(7, (4,)), (7, (3, 1))]:
+        pairs = sorted(origami._labeled_stratum_pairs_python(d, orders))
+        assert pairs == sorted(origami._labeled_stratum_pairs_numpy(d, orders)), (d, orders)
 
 
 @pytest.mark.parametrize("d", sorted(CLASSES_BY_DEGREE))
