@@ -106,11 +106,14 @@ def _load_input(path: str) -> tuple[str, Union[flatcore.TranslationSurface, orig
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _surface_of(loaded: tuple[str, object]) -> flatcore.TranslationSurface:
+def _valid_surface(loaded: tuple[str, object]) -> Optional[flatcore.TranslationSurface]:
+    """The input as a polygon surface, or None after one `invalid:` line per violation."""
     kind, value = loaded
-    if kind == "surface":
-        return value
-    return origami_mod.to_polygons(value)
+    surf = value if kind == "surface" else origami_mod.to_polygons(value)
+    violations = flatcore.validate(surf).violations
+    for violation in violations:
+        print(f"invalid: {violation}", file=sys.stderr)
+    return None if violations else surf
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -121,18 +124,11 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    kind, value = _load_input(args.path)
+    kind, value = loaded = _load_input(args.path)
+    surf = _valid_surface(loaded)
+    if surf is None:
+        return 1
     report = Report(source=args.path, kind=kind)
-    if kind == "surface":
-        surf = value
-        check = flatcore.validate(surf)
-        if not check.ok:
-            for violation in check.violations:
-                print(f"invalid: {violation}", file=sys.stderr)
-            return 1
-    else:
-        report.degree = value.d
-        surf = origami_mod.to_polygons(value)
     points = flatcore.singularities(surf)
     signature = flatcore.stratum(surf)
     report.genus = signature.genus
@@ -141,17 +137,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report.period_rank = flatcore.periods(surf).rank
     report.integral = flatcore.is_integral(surf)
     if kind == "origami":
-        o = value
+        report.degree = value.d
         if all(m % 2 == 0 for m in signature.orders):
-            report.spin_parity = spin.spin_parity(o)
-            if signature.genus >= 2:
-                report.component = str(spin.classify_component(o))
-            else:
-                report.component = str(strata.components(signature.orders)[0])
+            report.spin_parity = spin.spin_parity(value)
         else:
             report.messages.append("spin parity undefined (odd zero order)")
-            if signature.genus >= 2:
-                report.component = str(spin.classify_component(o))
+        if signature.genus >= 2:
+            report.component = str(spin.classify_component(value))
+        else:
+            report.component = str(strata.components(signature.orders)[0])
     _emit(args, report.to_dict(), report.to_text())
     return 0
 
@@ -209,13 +203,11 @@ def _parse_matrix(tokens: Sequence[str]) -> gl2.Mat2:
 
 
 def cmd_act(args: argparse.Namespace) -> int:
-    loaded = _load_input(args.path)
-    surf = _surface_of(loaded)
+    surf = _valid_surface(_load_input(args.path))
+    if surf is None:
+        return 1
     matrix = _parse_matrix(args.matrix)
-    try:
-        image = gl2.apply(surf, matrix)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    image = gl2.apply(surf, matrix)
     blob = json.dumps(flatcore.surface_to_json(image), indent=2)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -360,12 +352,8 @@ def render_svg(surf: flatcore.TranslationSurface, width: int = 800) -> str:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    loaded = _load_input(args.path)
-    surf = _surface_of(loaded)
-    check = flatcore.validate(surf)
-    if not check.ok:
-        for violation in check.violations:
-            print(f"invalid: {violation}", file=sys.stderr)
+    surf = _valid_surface(_load_input(args.path))
+    if surf is None:
         return 1
     svg = render_svg(surf)
     out = args.output

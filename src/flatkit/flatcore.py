@@ -16,8 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from math import gcd
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, str, Fraction]
@@ -112,18 +114,24 @@ def polygon(points: Iterable[Sequence[Rational]]) -> PolygonChain:
 
 @dataclass(frozen=True, eq=False)
 class TranslationSurface:
-    """Polygons plus a pairing (involution) on their directed boundary edges."""
+    """Immutable polygons plus a pairing (involution) on their directed boundary edges."""
 
     polygons: tuple[PolygonChain, ...]
     pairing: Mapping[EdgeRef, EdgeRef]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "polygons", tuple(self.polygons))
-        object.__setattr__(
-            self,
-            "pairing",
-            {EdgeRef(*k): EdgeRef(*v) for k, v in dict(self.pairing).items()},
-        )
+        pairing = {EdgeRef(*k): EdgeRef(*v) for k, v in dict(self.pairing).items()}
+        object.__setattr__(self, "pairing", MappingProxyType(pairing))
+
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        return _validate(self)
+
+    @cached_property
+    def _swept(self) -> tuple[tuple["ConePoint", ...], int]:
+        _require_valid(self)  # a raising getter caches nothing: refused on every call
+        return _sweep(self)
 
     def edge_refs(self) -> Iterator[EdgeRef]:
         for p, poly in enumerate(self.polygons):
@@ -238,8 +246,22 @@ def _polygon_violations(index: int, poly: PolygonChain) -> list[str]:
     return out
 
 
-def validate(surf: TranslationSurface) -> ValidationReport:
-    """Structural gate: every other operation assumes this passes."""
+def _roots(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find: the representative of each of 0..n-1 once the links are merged."""
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in links:
+        parent[find(a)] = find(b)
+    return [find(a) for a in range(n)]
+
+
+def _validate(surf: TranslationSurface) -> ValidationReport:
     out: list[str] = []
     if not surf.polygons:
         return ValidationReport(("no polygons",))
@@ -280,23 +302,16 @@ def validate(surf: TranslationSurface) -> ValidationReport:
                         f"paired edge vectors not opposite: {tuple(e)} and {tuple(partner)}"
                     )
         # Gluing graph on polygons must be connected.
-        parent = list(range(len(surf.polygons)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e, partner in surf.pairing.items():
-            ra, rb = find(e.polygon), find(partner.polygon)
-            if ra != rb:
-                parent[ra] = rb
-        roots = {find(p) for p in range(len(surf.polygons))}
-        if len(roots) > 1:
+        links = ((e.polygon, partner.polygon) for e, partner in surf.pairing.items())
+        if len(set(_roots(len(surf.polygons), links))) > 1:
             out.append("not connected: gluing graph has multiple components")
 
     return ValidationReport(tuple(out))
+
+
+def validate(surf: TranslationSurface) -> ValidationReport:
+    """Structural gate, run once per surface: every other operation refuses a failed one."""
+    return surf._report
 
 
 def _require_valid(surf: TranslationSurface) -> None:
@@ -393,7 +408,7 @@ def _corner_orbits(surf: TranslationSurface) -> list[list[tuple[int, int]]]:
     return orbits
 
 
-def _sweep(surf: TranslationSurface) -> tuple[list[ConePoint], int]:
+def _sweep(surf: TranslationSurface) -> tuple[tuple[ConePoint, ...], int]:
     """Cone points and genus of a surface that has already passed validate.
 
     The angle around a vertex is a positive multiple of 2*pi.  It is counted
@@ -438,19 +453,17 @@ def _sweep(surf: TranslationSurface) -> tuple[list[ConePoint], int]:
         raise RuntimeError(
             f"zero orders sum to {zeros} but 2g-2 = {2 * g - 2}; broken representation"
         )
-    return points, g
+    return tuple(points), g
 
 
 def singularities(surf: TranslationSurface) -> list[ConePoint]:
     """All identified vertices with their exact cone angles."""
-    _require_valid(surf)
-    return _sweep(surf)[0]
+    return list(surf._swept[0])
 
 
 def genus(surf: TranslationSurface) -> int:
     """Genus via the Euler characteristic of the induced cell structure."""
-    _require_valid(surf)
-    return _sweep(surf)[1]
+    return surf._swept[1]
 
 
 @dataclass(frozen=True)
@@ -466,8 +479,7 @@ class StratumSignature:
 
 def stratum(surf: TranslationSurface) -> StratumSignature:
     """Stratum of the surface; zero orders of marked regular points are dropped."""
-    _require_valid(surf)
-    points, g = _sweep(surf)
+    points, g = surf._swept
     orders = tuple(sorted((cp.zero_order for cp in points if cp.zero_order > 0), reverse=True))
     return StratumSignature(g, orders)
 
@@ -515,7 +527,8 @@ def _rational_rank(rows: list[list[Fraction]]) -> int:
 
 
 def periods(surf: TranslationSurface) -> PeriodData:
-    _require_valid(surf)
+    """Edge-pair period vectors and the relative period rank, checked to be 2g + n - 1."""
+    points, g = surf._swept
     pair_list: list[tuple[EdgeRef, EdgeRef]] = []
     pair_index: dict[EdgeRef, int] = {}
     for e in sorted(surf.pairing.keys()):
@@ -537,7 +550,6 @@ def periods(surf: TranslationSurface) -> PeriodData:
             row[pair_index[e]] += 1 if e == rep else -1
         boundary_rows.append(row)
 
-    points, g = _sweep(surf)
     orbit_of: dict[tuple[int, int], int] = {}
     for idx, cp in enumerate(points):
         for corner in cp.corners:

@@ -71,9 +71,7 @@ def apply(surf: TranslationSurface, m: Mat2) -> TranslationSurface:
     """
     if m.det <= 0:
         raise ValueError(f"orientation-reversing or singular matrix (det = {m.det})")
-    report = flatcore.validate(surf)
-    if not report.ok:
-        raise ValueError("invalid surface: " + "; ".join(report.violations))
+    flatcore._require_valid(surf)
     polys = tuple(
         PolygonChain(tuple(m.map_vec(p) for p in poly.vertices)) for poly in surf.polygons
     )

@@ -18,6 +18,7 @@ from degree 9 on, since importing numpy costs more than the small scans.
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .flatcore import EdgeRef, PlanarVec, PolygonChain, StratumSignature, TranslationSurface
+from .flatcore import EdgeRef, PlanarVec, PolygonChain, StratumSignature, TranslationSurface, _roots
 from .strata import int_partitions
 
 Perm = tuple[int, ...]
@@ -39,8 +40,19 @@ def invert_perm(p: Sequence[int]) -> Perm:
     return tuple(out)
 
 
+def _integers(values: Sequence[int], name: str) -> Perm:
+    """The entries as ints, refusing floats (int() truncates 0.9 to 0) and bools."""
+    values = tuple(values)
+    try:
+        if bool not in map(type, values):
+            return tuple(map(operator.index, values))
+    except TypeError:
+        pass
+    raise ValueError(f"{name} entries must be integers, got {values}")
+
+
 def _check_perm(p: Sequence[int], d: int, name: str) -> Perm:
-    p = tuple(int(x) for x in p)
+    p = _integers(p, name)
     if len(p) != d or sorted(p) != list(range(d)):
         raise ValueError(f"{name} is not a permutation of 0..{d - 1}: {p}")
     return p
@@ -79,7 +91,7 @@ def _perm_from_spec(spec: Union[str, Sequence[int]], d: int, name: str) -> Perm:
     """A permutation from cycle notation (1-based) or a 1-based image list."""
     if isinstance(spec, str):
         return parse_cycles(spec, d)
-    images = [int(x) for x in spec]
+    images = _integers(spec, name)
     if sorted(images) != list(range(1, d + 1)):
         raise ValueError(f"{name} is not a 1-based permutation of 1..{d}: {spec}")
     return tuple(x - 1 for x in images)
@@ -458,14 +470,7 @@ def cylinders(o: Origami) -> CylinderDecomposition:
         for s in row:
             row_of[s] = r
 
-    parent = list(range(len(rows)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    links = []
     for r, row in enumerate(rows):
         clean = all(o.v[s] not in singular for s in row)
         if not clean:
@@ -476,18 +481,11 @@ def cylinders(o: Origami) -> CylinderDecomposition:
         r_above = above.pop()
         if len(rows[r_above]) != len(row):
             raise RuntimeError(f"clean interface joins rows of different widths")
-        ra, rb = find(r), find(r_above)
-        if ra != rb:
-            parent[ra] = rb
+        links.append((r, r_above))
 
-    groups: dict[int, list[int]] = {}
-    for r in range(len(rows)):
-        groups.setdefault(find(r), []).append(r)
-    cyls = []
-    for members in groups.values():
-        widths = {len(rows[r]) for r in members}
-        assert len(widths) == 1
-        cyls.append(Cylinder(widths.pop(), len(members)))
+    # Links only join rows of equal width, so a cylinder has the width of its root row.
+    roots = _roots(len(rows), links)
+    cyls = [Cylinder(len(rows[root]), roots.count(root)) for root in set(roots)]
     cyls.sort(key=lambda c: (c.width, c.height), reverse=True)
     total = sum(c.width * c.height for c in cyls)
     if total != o.d:

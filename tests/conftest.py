@@ -26,6 +26,20 @@ def rng() -> random.Random:
     return make_rng()
 
 
+@pytest.fixture
+def validation_calls(monkeypatch) -> list:
+    """The surfaces that run flatcore's private validation body, in call order."""
+    calls = []
+    body = flatcore._validate
+
+    def counted(surf):
+        calls.append(surf)
+        return body(surf)
+
+    monkeypatch.setattr(flatcore, "_validate", counted)
+    return calls
+
+
 # --- polygon fixtures -------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, text and JSON output, file writing."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -54,6 +56,26 @@ def test_analyze_invalid_surface(tmp_path, capsys):
     assert code == 1
     assert "invalid:" in err
     assert "not opposite" in err
+
+
+@pytest.mark.parametrize("command", ["act", "render"])
+def test_invalid_surface_lines(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    flatcore.dump_surface(build_bad_square(), str(path))
+    extra = ["--matrix", "1,1,0,1"] if command == "act" else ["-o", str(tmp_path / "bad.svg")]
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "invalid: paired edge vectors not opposite: (0, 0) and (0, 3)",
+        "invalid: paired edge vectors not opposite: (0, 1) and (0, 2)",
+    ]
+
+
+def test_analyze_validates_once(validation_calls, capsys):
+    code, _, _ = run_cli(capsys, "analyze", str(DATA / "octagon.json"))
+    assert code == 0
+    assert len(validation_calls) == 1
 
 
 def test_analyze_unreadable_input(tmp_path, capsys):
@@ -238,10 +260,14 @@ def test_render_default_output_name(tmp_path, capsys):
 
 
 def test_console_script_runs():
+    # The child imports the same flatkit as this process, installed or not.
+    package_root = str(pathlib.Path(cli.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "flatkit.cli", "analyze", str(DATA / "l3.origami")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert "stratum: H(2)" in proc.stdout

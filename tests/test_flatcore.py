@@ -203,12 +203,48 @@ def test_degenerate_polygon_rejected():
 
 def test_operations_refuse_invalid_input():
     bad = build_bad_square()
-    with pytest.raises(ValueError, match="invalid surface"):
-        flatcore.singularities(bad)
-    with pytest.raises(ValueError, match="invalid surface"):
-        flatcore.genus(bad)
-    with pytest.raises(ValueError, match="invalid surface"):
-        flatcore.periods(bad)
+    operations = (
+        flatcore.singularities, flatcore.genus, flatcore.stratum, flatcore.periods,
+        flatcore.is_integral,
+    )
+    for _ in range(2):  # the verdict is cached on the surface; it must hold on every call
+        for operation in operations:
+            with pytest.raises(ValueError, match="invalid surface"):
+                operation(bad)
+
+
+def test_pairing_is_read_only():
+    surf = build_step_octagon()
+    key = next(iter(surf.pairing))
+    with pytest.raises(TypeError):
+        surf.pairing[key] = key
+    # Built from a caller's dict, a surface keeps its own copy.
+    pairing = dict(surf.pairing)
+    copy = flatcore.TranslationSurface(surf.polygons, pairing)
+    pairing.clear()
+    assert copy.pairing == surf.pairing
+
+
+def test_validation_runs_once_per_surface(validation_calls):
+    surf = build_step_octagon()
+    for _ in range(3):
+        assert flatcore.validate(surf).ok
+        flatcore.singularities(surf)
+        flatcore.stratum(surf)
+        flatcore.periods(surf)
+        flatcore.is_integral(surf)
+    assert validation_calls == [surf]
+    bad = build_bad_square()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="invalid surface"):
+            flatcore.stratum(bad)
+    assert validation_calls == [surf, bad]
+
+
+def test_singularities_returns_a_fresh_list(octagon):
+    points = flatcore.singularities(octagon)
+    points.clear()
+    assert len(flatcore.singularities(octagon)) == 1
 
 
 # --- JSON I/O ----------------------------------------------------------------

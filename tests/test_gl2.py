@@ -106,3 +106,13 @@ def test_apply_validates_input():
     )
     with pytest.raises(ValueError, match="invalid surface"):
         gl2.apply(bad, gl2.IDENTITY)
+
+
+def test_apply_validates_source_and_image_once(validation_calls):
+    source = build_step_octagon()
+    image = gl2.apply(source, gl2.mat2(1, 1, 0, 1))
+    assert flatcore.validate(image).ok
+    flatcore.singularities(image)
+    flatcore.stratum(image)
+    flatcore.periods(image)
+    assert validation_calls == [source, image]

@@ -31,6 +31,24 @@ def test_make_rejects_bad_input():
         make(3, [1, 1, 2], [1, 2, 3])
 
 
+def test_permutation_entries_must_be_integers():
+    for h in ((0.9, 1), (True, False), (1.0, 0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            origami.Origami(2, h, (1, 0))
+    with pytest.raises(ValueError, match="must be integers"):
+        make(2, [1.7, 2], [2, 1])
+    with pytest.raises(ValueError, match="must be integers"):
+        make(2, [True, 2], [2, 1])
+    o = make(2, [2, 1], [2, 1])
+    with pytest.raises(ValueError, match="must be integers"):
+        origami.relabel(o, (1.0, 0))
+    with pytest.raises(ValueError, match="must be integers"):
+        origami.relabel(o, (True, False))
+    import numpy as np
+
+    assert origami.Origami(2, np.array([1, 0]), (1, 0)).h == (1, 0)
+
+
 def test_parse_cycles_and_format():
     p = origami.parse_cycles("(1,2)(4,5)", 5)
     assert p == (1, 0, 2, 4, 3)
