@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -19,7 +19,7 @@ from . import flatcore, gl2, hyperell, origami as origami_mod, spin, strata
 
 @dataclass
 class Report:
-    """Analysis record for one input; keys serialize in fixed order."""
+    """Analysis record for one input; keys serialize in field order, unset ones omitted."""
 
     source: str
     kind: str
@@ -34,21 +34,11 @@ class Report:
     messages: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out: dict = {"source": self.source, "kind": self.kind}
-        for key in (
-            "degree",
-            "genus",
-            "stratum_orders",
-            "cone_angle_turns",
-            "period_rank",
-            "integral",
-            "spin_parity",
-            "component",
-        ):
-            value = getattr(self, key)
+        out: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value is not None:
-                out[key] = list(value) if isinstance(value, tuple) else value
-        out["messages"] = list(self.messages)
+                out[f.name] = list(value) if isinstance(value, (tuple, list)) else value
         return out
 
     def to_text(self) -> str:

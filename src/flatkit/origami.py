@@ -18,7 +18,6 @@ from degree 9 on, since importing numpy costs more than the small scans.
 
 from __future__ import annotations
 
-import operator
 import random
 import re
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .flatcore import EdgeRef, PlanarVec, PolygonChain, StratumSignature, TranslationSurface, _roots
-from .strata import int_partitions
+from .strata import _integers, int_partitions, normalize_orders
 
 Perm = tuple[int, ...]
 CanonicalForm = tuple[int, ...]
@@ -38,17 +37,6 @@ def invert_perm(p: Sequence[int]) -> Perm:
     for i, image in enumerate(p):
         out[image] = i
     return tuple(out)
-
-
-def _integers(values: Sequence[int], name: str) -> Perm:
-    """The entries as ints, refusing floats (int() truncates 0.9 to 0) and bools."""
-    values = tuple(values)
-    try:
-        if bool not in map(type, values):
-            return tuple(map(operator.index, values))
-    except TypeError:
-        pass
-    raise ValueError(f"{name} entries must be integers, got {values}")
 
 
 def _check_perm(p: Sequence[int], d: int, name: str) -> Perm:
@@ -386,8 +374,9 @@ class OrbitData:
     """Closure of one origami under the shear and quarter-turn moves.
 
     elements are canonical forms in sorted order; cusp_widths are the sizes
-    of the shear orbits on the elements; edges record one generator move
-    (source index, move label, target index) per explored transition.
+    of the shear orbits on the elements, largest first; edges hold, sorted,
+    one (source index, move label, target index) triple per element and
+    move, with the labels "S", "T" and "T^-1".
     """
 
     elements: tuple[CanonicalForm, ...]
@@ -395,22 +384,27 @@ class OrbitData:
     edges: tuple[tuple[int, str, int], ...]
 
 
-_MOVES = (("S", act_S), ("T", act_T), ("T^-1", act_T_inverse))
-
-
 def orbit(o: Origami, max_elements: int = 10000) -> OrbitData:
+    """The SL(2,Z) orbit of o, as a permutation representation on its classes.
+
+    The orbit is explored with the generators S and T only: on a finite set,
+    closure under S and T is closure under T^-1 as well.  The S and T images
+    of the sorted elements are index permutations s and t; the T^-1 edges
+    are those of the inverse of t, and the cusp widths are the cycle lengths
+    of t.  Raises RuntimeError when the orbit has more than max_elements
+    elements.
+    """
     if max_elements < 1:
         raise ValueError("max_elements must be at least 1")
     start = canonical_form(o)
+    images: dict[CanonicalForm, tuple[CanonicalForm, CanonicalForm]] = {}
     seen = {start}
     frontier = [start]
-    raw_edges: list[tuple[CanonicalForm, str, CanonicalForm]] = []
     while frontier:
         code = frontier.pop()
         rep = decode_canonical(code)
-        for label, move in _MOVES:
-            image = canonical_form(move(rep))
-            raw_edges.append((code, label, image))
+        images[code] = (canonical_form(act_S(rep)), canonical_form(act_T(rep)))
+        for image in images[code]:
             if image not in seen:
                 if len(seen) == max_elements:
                     raise RuntimeError(
@@ -421,22 +415,17 @@ def orbit(o: Origami, max_elements: int = 10000) -> OrbitData:
 
     elements = tuple(sorted(seen))
     index = {code: i for i, code in enumerate(elements)}
-    edges = tuple(sorted((index[a], label, index[b]) for a, label, b in raw_edges))
-
-    widths = []
-    visited: set[CanonicalForm] = set()
-    for code in elements:
-        if code in visited:
-            continue
-        width = 0
-        cur = code
-        while cur not in visited:
-            visited.add(cur)
-            width += 1
-            cur = canonical_form(act_T(decode_canonical(cur)))
-        widths.append(width)
-    assert sum(widths) == len(elements)
-    return OrbitData(elements, tuple(sorted(widths, reverse=True)), edges)
+    s = [index[images[code][0]] for code in elements]
+    t = [index[images[code][1]] for code in elements]
+    if sorted(t) != list(range(len(elements))):
+        raise RuntimeError("the shear does not permute the orbit")
+    edges = sorted(
+        (i, label, target)
+        for label, targets in (("S", s), ("T", t), ("T^-1", invert_perm(t)))
+        for i, target in enumerate(targets)
+    )
+    widths = sorted(map(len, cycles_of(t)), reverse=True)
+    return OrbitData(elements, tuple(widths), tuple(edges))
 
 
 # --- horizontal cylinders ---------------------------------------------------
@@ -521,8 +510,6 @@ def _cycle_type_rep(parts: Sequence[int]) -> Perm:
 
 def _target_type(d: int, orders: Sequence[int]) -> tuple[int, ...]:
     lengths = sorted((m + 1 for m in orders), reverse=True)
-    if any(m < 1 for m in orders):
-        raise ValueError(f"zero orders must be positive: {orders}")
     if sum(lengths) > d:
         raise ValueError(f"orders {orders} need more than {d} squares")
     return tuple(lengths + [1] * (d - sum(lengths)))
@@ -638,7 +625,7 @@ def _labeled_pairs(d: int, orders: Sequence[int]) -> Iterator[tuple[Perm, Perm]]
     time than the vectorized scan saves.  Degrees too small to carry the
     orders give no pairs.
     """
-    orders = tuple(sorted((int(m) for m in orders), reverse=True))
+    orders = normalize_orders(orders)
     if sum(m + 1 for m in orders) > d:
         return
     if d < _NUMPY_THRESHOLD:
@@ -665,7 +652,8 @@ def origamis_in_stratum(d: int, orders: Sequence[int]) -> Iterator[Origami]:
 
     One representative per isomorphism class, in its canonical labeling, in
     the order the scan first meets the class.  Degrees too small to carry
-    the orders give an empty enumeration.
+    the orders give an empty enumeration; orders that are not positive
+    integers with an even sum raise ValueError.
     """
     yield from _classes(d, orders)
 

@@ -8,6 +8,7 @@ formulas, and classifies the connected components of each stratum.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from itertools import count
 from typing import Iterator, Sequence
@@ -24,9 +25,23 @@ class ComponentLabel(str, Enum):
         return self.value
 
 
+def _integers(values: Sequence[int], name: str) -> tuple[int, ...]:
+    """The entries as ints, refusing floats (int() truncates 0.9 to 0) and bools."""
+    values = tuple(values)
+    try:
+        if bool not in map(type, values):
+            return tuple(map(operator.index, values))
+    except TypeError:
+        pass
+    raise ValueError(f"{name} entries must be integers, got {values}")
+
+
 def normalize_orders(orders: Sequence[int]) -> tuple[int, ...]:
-    """Sorted descending tuple of positive zero orders; rejects bad input."""
-    out = tuple(sorted((int(m) for m in orders), reverse=True))
+    """Sorted descending tuple of positive zero orders with an even sum.
+
+    Orders must be integers (Python or numpy); floats and bools are refused.
+    """
+    out = tuple(sorted(_integers(orders, "zero order"), reverse=True))
     if any(m <= 0 for m in out):
         raise ValueError(f"zero orders must be positive: {orders}")
     if sum(out) % 2 != 0:

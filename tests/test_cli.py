@@ -124,6 +124,18 @@ def test_analyze_malformed_surface_json(tmp_path, capsys, payload, message):
     assert "Traceback" not in err
 
 
+def test_analyze_half_paired_square(tmp_path, capsys):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"polygons": [SQUARE], "pairings": SQUARE_PAIRS[:1]}))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "invalid: edge (0, 1) is unpaired",
+        "invalid: edge (0, 3) is unpaired",
+    ]
+
+
 def test_orbit_command(capsys):
     code, out, _ = run_cli(capsys, "orbit", str(DATA / "l3.origami"), "--json")
     assert code == 0

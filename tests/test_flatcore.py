@@ -275,17 +275,23 @@ def test_json_rejects_bad_pairing():
     }
     with pytest.raises(ValueError, match="paired twice"):
         flatcore.surface_from_json(base)
-    with pytest.raises(ValueError, match="itself"):
-        flatcore.surface_from_json(
-            {
-                "polygons": base["polygons"],
-                "pairings": [[[0, 0], [0, 0]], [[0, 1], [0, 3]], [[0, 2], [0, 2]]],
-            }
-        )
-    with pytest.raises(ValueError):
-        flatcore.surface_from_json(
-            {"polygons": base["polygons"], "pairings": [[[0, 0], [0, 9]]]}
-        )
+    # Pairings that a dict can hold are read as they are and judged by validate.
+    self_paired = flatcore.surface_from_json(
+        {
+            "polygons": base["polygons"],
+            "pairings": [[[0, 0], [0, 0]], [[0, 1], [0, 3]], [[0, 2], [0, 2]]],
+        }
+    )
+    assert flatcore.validate(self_paired).violations == (
+        "edge (0, 0) is paired with itself",
+        "edge (0, 2) is paired with itself",
+    )
+    out_of_range = flatcore.surface_from_json(
+        {"polygons": base["polygons"], "pairings": [[[0, 0], [0, 9]]]}
+    )
+    assert flatcore.validate(out_of_range).violations == (
+        "pairing refers to nonexistent edge (0, 9)",
+    )
 
 
 def test_json_rejects_bad_coordinate():

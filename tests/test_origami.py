@@ -187,8 +187,77 @@ def test_orbit_start_independence(l3):
 
 
 def test_orbit_budget(l5):
-    with pytest.raises(RuntimeError, match="budget exceeded"):
-        origami.orbit(l5, max_elements=2)
+    for budget in (2, 17):
+        with pytest.raises(RuntimeError, match="budget exceeded"):
+            origami.orbit(l5, max_elements=budget)
+    assert len(origami.orbit(l5, max_elements=18).elements) == 18
+
+
+def reference_orbit(o):
+    """Breadth-first closure under all three moves S, T and T^-1.
+
+    Every edge and every cusp is found by applying a move and taking the
+    canonical form, with no use of the group structure.
+    """
+    moves = (("S", origami.act_S), ("T", origami.act_T), ("T^-1", origami.act_T_inverse))
+    start = origami.canonical_form(o)
+    seen = {start}
+    frontier = [start]
+    raw_edges = []
+    while frontier:
+        code = frontier.pop()
+        rep = origami.decode_canonical(code)
+        for label, move in moves:
+            image = origami.canonical_form(move(rep))
+            raw_edges.append((code, label, image))
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+
+    elements = tuple(sorted(seen))
+    index = {code: i for i, code in enumerate(elements)}
+    edges = tuple(sorted((index[a], label, index[b]) for a, label, b in raw_edges))
+
+    widths = []
+    visited = set()
+    for code in elements:
+        if code in visited:
+            continue
+        width = 0
+        cur = code
+        while cur not in visited:
+            visited.add(cur)
+            width += 1
+            cur = origami.canonical_form(origami.act_T(origami.decode_canonical(cur)))
+        widths.append(width)
+    assert sum(widths) == len(elements)
+    return origami.OrbitData(elements, tuple(sorted(widths, reverse=True)), edges)
+
+
+# d = 9 in H(2,1,1): an orbit of 3144 elements and 428 cusps.
+D9 = ("(1,2,3,4,5,6,7,8,9)", "(1,4)(2,7)")
+
+
+def test_orbit_matches_reference(l3, l5):
+    rng = make_rng(salt=9)
+    cases = [l3, l5, make(9, *D9)]
+    cases += [origami.random_origami(d, rng) for d in range(1, 8) for _ in range(3)]
+    for o in cases:
+        assert origami.orbit(o) == reference_orbit(o), origami.format_cycles(o.v)
+
+
+def test_orbit_canonical_forms_once_per_move(monkeypatch):
+    calls = []
+    body = origami.canonical_form
+
+    def counted(o):
+        calls.append(o)
+        return body(o)
+
+    monkeypatch.setattr(origami, "canonical_form", counted)
+    data = origami.orbit(make(9, *D9))
+    assert len(data.elements) == 3144
+    assert len(calls) == 2 * len(data.elements) + 1
 
 
 def test_cylinders(l5, l3, torus_origami):
@@ -236,6 +305,14 @@ def test_enumeration_class_counts(orders, d):
         assert o.d == d
         assert origami.is_connected(o)
         assert origami.singularity_orders(o).orders == tuple(orders)
+
+
+def test_enumeration_refuses_bad_orders():
+    for orders in ((2.5,), (True, True), (2, 1), (0, 2)):
+        with pytest.raises(ValueError):
+            list(origami.origamis_in_stratum(5, orders))
+        with pytest.raises(ValueError):
+            list(origami.stratum_pairs_raw(5, orders))
 
 
 def test_enumeration_empty_when_impossible():

@@ -19,6 +19,17 @@ def test_normalize_orders():
         strata.normalize_orders([2, 1])
 
 
+def test_orders_must_be_integers():
+    import numpy as np
+
+    assert strata.normalize_orders(np.array([1, 3])) == (3, 1)
+    for orders in ((2.5,), (4.7,), (2.0,), (True, True), ("2",)):
+        with pytest.raises(ValueError, match="must be integers"):
+            strata.normalize_orders(orders)
+    with pytest.raises(ValueError, match="must be integers"):
+        strata.components((4.7,))
+
+
 def test_genus_of_orders():
     assert strata.genus_of_orders(()) == 1
     assert strata.genus_of_orders((2,)) == 2
