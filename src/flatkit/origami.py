@@ -12,8 +12,12 @@ actions with orbit enumeration, horizontal cylinder decompositions, and
 exhaustive enumeration by stratum.  The enumeration is one pipeline for
 every degree: a scan yields the raw (h, v) pairs with the right corner cycle
 type, and one loop drops disconnected pairs and isomorphic duplicates.  Only
-the scan kernel depends on the degree: pure Python below degree 9, numpy
-from degree 9 on, since importing numpy costs more than the small scans.
+the scan kernel depends on the degree: pure Python below degree 8, numpy
+from degree 8 on, since importing numpy costs more than the small scans.
+The numpy kernel yields one batch of int8 arrays per cycle type of h, which
+the involution scan of flatkit.spin reads without a tuple per pair.
+Enumeration stops at degree 10, where the numpy kernel already holds all
+10! permutations.
 """
 
 from __future__ import annotations
@@ -23,10 +27,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .flatcore import EdgeRef, PlanarVec, PolygonChain, StratumSignature, TranslationSurface, _roots
 from .strata import _integers, int_partitions, normalize_orders
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Perm = tuple[int, ...]
 CanonicalForm = tuple[int, ...]
@@ -535,30 +542,83 @@ def _labeled_stratum_pairs_python(d: int, orders: tuple[int, ...]) -> Iterator[t
                 yield h, v
 
 
-_NUMPY_THRESHOLD = 9
-_CHUNK = 2000000  # rows of v per numpy block
+_NUMPY_DEGREE = 8  # the numpy kernel scans from this degree on, the Python kernel below it
+_RAW_DEGREE = 9  # stratum_pairs_raw yields raw pairs from this degree on, classes below it
+_MAX_DEGREE = 10  # at degree 11 the d! permutations alone would take about 440 MB
+_BLOCK = 65536  # permutations per numpy block, which bounds the temporaries
+
+
+def _stratum_orders(d: int, orders: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The normalized orders, or None when d squares cannot carry them.
+
+    Degrees above _MAX_DEGREE raise RuntimeError before anything is scanned.
+    """
+    orders = normalize_orders(orders)
+    if d > _MAX_DEGREE:
+        raise RuntimeError(
+            f"budget exceeded: stratum enumeration stops at degree {_MAX_DEGREE}, got {d}"
+        )
+    if sum(m + 1 for m in orders) > d:
+        return None
+    return orders
 
 
 def _all_perms_array(d: int):
-    """All d! permutations of 0..d-1 as an int8 array, built by insertion."""
+    """All d! permutations of 0..d-1, one per column of a (d, d!) int8 array.
+
+    Built by insertion.  Keeping the squares down the rows makes every
+    reduction over one permutation an elementwise pass over d rows.
+    """
     import numpy as np
 
     out = np.zeros((1, 1), dtype=np.int8)
     for k in range(2, d + 1):
         prev = out
-        m = prev.shape[0]
-        new = np.empty((m * k, k), dtype=np.int8)
+        m = prev.shape[1]
+        new = np.empty((k, m * k), dtype=np.int8)
         for pos in range(k):
-            block = new[pos * m : (pos + 1) * m]
-            block[:, :pos] = prev[:, :pos]
-            block[:, pos] = k - 1
-            block[:, pos + 1 :] = prev[:, pos:]
+            block = new[:, pos * m : (pos + 1) * m]
+            block[:pos] = prev[:pos]
+            block[pos] = k - 1
+            block[pos + 1 :] = prev[pos:]
         out = new
     return out
 
 
-def _labeled_stratum_pairs_numpy(d: int, orders: tuple[int, ...]) -> Iterator[tuple[Perm, Perm]]:
-    """Raw (h, v) pairs with the given corner cycle type, h fixed per type.
+def _flat_index(rows):
+    """Flat positions, in a (d, n) array, of entry [rows[s, r], r] for every s, r.
+
+    Indexing the raveled array with them applies permutation column r to
+    the entries of column r, with no intermediate array beyond the result.
+    """
+    import numpy as np
+
+    at = rows.astype(np.intp)
+    at *= rows.shape[1]
+    at += np.arange(rows.shape[1])
+    return at
+
+
+class PairBatch(NamedTuple):
+    """The raw pairs of one cycle type of h, as int8 arrays.
+
+    h and hinv have shape (d,); v holds one permutation per row and vinv
+    its inverse.  rows counts the permutations scanned and fixed_point_rows
+    those that passed the fixed-point filter; the rows of v passed the power
+    filter as well.
+    """
+
+    cycle_type: tuple[int, ...]
+    h: np.ndarray
+    hinv: np.ndarray
+    v: np.ndarray
+    vinv: np.ndarray
+    rows: int
+    fixed_point_rows: int
+
+
+def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
+    """Raw (h, v) pairs with the given corner cycle type, one batch per type of h.
 
     Vectorized scan over all v for each cycle-type representative h.  The
     corner permutation c = h v h^-1 v^-1 is never formed on the full block:
@@ -568,10 +628,15 @@ def _labeled_stratum_pairs_numpy(d: int, orders: tuple[int, ...]) -> Iterator[tu
     powers are taken; fixed-point counts of the powers pin down the
     multiplicity of every cycle length up to the largest target length, and
     the total degree excludes longer cycles.  Connectivity is NOT checked
-    here and isomorphic duplicates are NOT removed.
+    here and isomorphic duplicates are NOT removed.  Every cycle type of h
+    gets a batch, possibly with no rows; degrees too small to carry the
+    orders give none.
     """
     import numpy as np
 
+    orders = _stratum_orders(d, orders)
+    if orders is None:
+        return
     target = _target_type(d, orders)
     counts = {length: target.count(length) for length in set(target)}
     max_len = max(target)
@@ -582,56 +647,63 @@ def _labeled_stratum_pairs_numpy(d: int, orders: tuple[int, ...]) -> Iterator[tu
 
     all_perms = _all_perms_array(d)
     identity = np.arange(d, dtype=np.int8)
+    squares = identity[:, None]
     for parts in int_partitions(d):
         h = np.array(_cycle_type_rep(parts), dtype=np.int8)
         hinv = np.empty(d, dtype=np.int8)
         hinv[h] = identity
-        hinv_cols = hinv.astype(np.intp)
-        h_tuple = tuple(int(x) for x in h)
-        for lo in range(0, all_perms.shape[0], _CHUNK):
-            v_block = all_perms[lo : lo + _CHUNK]
-            g = h[v_block[:, hinv_cols]]
-            keep = (g == v_block).sum(axis=1) == expected_fix[1]
-            if not keep.any():
-                continue
-            v_sub = v_block[keep]
-            g_sub = g[keep]
-            vinv = np.empty_like(v_sub)
-            np.put_along_axis(
-                vinv,
-                v_sub.astype(np.intp),
-                np.broadcast_to(identity, v_sub.shape),
-                axis=1,
-            )
-            conj = np.take_along_axis(vinv, g_sub.astype(np.intp), axis=1)
-            mask = np.ones(conj.shape[0], dtype=bool)
+        hinv_rows = hinv.astype(np.intp)
+        kept_v, kept_vinv = [], []
+        fixed_point_rows = 0
+        for lo in range(0, all_perms.shape[1], _BLOCK):
+            v_block = all_perms[:, lo : lo + _BLOCK]
+            g = h[v_block[hinv_rows]]
+            keep = (g == v_block).sum(axis=0, dtype=np.int8) == expected_fix[1]
+            v_sub = np.compress(keep, v_block, axis=1)
+            n = v_sub.shape[1]
+            fixed_point_rows += n
+            vinv = np.empty((d, n), dtype=np.int8)  # C order: ravel() is a view
+            vinv.ravel()[_flat_index(v_sub)] = squares
+            conj = vinv.ravel()[_flat_index(np.compress(keep, g, axis=1))]
+            conj_at = _flat_index(conj)
+            mask = np.ones(n, dtype=bool)
             power = conj
             for k in range(2, max_len + 1):
-                power = np.take_along_axis(power, conj.astype(np.intp), axis=1)
-                mask &= (power == identity).sum(axis=1) == expected_fix[k]
                 if not mask.any():
                     break
-            if not mask.any():
-                continue
-            for row in v_sub[mask]:
-                yield h_tuple, tuple(int(x) for x in row)
+                power = power.ravel()[conj_at]
+                mask &= (power == squares).sum(axis=0, dtype=np.int8) == expected_fix[k]
+            kept_v.append(np.compress(mask, v_sub, axis=1))
+            kept_vinv.append(np.compress(mask, vinv, axis=1))
+        yield PairBatch(
+            parts,
+            h,
+            hinv,
+            np.concatenate(kept_v, axis=1).T,
+            np.concatenate(kept_vinv, axis=1).T,
+            all_perms.shape[1],
+            fixed_point_rows,
+        )
 
 
 def _labeled_pairs(d: int, orders: Sequence[int]) -> Iterator[tuple[Perm, Perm]]:
     """Raw (h, v) pairs of the stratum, from the kernel chosen by degree.
 
-    Both kernels yield the same pairs.  Below _NUMPY_THRESHOLD the scan is
-    short enough that importing numpy would cost more memory and start-up
-    time than the vectorized scan saves.  Degrees too small to carry the
-    orders give no pairs.
+    Both kernels yield the same pairs; the numpy batches are flattened into
+    one tuple pair per row.  Below _NUMPY_DEGREE the scan is short enough
+    that importing numpy would cost more memory and start-up time than the
+    vectorized scan saves.  Degrees too small to carry the orders give no
+    pairs; degrees above _MAX_DEGREE raise RuntimeError.
     """
-    orders = normalize_orders(orders)
-    if sum(m + 1 for m in orders) > d:
+    if d >= _NUMPY_DEGREE:
+        for batch in _stratum_batches(d, orders):
+            h = tuple(batch.h.tolist())
+            for row in batch.v.tolist():
+                yield h, tuple(row)
         return
-    if d < _NUMPY_THRESHOLD:
+    orders = _stratum_orders(d, orders)
+    if orders is not None:
         yield from _labeled_stratum_pairs_python(d, orders)
-    else:
-        yield from _labeled_stratum_pairs_numpy(d, orders)
 
 
 def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
@@ -661,13 +733,15 @@ def origamis_in_stratum(d: int, orders: Sequence[int]) -> Iterator[Origami]:
 def stratum_pairs_raw(d: int, orders: Sequence[int]) -> Iterator[tuple[Perm, Perm]]:
     """Raw (h, v) permutation pairs whose corner cycle type matches orders.
 
-    For d below _NUMPY_THRESHOLD this yields one pair per isomorphism class
-    (all connected).  For larger d it yields every labeled pair with the
-    right cycle type WITHOUT the connectivity check, which is the cheap
-    superset appropriate for universally quantified scans: any property
-    verified on all raw pairs holds on all origamis in the stratum.
+    For d below _RAW_DEGREE this yields one pair per isomorphism class (all
+    connected).  From it on it yields every labeled pair with the right
+    cycle type WITHOUT the connectivity check, one tuple pair per row of the
+    numpy batches; that is the cheap superset appropriate for universally
+    quantified scans: any property verified on all raw pairs holds on all
+    origamis in the stratum.  spin.hyperelliptic_scan reads the batches
+    themselves instead of this view.
     """
-    if d < _NUMPY_THRESHOLD:
+    if d < _RAW_DEGREE:
         for o in _classes(d, orders):
             yield o.h, o.v
     else:

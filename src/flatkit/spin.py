@@ -14,12 +14,15 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import origami as origami_mod
 from . import strata
 from .origami import Origami, commutator, cycles_of, invert_perm, singularity_orders
 from .strata import ComponentLabel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _DIRS = ("E", "N", "W", "S")
 _IDX = {"E": 0, "N": 1, "W": 2, "S": 3}
@@ -488,25 +491,110 @@ def hyperelliptic_involution(o: Origami) -> Optional[tuple[int, ...]]:
     return _involution_core(o.d, o.h, o.v, invert_perm(o.h), invert_perm(o.v))
 
 
+def _propagation_survivors(batch: origami_mod.PairBatch) -> np.ndarray:
+    """Rows of a batch on which some sigma(0) propagates to every square.
+
+    An involution sigma conjugates h to h^-1, so sigma(0) can only be a
+    square t whose h-cycle is as long as the h-cycle of 0.  For each such t,
+    every round applies sigma(h(s)) = h^-1(sigma(s)) and then
+    sigma(v(s)) = v^-1(sigma(s)) to the whole state matrix at once, int8 with
+    -1 for an image not known yet.  A row drops out when two images of one
+    square clash, when a round adds no image (0 does not reach every square)
+    or when every image is known; only the last kind survives.  A witness
+    meets no clash and reaches every square, so every row with a flat
+    involution survives.  Returns a boolean mask over the rows of the batch.
+    """
+    import numpy as np
+
+    def merge(state, image):
+        """Both partial maps together, and the rows where they disagree."""
+        clash = ((state != image) & ((state | image) >= 0)).any(axis=0)
+        return np.maximum(state, image), clash
+
+    n, d = batch.v.shape
+    length = [0] * d
+    for cycle in cycles_of(batch.h.tolist()):
+        for s in cycle:
+            length[s] = len(cycle)
+    candidates = [t for t in range(d) if length[t] == length[0]]
+    hinv_rows = batch.hinv.astype(np.intp)
+    hinv_images = np.append(batch.hinv, np.int8(-1))  # index -1 stays -1
+    survive = np.zeros(n, dtype=bool)
+    for lo in range(0, n, origami_mod._BLOCK):
+        for t in candidates:
+            # One column per row of the batch: state[s] holds sigma(s), and
+            # vinv has a last row of -1, which index -1 wraps to.
+            alive = lo + np.flatnonzero(~survive[lo : lo + origami_mod._BLOCK])
+            vinv = np.full((d + 1, len(alive)), -1, dtype=np.int8)
+            vinv[:d] = np.take(batch.vinv, alive, axis=0).T
+            state = np.full((d, len(alive)), -1, dtype=np.int8)
+            state[0] = t
+            while len(alive):
+                before = state
+                state, clash_h = merge(state, hinv_images[state[hinv_rows]])
+                at = state.ravel()[origami_mod._flat_index(vinv[:d])]
+                image = vinv.ravel()[origami_mod._flat_index(at)]
+                state, clash_v = merge(state, image)
+                clash = clash_h | clash_v
+                complete = state.min(axis=0) >= 0
+                survive[alive[complete & ~clash]] = True
+                keep = ~(clash | complete | (state == before).all(axis=0))
+                alive = alive[keep]
+                state = np.compress(keep, state, axis=1)
+                vinv = np.compress(keep, vinv, axis=1)
+    return survive
+
+
+def _batch_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
+    """hyperelliptic_scan over every raw pair of the numpy batches.
+
+    Only the rows that survive _propagation_survivors go to _involution_core.
+    Each cycle type of h logs its funnel at DEBUG: rows scanned, rows passing
+    the fixed-point and the power filters of the kernel, propagation
+    survivors and witnesses.
+    """
+    import logging
+
+    log = logging.getLogger(__name__)
+    scanned = 0
+    hits = 0
+    for batch in origami_mod._stratum_batches(d, orders):
+        survive = _propagation_survivors(batch)
+        h, hinv = batch.h.tolist(), batch.hinv.tolist()
+        witnesses = sum(
+            _involution_core(d, h, v, hinv, vinv) is not None
+            for v, vinv in zip(batch.v[survive].tolist(), batch.vinv[survive].tolist())
+        )
+        log.debug(
+            "hyperelliptic_scan d=%d h type %s: %d rows, %d pass fixed points, "
+            "%d pass powers, %d survive propagation, %d witnesses",
+            d, batch.cycle_type, batch.rows, batch.fixed_point_rows, len(batch.v),
+            int(survive.sum()), witnesses,
+        )
+        scanned += len(batch.v)
+        hits += witnesses
+    return scanned, hits
+
+
 def hyperelliptic_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
     """Exhaustively test a stratum's degree-d pairs for flat involutions.
 
-    Returns (pairs scanned, pairs admitting an involution).  For large d the
-    scan covers every labeled cycle-type match, including non-transitive
-    pairs; those can never produce a witness (see _involution_core), so a
-    zero count proves no origami of the stratum in that degree is
-    hyperelliptic.
+    Returns (pairs scanned, pairs admitting an involution).  Below degree 9
+    the pairs are one per isomorphism class (origami.stratum_pairs_raw).
+    From degree 9 on the scan covers every labeled cycle-type match,
+    including non-transitive pairs, read as numpy batches (_batch_scan);
+    non-transitive pairs can never produce a witness (see _involution_core),
+    so a zero count proves no origami of the stratum in that degree is
+    hyperelliptic.  The batch scan logs a funnel per cycle type of h at
+    DEBUG on the flatkit.spin logger.
     """
+    if d >= origami_mod._RAW_DEGREE:
+        return _batch_scan(d, orders)
     scanned = 0
     hits = 0
-    last_h: Optional[tuple[int, ...]] = None
-    hinv: tuple[int, ...] = ()
     for h, v in origami_mod.stratum_pairs_raw(d, orders):
-        if h != last_h:
-            hinv = invert_perm(h)
-            last_h = h
         scanned += 1
-        if _involution_core(d, h, v, hinv, invert_perm(v)) is not None:
+        if _involution_core(d, h, v, invert_perm(h), invert_perm(v)) is not None:
             hits += 1
     return scanned, hits
 

@@ -50,7 +50,11 @@ def normalize_orders(orders: Sequence[int]) -> tuple[int, ...]:
 
 
 def genus_of_orders(orders: Sequence[int]) -> int:
-    orders = normalize_orders(orders)
+    return _genus(normalize_orders(orders))
+
+
+def _genus(orders: tuple[int, ...]) -> int:
+    """The genus of already normalized orders, which sum to 2g - 2."""
     return sum(orders) // 2 + 1
 
 
@@ -108,7 +112,7 @@ def partition_numbers() -> Iterator[int]:
 def dimension(orders: Sequence[int]) -> int:
     """Dimension 2g + n - 1 of the stratum with the given zero orders."""
     orders = normalize_orders(orders)
-    g = genus_of_orders(orders)
+    g = _genus(orders)
     if g < 2:
         raise ValueError("stratum dimension formula needs at least one zero (genus >= 2)")
     return 2 * g + len(orders) - 1
@@ -137,7 +141,7 @@ def components(orders: Sequence[int]) -> tuple[ComponentLabel, ...]:
     defined).
     """
     orders = normalize_orders(orders)
-    g = genus_of_orders(orders)
+    g = _genus(orders)
     if g <= 2:
         return (ComponentLabel.CONNECTED,)
     all_even = all(m % 2 == 0 for m in orders)

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from flatkit import flatcore, origami
+from flatkit import flatcore, origami, strata
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -19,6 +19,16 @@ SEED = int(os.environ.get("FLATSURF_SEED", "0"))
 
 def make_rng(salt: int = 0) -> random.Random:
     return random.Random(SEED * 1000003 + salt)
+
+
+def signatures(d):
+    """Every stratum with origamis of degree d (the torus first)."""
+    return [()] + [
+        orders
+        for g in range(2, d // 2 + 2)
+        for orders in strata.partitions(g)
+        if sum(m + 1 for m in orders) <= d
+    ]
 
 
 @pytest.fixture

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flatkit import flatcore, origami, strata
+from flatkit import flatcore, origami, spin, strata
 from flatkit.origami import make
 
-from conftest import make_rng
+from conftest import make_rng, signatures
 
 
 def test_make_accepts_cycles_and_lists():
@@ -335,27 +335,54 @@ def test_stratum_pairs_raw_matches_classes():
 CLASSES_BY_DEGREE = {1: 1, 2: 3, 3: 7, 4: 26, 5: 97, 6: 624}
 
 
-def signatures(d):
-    """Every stratum with origamis of degree d (the torus first)."""
-    return [()] + [
-        orders
-        for g in range(2, d // 2 + 2)
-        for orders in strata.partitions(g)
-        if sum(m + 1 for m in orders) <= d
-    ]
-
-
 def all_classes(d):
     """Every class of degree d, one stratum at a time."""
     return [o for orders in signatures(d) for o in origami.origamis_in_stratum(d, orders)]
 
 
+def numpy_kernel_pairs(d, orders):
+    """The rows of the numpy batches as (h, v) tuple pairs."""
+    return [
+        (tuple(batch.h.tolist()), tuple(v))
+        for batch in origami._stratum_batches(d, orders)
+        for v in batch.v.tolist()
+    ]
+
+
 def test_python_kernel_matches_numpy_kernel():
     """The two raw-pair scans behind the enumeration yield the same pairs."""
     cases = [(d, orders) for d in range(1, 7) for orders in signatures(d)]
-    for d, orders in cases + [(7, (4,)), (7, (3, 1))]:
+    for d, orders in cases + [(7, (4,)), (7, (3, 1)), (8, (3, 1))]:
         pairs = sorted(origami._labeled_stratum_pairs_python(d, orders))
-        assert pairs == sorted(origami._labeled_stratum_pairs_numpy(d, orders)), (d, orders)
+        assert pairs == sorted(numpy_kernel_pairs(d, orders)), (d, orders)
+
+
+def test_numpy_batches_are_consistent():
+    """Each batch holds its type representative, inverses and funnel counts."""
+    batches = list(origami._stratum_batches(7, (2, 2)))
+    assert [b.cycle_type for b in batches] == list(strata.int_partitions(7))
+    for b in batches:
+        assert tuple(b.h.tolist()) == origami._cycle_type_rep(b.cycle_type)
+        assert tuple(b.hinv.tolist()) == origami.invert_perm(b.h.tolist())
+        assert b.v.shape == b.vinv.shape == (len(b.v), 7)
+        for v, vinv in zip(b.v.tolist(), b.vinv.tolist()):
+            assert tuple(vinv) == origami.invert_perm(v)
+        assert b.rows == 5040 >= b.fixed_point_rows >= len(b.v)
+    assert sum(len(b.v) for b in batches) == 8572
+
+
+def test_enumeration_degree_budget(monkeypatch):
+    """Degree 11 is refused before the d! permutations are allocated."""
+
+    def refuse(d):
+        raise AssertionError(f"_all_perms_array({d}) called")
+
+    monkeypatch.setattr(origami, "_all_perms_array", refuse)
+    for enumerate_stratum in (origami.origamis_in_stratum, origami.stratum_pairs_raw):
+        with pytest.raises(RuntimeError, match="budget exceeded"):
+            next(enumerate_stratum(11, (3, 1)))
+    with pytest.raises(RuntimeError, match="budget exceeded"):
+        spin.hyperelliptic_scan(11, (3, 1))
 
 
 @pytest.mark.parametrize("d", sorted(CLASSES_BY_DEGREE))

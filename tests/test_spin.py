@@ -1,12 +1,19 @@
 """Spin parity via the Arf invariant, flat involutions, component labels."""
 
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from flatkit import origami, spin
+import flatkit
+from flatkit import origami, spin, strata
 from flatkit.origami import make
 from flatkit.strata import ComponentLabel
 
-from conftest import make_rng
+from conftest import make_rng, signatures
 
 # frozen degree-6 examples, one per component of their stratum
 H4_HYP = origami.Origami(6, (0, 1, 3, 2, 5, 4), (1, 2, 0, 4, 3, 5))
@@ -138,6 +145,60 @@ def test_involution_isomorphism_invariant(rng):
 def test_hyperelliptic_scan_small():
     assert spin.hyperelliptic_scan(6, (3, 1)) == (128, 0)
     assert spin.hyperelliptic_scan(3, (2,)) == (3, 3)
+
+
+def test_batch_scan_matches_per_pair_loop():
+    """On every stratum with d <= 7, raw pair by raw pair: each pair with a
+    flat involution survives the vectorized pre-filter, and the batch scan
+    counts the witnesses that the per-pair loop finds."""
+    scans = {}
+    for d in range(1, 8):
+        for orders in signatures(d):
+            pairs = witnesses = 0
+            for batch in origami._stratum_batches(d, orders):
+                survive = spin._propagation_survivors(batch)
+                h = batch.h.tolist()
+                hinv = origami.invert_perm(h)
+                for v, kept in zip(batch.v.tolist(), survive.tolist()):
+                    pairs += 1
+                    if spin._involution_core(d, h, v, hinv, origami.invert_perm(v)) is not None:
+                        witnesses += 1
+                        assert kept, (d, orders, h, v)
+            scans[d, orders] = spin._batch_scan(d, orders)
+            assert scans[d, orders] == (pairs, witnesses), (d, orders)
+    assert scans[7, (4,)] == (15480, 3909)
+    assert scans[7, (2, 2)] == (8572, 3651)
+
+
+def test_batch_scan_funnel_adds_up(caplog):
+    caplog.set_level(logging.DEBUG, logger="flatkit")
+    assert spin._batch_scan(7, (4,)) == (15480, 3909)
+    records = [r for r in caplog.records if r.name == "flatkit.spin"]
+    assert [r.args[1] for r in records] == list(strata.int_partitions(7))
+    funnels = [r.args[2:] for r in records]
+    for rows, fixed_points, powers, survivors, witnesses in funnels:
+        assert rows == 5040
+        assert rows >= fixed_points >= powers >= survivors >= witnesses
+    assert sum(f[2] for f in funnels) == 15480
+    assert sum(f[4] for f in funnels) == 3909
+    assert sum(f[3] for f in funnels) < 15480
+
+
+def test_small_degrees_import_neither_numpy_nor_logging():
+    """Below degree 8 enumeration and scans stay in pure Python."""
+    code = (
+        "import sys\n"
+        "import flatkit.cli\n"
+        "from flatkit import origami, spin\n"
+        "assert len(list(origami.origamis_in_stratum(6, (4,)))) == 225\n"
+        "assert spin.hyperelliptic_scan(6, (3, 1)) == (128, 0)\n"
+        "print(sorted({'numpy', 'logging'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(flatkit.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_classify_component(l5, l3):

@@ -74,6 +74,21 @@ def test_partition_numbers():
         assert p[2 * g - 2] == len(strata.partitions(g))
 
 
+def test_orders_are_parsed_once(monkeypatch):
+    calls = []
+    parse = strata.normalize_orders
+
+    def counted(orders):
+        calls.append(orders)
+        return parse(orders)
+
+    monkeypatch.setattr(strata, "normalize_orders", counted)
+    assert strata.dimension((2, 2)) == 7
+    assert len(calls) == 1
+    assert strata.components((2, 2)) == (ComponentLabel.HYPERELLIPTIC, ComponentLabel.ODD_SPIN)
+    assert len(calls) == 2
+
+
 def test_dimension():
     assert strata.dimension((2,)) == 4
     assert strata.dimension((1, 1)) == 5
