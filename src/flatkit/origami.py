@@ -11,13 +11,16 @@ polygon model), canonical forms and isomorphism, the shear and quarter-turn
 actions with orbit enumeration, horizontal cylinder decompositions, and
 exhaustive enumeration by stratum.  The enumeration is one pipeline for
 every degree: a scan yields the raw (h, v) pairs with the right corner cycle
-type, and one loop drops disconnected pairs and isomorphic duplicates.  Only
-the scan kernel depends on the degree: pure Python below degree 8, numpy
-from degree 8 on, since importing numpy costs more than the small scans.
-The numpy kernel yields one batch of int8 arrays per cycle type of h, which
-the involution scan of flatkit.spin reads without a tuple per pair.
-Enumeration stops at degree 10, where the numpy kernel already holds all
-10! permutations.
+type, and one loop drops disconnected pairs and isomorphic duplicates.  The
+scan kernel depends on the degree: pure Python below degree 8, numpy from
+degree 8 on, since importing numpy costs more than the small scans.  The
+numpy kernel yields one batch of int8 arrays per cycle type of h, which the
+involution scan of flatkit.spin reads without a tuple per pair.  On the
+batches, a vectorized centralizer filter first drops every pair that a
+symmetry of h conjugates to a pair met earlier, so from degree 8 on the
+canonical form, the costly step, runs on a small share of the raw pairs.
+Enumeration stops at degree 10, where the numpy kernel
+already holds all 10! permutations.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .flatcore import EdgeRef, PlanarVec, PolygonChain, StratumSignature, TranslationSurface, _roots
@@ -303,8 +306,21 @@ def canonical_form(o: Origami) -> CanonicalForm:
     lexicographically least flat tuple is canonical.  Two origamis have equal
     canonical forms exactly when one is a relabeling of the other.
     """
-    d, h, v = o.d, o.h, o.v
-    hinv, vinv = invert_perm(h), invert_perm(v)
+    code = _canonical_code(o.d, o.h, o.v, invert_perm(o.h), invert_perm(o.v))
+    if code is None:
+        raise ValueError("not connected: h and v do not act transitively")
+    return code
+
+
+def _canonical_code(
+    d: int, h: Sequence[int], v: Sequence[int], hinv: Sequence[int], vinv: Sequence[int]
+) -> Optional[CanonicalForm]:
+    """canonical_form of the pair (h, v), or None when it is disconnected.
+
+    The caller passes the inverses, so a scan that holds them already does
+    not build an Origami or invert anything per pair.  A disconnected pair
+    shows on the first breadth-first search, before any code is built.
+    """
     best: Optional[tuple[int, ...]] = None
     for start in range(d):
         label = [-1] * d
@@ -319,7 +335,7 @@ def canonical_form(o: Origami) -> CanonicalForm:
                     label[t] = len(order)
                     order.append(t)
         if qi != d:
-            raise ValueError("not connected: h and v do not act transitively")
+            return None
         hp = [0] * d
         vp = [0] * d
         for s in range(d):
@@ -328,7 +344,6 @@ def canonical_form(o: Origami) -> CanonicalForm:
         code = (d, *hp, *vp)
         if best is None or code < best:
             best = code
-    assert best is not None
     return best
 
 
@@ -522,12 +537,14 @@ def _target_type(d: int, orders: Sequence[int]) -> tuple[int, ...]:
     return tuple(lengths + [1] * (d - sum(lengths)))
 
 
-def _labeled_stratum_pairs_python(d: int, orders: tuple[int, ...]) -> Iterator[tuple[Perm, Perm]]:
-    """Raw (h, v) pairs with the given corner cycle type, h fixed per type.
+def _labeled_stratum_pairs_python(
+    d: int, orders: tuple[int, ...]
+) -> Iterator[tuple[Perm, Perm, Perm, Perm]]:
+    """Raw (h, v, h^-1, v^-1) with the given corner cycle type, h fixed per type.
 
     h runs over one representative per cycle type (any pair can be relabeled
     so that h is its type representative), v over all permutations.  Yields
-    the same pairs as _labeled_stratum_pairs_numpy, with no connectivity
+    the pairs of _stratum_batches (in another order), with no connectivity
     check and no removal of isomorphic duplicates.
     """
     target = list(_target_type(d, orders))
@@ -539,7 +556,7 @@ def _labeled_stratum_pairs_python(d: int, orders: tuple[int, ...]) -> Iterator[t
             vinv = invert_perm(v)
             comm = [h[v[hinv[vinv[s]]]] for s in squares]
             if sorted(map(len, cycles_of(comm)), reverse=True) == target:
-                yield h, v
+                yield h, v, hinv, vinv
 
 
 _NUMPY_DEGREE = 8  # the numpy kernel scans from this degree on, the Python kernel below it
@@ -686,46 +703,166 @@ def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
         )
 
 
-def _labeled_pairs(d: int, orders: Sequence[int]) -> Iterator[tuple[Perm, Perm]]:
-    """Raw (h, v) pairs of the stratum, from the kernel chosen by degree.
+def _scan_rank(vinv):
+    """Column index in _all_perms_array(d) of each permutation, from its inverse.
 
-    Both kernels yield the same pairs; the numpy batches are flattened into
-    one tuple pair per row.  Below _NUMPY_DEGREE the scan is short enough
-    that importing numpy would cost more memory and start-up time than the
-    vectorized scan saves.  Degrees too small to carry the orders give no
-    pairs; degrees above _MAX_DEGREE raise RuntimeError.
+    vinv is a (d, n) array holding one inverse per column.  Column
+    sum_{k=2..d} (k-1)! * p_k of _all_perms_array(d) is the permutation
+    whose largest k - 1 is preceded by p_k of 0..k-2, and the inverse gives
+    the position of each value, so p_k counts the e < k - 1 with
+    vinv[e] < vinv[k - 1].  The batch rows of one cycle type are in this
+    order, so the rank is the scan position.
     """
-    if d >= _NUMPY_DEGREE:
-        for batch in _stratum_batches(d, orders):
-            h = tuple(batch.h.tolist())
-            for row in batch.v.tolist():
-                yield h, tuple(row)
-        return
-    orders = _stratum_orders(d, orders)
-    if orders is not None:
-        yield from _labeled_stratum_pairs_python(d, orders)
+    import numpy as np
+
+    rank = np.zeros(vinv.shape[1], dtype=np.int32)
+    weight = 1
+    for k in range(2, vinv.shape[0] + 1):
+        weight *= k - 1
+        rank += weight * (vinv[: k - 1] < vinv[k - 1]).sum(axis=0, dtype=np.int32)
+    return rank
+
+
+def _centralizer_subset(parts: Sequence[int]) -> list[Perm]:
+    """The elements of the centralizer of _cycle_type_rep(parts) that fix its fixed points.
+
+    Each one maps every non-trivial cycle of h, rotated, onto a cycle of the
+    same length, so there are prod_{k>=2} m_k! * k^m_k of them when h has
+    m_k cycles of length k.  The identity comes first.
+    """
+    bases: dict[int, list[int]] = {}
+    base = 0
+    for length in parts:
+        if length > 1:
+            bases.setdefault(length, []).append(base)
+        base += length
+    moves_by_length = [
+        [
+            [
+                (src + j, dst + (j + shift) % length)
+                for src, dst, shift in zip(starts, targets, shifts)
+                for j in range(length)
+            ]
+            for targets in permutations(starts)
+            for shifts in product(range(length), repeat=len(starts))
+        ]
+        for length, starts in bases.items()
+    ]
+    out = []
+    for moves in product(*moves_by_length):
+        c = list(range(base))
+        for group in moves:
+            for src, dst in group:
+                c[src] = dst
+        out.append(tuple(c))
+    return out
+
+
+def _centralizer_survivors(batch: PairBatch):
+    """Indices, ascending, of the batch rows that no element of the
+    centralizer subset conjugates to an earlier row.
+
+    (h, v) and (h, c v c^-1) are isomorphic for every c commuting with h, so
+    a row with a conjugate of lower scan rank repeats a class the scan has
+    already met.  The first row of each class has no such conjugate and
+    always survives, so dropping the others changes neither the classes nor
+    their discovery order.  The inverse of c v c^-1 is c[vinv[c^-1]].
+    """
+    import numpy as np
+
+    vinv = np.ascontiguousarray(batch.vinv.T)
+    rank = _scan_rank(vinv)
+    rows = np.arange(vinv.shape[1])
+    for c in _centralizer_subset(batch.cycle_type)[1:]:
+        conj_inv = np.array(c, dtype=np.int8)[vinv[list(invert_perm(c))]]
+        keep = _scan_rank(conj_inv) >= rank
+        if not keep.all():
+            vinv = np.compress(keep, vinv, axis=1)
+            rank = rank[keep]
+            rows = rows[keep]
+    return rows
+
+
+def _connected_columns(h, hinv, v, vinv):
+    """Mask of the columns r of the (d, n) arrays v, vinv with (h, v[:, r]) connected.
+
+    Every square takes the least label among itself and its four neighbors
+    until no label changes; a pair is connected when every label is 0.
+    """
+    import numpy as np
+
+    d, n = v.shape
+    label = np.repeat(np.arange(d, dtype=np.int8)[:, None], n, axis=1)
+    v_at, vinv_at = _flat_index(v), _flat_index(vinv)
+    while True:
+        least = np.minimum(label, label[h])
+        np.minimum(least, label[hinv], out=least)
+        np.minimum(least, label.ravel()[v_at], out=least)
+        np.minimum(least, label.ravel()[vinv_at], out=least)
+        if (least == label).all():
+            return (label == 0).all(axis=0)
+        label = least
 
 
 def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
-    """One canonical origami per isomorphism class, in discovery order."""
+    """One canonical origami per isomorphism class, in discovery order.
+
+    Below _NUMPY_DEGREE every raw pair of the Python kernel gets a canonical
+    code; the scans there are short enough that importing numpy would cost
+    more memory and start-up time than it saves.  From it on, only the batch rows that survive the centralizer
+    filter (_centralizer_survivors) do, and each cycle type of h logs its
+    funnel at DEBUG on the flatkit.origami logger: raw pairs, filter
+    survivors, and how many of those were disconnected, duplicates of a
+    class already met, or new classes.  The seen set catches the duplicates
+    the filter leaves: conjugates by centralizer elements that move fixed
+    points of h.
+    """
     seen: set[CanonicalForm] = set()
-    for h, v in _labeled_pairs(d, orders):
-        o = Origami(d, h, v)
-        if not is_connected(o):
-            continue
-        code = canonical_form(o)
-        if code not in seen:
-            seen.add(code)
-            yield decode_canonical(code)
+    if d < _NUMPY_DEGREE:
+        orders = _stratum_orders(d, orders)
+        if orders is None:
+            return
+        for h, v, hinv, vinv in _labeled_stratum_pairs_python(d, orders):
+            code = _canonical_code(d, h, v, hinv, vinv)
+            if code is not None and code not in seen:
+                seen.add(code)
+                yield decode_canonical(code)
+        return
+
+    import logging
+
+    log = logging.getLogger(__name__)
+    for batch in _stratum_batches(d, orders):
+        survivors = _centralizer_survivors(batch)
+        v, vinv = batch.v[survivors], batch.vinv[survivors]
+        connected = _connected_columns(batch.h, batch.hinv, v.T, vinv.T)
+        h, hinv = batch.h.tolist(), batch.hinv.tolist()
+        duplicates = classes = 0
+        for row, row_inv in zip(v[connected].tolist(), vinv[connected].tolist()):
+            code = _canonical_code(d, h, row, hinv, row_inv)
+            if code in seen:
+                duplicates += 1
+            else:
+                seen.add(code)
+                classes += 1
+                yield decode_canonical(code)
+        log.debug(
+            "origamis_in_stratum d=%d h type %s: %d pairs, %d survive the centralizer "
+            "filter, %d disconnected, %d duplicates, %d classes",
+            d, batch.cycle_type, len(batch.v), len(survivors),
+            len(survivors) - int(connected.sum()), duplicates, classes,
+        )
 
 
 def origamis_in_stratum(d: int, orders: Sequence[int]) -> Iterator[Origami]:
     """All connected degree-d origamis whose zero orders equal the given ones.
 
     One representative per isomorphism class, in its canonical labeling, in
-    the order the scan first meets the class.  Degrees too small to carry
-    the orders give an empty enumeration; orders that are not positive
-    integers with an even sum raise ValueError.
+    the order the scan first meets the class.  From degree 8 on the raw
+    pairs are first conjugated by part of the centralizer of h, and only
+    those no conjugate precedes get a canonical form.  Degrees too small to
+    carry the orders give an empty enumeration; orders that are not
+    positive integers with an even sum raise ValueError.
     """
     yield from _classes(d, orders)
 
@@ -744,5 +881,8 @@ def stratum_pairs_raw(d: int, orders: Sequence[int]) -> Iterator[tuple[Perm, Per
     if d < _RAW_DEGREE:
         for o in _classes(d, orders):
             yield o.h, o.v
-    else:
-        yield from _labeled_pairs(d, orders)
+        return
+    for batch in _stratum_batches(d, orders):
+        h = tuple(batch.h.tolist())
+        for row in batch.v.tolist():
+            yield h, tuple(row)

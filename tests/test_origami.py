@@ -1,5 +1,7 @@
 """Square-tiled surfaces: parsing, invariants, moves, enumeration, cylinders."""
 
+import logging
+import math
 from collections import Counter
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from flatkit import flatcore, origami, spin, strata
 from flatkit.origami import make
 
+import oracles
 from conftest import make_rng, signatures
 
 
@@ -340,21 +343,22 @@ def all_classes(d):
     return [o for orders in signatures(d) for o in origami.origamis_in_stratum(d, orders)]
 
 
-def numpy_kernel_pairs(d, orders):
-    """The rows of the numpy batches as (h, v) tuple pairs."""
+def numpy_kernel_rows(d, orders):
+    """The rows of the numpy batches as (h, v, h^-1, v^-1) tuples."""
     return [
-        (tuple(batch.h.tolist()), tuple(v))
+        (tuple(batch.h.tolist()), tuple(v), tuple(batch.hinv.tolist()), tuple(vinv))
         for batch in origami._stratum_batches(d, orders)
-        for v in batch.v.tolist()
+        for v, vinv in zip(batch.v.tolist(), batch.vinv.tolist())
     ]
 
 
 def test_python_kernel_matches_numpy_kernel():
-    """The two raw-pair scans behind the enumeration yield the same pairs."""
+    """The two raw-pair scans behind the enumeration yield the same pairs,
+    with the same inverses."""
     cases = [(d, orders) for d in range(1, 7) for orders in signatures(d)]
     for d, orders in cases + [(7, (4,)), (7, (3, 1)), (8, (3, 1))]:
-        pairs = sorted(origami._labeled_stratum_pairs_python(d, orders))
-        assert pairs == sorted(numpy_kernel_pairs(d, orders)), (d, orders)
+        rows = sorted(origami._labeled_stratum_pairs_python(d, orders))
+        assert rows == sorted(numpy_kernel_rows(d, orders)), (d, orders)
 
 
 def test_numpy_batches_are_consistent():
@@ -383,6 +387,112 @@ def test_enumeration_degree_budget(monkeypatch):
             next(enumerate_stratum(11, (3, 1)))
     with pytest.raises(RuntimeError, match="budget exceeded"):
         spin.hyperelliptic_scan(11, (3, 1))
+
+
+def reference_classes(d, orders):
+    """The class loop without the centralizer filter: every connected row of
+    the numpy batches gets a canonical form, in scan order."""
+    seen = set()
+    out = []
+    for batch in origami._stratum_batches(d, orders):
+        for v in batch.v.tolist():
+            o = origami.Origami(d, tuple(batch.h.tolist()), tuple(v))
+            if origami.is_connected(o):
+                code = origami.canonical_form(o)
+                if code not in seen:
+                    seen.add(code)
+                    out.append(origami.decode_canonical(code))
+    return out
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        [(d, orders) for d in range(1, 7) for orders in signatures(d)],
+        [(7, orders) for orders in signatures(7)],
+        [(8, (3, 1))],
+        [(8, (4,))],
+    ],
+    ids=["d<=6", "d=7", "H(3,1)-d=8", "H(4)-d=8"],
+)
+def test_centralizer_filter_keeps_every_class_in_order(monkeypatch, cases):
+    """The filtered numpy path gives the unfiltered loop's list, order included."""
+    monkeypatch.setattr(origami, "_NUMPY_DEGREE", 1)
+    for d, orders in cases:
+        assert list(origami._classes(d, orders)) == reference_classes(d, orders), (d, orders)
+
+
+def test_scan_rank_is_the_column_index():
+    import numpy as np
+
+    for d in range(1, 8):
+        perms = origami._all_perms_array(d)
+        inverses = np.empty_like(perms)
+        inverses[perms, np.arange(perms.shape[1])] = np.arange(d, dtype=np.int8)[:, None]
+        assert origami._scan_rank(inverses).tolist() == list(range(perms.shape[1])), d
+
+
+def test_centralizer_subset():
+    """Distinct elements commuting with h and fixing its fixed points,
+    prod_{k>=2} m_k! * k^m_k of them, the identity first."""
+    for d in range(1, 9):
+        for parts in strata.int_partitions(d):
+            h = origami._cycle_type_rep(parts)
+            subset = origami._centralizer_subset(parts)
+            assert subset[0] == tuple(range(d))
+            assert len(set(subset)) == len(subset)
+            expected = 1
+            for k, m in Counter(parts).items():
+                if k > 1:
+                    expected *= math.factorial(m) * k**m
+            assert len(subset) == expected, parts
+            for c in subset:
+                assert sorted(c) == list(range(d))
+                assert all(c[h[s]] == h[c[s]] for s in range(d))
+                assert all(c[s] == s for s in range(d) if h[s] == s)
+
+
+def test_connected_columns_match_is_connected():
+    for orders in signatures(6):
+        for batch in origami._stratum_batches(6, orders):
+            got = origami._connected_columns(batch.h, batch.hinv, batch.v.T, batch.vinv.T)
+            h = tuple(batch.h.tolist())
+            expected = [origami.is_connected(origami.Origami(6, h, tuple(v))) for v in batch.v.tolist()]
+            assert got.tolist() == expected, (orders, batch.cycle_type)
+
+
+def test_one_canonical_form_per_class_at_degree_8(monkeypatch):
+    """H(3,1) at d = 8 computes at most two canonical codes per class."""
+    calls = []
+    code = origami._canonical_code
+
+    def counted(*args):
+        calls.append(args)
+        return code(*args)
+
+    monkeypatch.setattr(origami, "_canonical_code", counted)
+    assert spin.hyperelliptic_scan(8, (3, 1)) == (4032, 0)
+    assert len(calls) <= 2 * 4032
+
+
+def test_class_funnel_adds_up(caplog):
+    caplog.set_level(logging.DEBUG, logger="flatkit")
+    assert len(list(origami.origamis_in_stratum(8, (2,)))) == 135
+    records = [r for r in caplog.records if r.name == "flatkit.origami"]
+    assert [r.args[1] for r in records] == list(strata.int_partitions(8))
+    funnels = [r.args[2:] for r in records]
+    for pairs, survivors, disconnected, duplicates, classes in funnels:
+        assert pairs >= survivors == disconnected + duplicates + classes
+    assert sum(f[0] for f in funnels) == len(numpy_kernel_rows(8, (2,)))
+    assert sum(f[4] for f in funnels) == 135
+    assert sum(f[1] for f in funnels) < sum(f[0] for f in funnels)
+
+
+def test_h2_counts_match_eskin_masur_schmoll():
+    expected = [3, 9, 27, 45, 90, 135]
+    assert [oracles.h2_class_count(n) for n in range(3, 9)] == expected
+    for n, count in zip(range(3, 9), expected):
+        assert len(list(origami.origamis_in_stratum(n, (2,)))) == count, n
 
 
 @pytest.mark.parametrize("d", sorted(CLASSES_BY_DEGREE))
