@@ -773,7 +773,7 @@ def _centralizer_survivors(batch: PairBatch):
     vinv = np.ascontiguousarray(batch.vinv.T)
     rank = _scan_rank(vinv)
     rows = np.arange(vinv.shape[1])
-    for c in _centralizer_subset(batch.cycle_type)[1:]:
+    for c in _centralizer_subset(batch.cycle_type)[1:]:  # [0], the identity, fixes every row
         conj_inv = np.array(c, dtype=np.int8)[vinv[list(invert_perm(c))]]
         keep = _scan_rank(conj_inv) >= rank
         if not keep.all():
