@@ -78,6 +78,14 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_input(path: str) -> tuple[str, Union[flatcore.TranslationSurface, origami_mod.Origami]]:
     """Sniff the format: JSON object or array -> surface, otherwise origami text."""
     text = _read_text(path)
@@ -200,8 +208,7 @@ def cmd_act(args: argparse.Namespace) -> int:
     image = gl2.apply(surf, matrix)
     blob = json.dumps(flatcore.surface_to_json(image), indent=2)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(blob + "\n")
+        _write_text(args.output, blob + "\n")
         print(f"wrote {args.output}")
     else:
         print(blob)
@@ -350,8 +357,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     if out is None:
         stem = args.path.rsplit(".", 1)[0]
         out = stem + ".svg"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(svg + "\n")
+    _write_text(out, svg + "\n")
     print(f"wrote {out}")
     return 0
 

@@ -1,12 +1,13 @@
 """Mod-2 homology machinery for square-tiled surfaces.
 
-Curves are realized as cycles through square centers, one straight chord per
-visited square.  From a spanning tree of the center graph we get d+1
-fundamental cycles; their pairwise intersection parities and winding indices
-define a quadratic form on mod-2 homology whose Arf invariant is the spin
-parity of the surface.  The module also detects the 180-degree flat
-involution with sphere quotient and classifies the connected component of
-the ambient stratum.
+Curves are realized as cycles through square centers that cross each side
+they pass perpendicularly at its midpoint.  From a spanning tree of the
+center graph we get d+1 fundamental cycles; their pairwise intersection
+parities, counted against a copy of one curve pushed off by a small
+translation, and their winding indices define a quadratic form on mod-2
+homology whose Arf invariant is the spin parity of the surface.  The module
+also detects the 180-degree flat involution with sphere quotient and
+classifies the connected component of the ambient stratum.
 """
 
 from __future__ import annotations
@@ -191,83 +192,34 @@ def turning_index(cycle: SimpleCycle) -> int:
     return total // 4
 
 
-def _interleaved(chord1: tuple[str, str], chord2: tuple[str, str]) -> bool:
-    """Whether two chords with four distinct endpoints cross in a square."""
-    p, q = _IDX[chord1[0]], _IDX[chord1[1]]
-    span = (q - p) % 4
-    inside = sum(1 for side in chord2 if 0 < (_IDX[side] - p) % 4 < span)
-    return inside == 1
+# Where a curve crosses each side of a square, in sixteenths of a turn from
+# the midpoint of the E side: the curve itself at the midpoint, and its copy
+# pushed by (-eps, +eps) just counterclockwise of the midpoint on the E and N
+# sides and just clockwise of it on the W and S sides.
+_MIDPOINT = {"E": 0, "N": 4, "W": 8, "S": 12}
+_PUSHED = {"E": 1, "N": 5, "W": 7, "S": 11}
 
 
 def pairing_mod2(c1: SimpleCycle, c2: SimpleCycle) -> int:
     """Mod-2 intersection number of two vertex-simple cycles.
 
-    Transversal crossings arise in squares both curves visit with no common
-    crossed edge (chord interleaving), and at the two ends of every maximal
-    corridor of commonly crossed edges (the curves cross there exactly when
-    their exits swap sides between the two corridor mouths).
+    Sides are glued by translations, so shifting c2 by a small (-eps, +eps)
+    gives a homologous curve, and the shifted crossings of a glued side
+    agree seen from both of its squares.  The pushed curve shares no
+    crossing point with c1, so inside each square both visit the two arcs
+    cross an odd number of times exactly when one pushed end lies strictly
+    between c1's two ends.  The sum of these bits over the squares is the
+    intersection number mod 2.
     """
     if c1.origami != c2.origami:
         raise ValueError("cycles live on different origamis")
-    edges1 = c1.edges()
-    edges2 = c2.edges()
-    set1, set2 = set(edges1), set(edges2)
-    if set1 == set2:
-        # Identical drawn curves (possibly reversed): parallel, no crossing.
-        return 0
-    shared = set1 & set2
-    chords1 = c1.chords()
     chords2 = c2.chords()
     total = 0
-
-    # Corridor ends.  Blocks of consecutive c1 steps crossing shared edges
-    # are automatically consecutive in c2 as well, so scanning c1 suffices.
-    n = len(edges1)
-    if shared:
-        start = next(i for i in range(n) if edges1[i] not in shared)
-        i = 0
-        while i < n:
-            pos = (start + i) % n
-            if edges1[pos] not in shared:
-                i += 1
-                continue
-            block = [pos]
-            while i + 1 < n and edges1[(start + i + 1) % n] in shared:
-                i += 1
-                block.append((start + i) % n)
-            i += 1
-            first_sq, first_dir = c1.steps[block[0]]
-            last_pos = block[-1]
-            mouth_a = first_dir
-            qa = first_sq
-            x1 = chords1[qa][0]
-            ca = chords2[qa]
-            if mouth_a not in ca:
-                raise RuntimeError("corridor end does not match the other curve")
-            x2 = ca[0] if ca[1] == mouth_a else ca[1]
-            qb = c1.steps[(last_pos + 1) % n][0]
-            mouth_b = _opp(c1.steps[last_pos][1])
-            y1 = chords1[qb][1]
-            cb = chords2[qb]
-            if mouth_b not in cb:
-                raise RuntimeError("corridor end does not match the other curve")
-            y2 = cb[0] if cb[1] == mouth_b else cb[1]
-            pos_a1 = (_IDX[x1] - _IDX[mouth_a]) % 4
-            pos_a2 = (_IDX[x2] - _IDX[mouth_a]) % 4
-            pos_b1 = (_IDX[mouth_b] - _IDX[y1]) % 4
-            pos_b2 = (_IDX[mouth_b] - _IDX[y2]) % 4
-            if (pos_a1 < pos_a2) != (pos_b1 < pos_b2):
-                total += 1
-
-    # Squares where the chords have four distinct endpoints.
-    for square, chord in chords1.items():
-        other = chords2.get(square)
-        if other is None:
-            continue
-        if set(chord) & set(other):
-            continue
-        if _interleaved(chord, other):
-            total += 1
+    for square, (entry, exit_) in c1.chords().items():
+        other = chords2.get(square, ())
+        start = _MIDPOINT[entry]
+        span = (_MIDPOINT[exit_] - start) % 16
+        total += sum(0 < (_PUSHED[side] - start) % 16 < span for side in other)
     return total % 2
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -183,6 +184,17 @@ def test_act_roundtrip(tmp_path, capsys):
     assert str(flatcore.stratum(image)) == "H(2)"
 
 
+@pytest.mark.parametrize("command", ["act", "render"])
+def test_write_into_missing_directory(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out"
+    extra = ["--matrix", "1,1,0,1"] if command == "act" else []
+    code, out, err = run_cli(capsys, command, str(DATA / "octagon.json"), *extra, "-o", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
 def test_act_comma_matrix_with_negatives(capsys):
     code, out, _ = run_cli(
         capsys, "act", str(DATA / "octagon.json"), "--matrix", "3/5,-4/5,4/5,3/5"
@@ -269,6 +281,43 @@ def test_render_default_output_name(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "render", str(src))
     assert code == 0
     assert (tmp_path / "torus.svg").exists()
+
+
+FUZZ_ALPHABET = "09-(),[]{}: x\n"
+
+
+def mutations(text):
+    """Deterministic damage to a fixture: truncations at a few offsets, then
+    single-character substitutions at seeded positions."""
+    n = len(text)
+    yield from (text[:k] for k in (0, 1, n // 4, n // 2, 3 * n // 4, n - 1))
+    rng = random.Random(n)
+    for i in rng.sample(range(n), 20):
+        yield text[:i] + rng.choice(FUZZ_ALPHABET.replace(text[i], "")) + text[i + 1 :]
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in DATA.iterdir()))
+def test_commands_survive_mutated_fixtures(tmp_path, capsys, fixture):
+    """Every command ends with status 0, or 1 and only error/invalid lines."""
+    commands = [
+        ["analyze"],
+        ["spin"],
+        ["orbit", "--max", "50"],
+        ["act", "--matrix", "1,1,0,1", "-o", str(tmp_path / "out.json")],
+        ["render", "-o", str(tmp_path / "out.svg")],
+    ]
+    path = tmp_path / fixture
+    for text in mutations((DATA / fixture).read_text()):
+        path.write_text(text)
+        for command, *extra in commands:
+            code, _, err = run_cli(capsys, command, str(path), *extra)
+            assert code in (0, 1), (command, text)
+            if code == 1:
+                lines = err.splitlines()
+                assert lines, (command, text)
+                assert all(line.startswith(("error: ", "invalid: ")) for line in lines), (
+                    command, text, err,
+                )
 
 
 def test_console_script_runs():

@@ -505,18 +505,35 @@ def test_commutator_stratum_matches_polygons_on_all_classes(d):
 
 
 @st.composite
-def relabeled_origamis(draw):
+def connected_origamis(draw):
     d = draw(st.integers(7, 12))
     h, v = draw(st.permutations(range(d))), draw(st.permutations(range(d)))
     o = origami.Origami(d, tuple(h), tuple(v))
     assume(origami.is_connected(o))
-    return origami.relabel(o, draw(st.permutations(range(d))))
+    return o
+
+
+@st.composite
+def relabeled_origamis(draw):
+    o = draw(connected_origamis())
+    return origami.relabel(o, draw(st.permutations(range(o.d))))
 
 
 @settings(max_examples=100, deadline=None)
 @given(relabeled_origamis())
 def test_commutator_stratum_matches_polygons_random(o):
     assert origami.singularity_orders(o) == flatcore.stratum(origami.to_polygons(o))
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_origamis(), st.data())
+def test_relabeling_keeps_class_involution_and_cylinders(o, data):
+    moved = origami.relabel(o, data.draw(st.permutations(range(o.d))))
+    assert origami.canonical_form(moved) == origami.canonical_form(o)
+    assert (spin.hyperelliptic_involution(moved) is None) == (
+        spin.hyperelliptic_involution(o) is None
+    )
+    assert origami.cylinders(moved) == origami.cylinders(o)
 
 
 def polygon_cylinders(o):

@@ -1,12 +1,16 @@
 """Spin parity via the Arf invariant, flat involutions, component labels."""
 
+import functools
 import logging
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flatkit
 from flatkit import origami, spin, strata
@@ -84,6 +88,28 @@ def test_quadratic_form_l5(l5):
     assert data.arf == 1
 
 
+# build_quadratic_form(o).pairing on the default tree, one string per row
+FROZEN_PAIRINGS = {
+    "torus": ["01", "10"],
+    "l3": ["0101", "1000", "0001", "1010"],
+    "l5": ["010000", "101101", "010000", "010000", "000001", "010010"],
+    "H4_HYP": ["0010000", "0010000", "1101000", "0010100", "0001010", "0000101", "0000010"],
+    "H4_ODD": ["0010000", "0010000", "1101000", "0010101", "0001000", "0000001", "0001010"],
+}
+
+
+def test_pairing_matrices_frozen(l5, l3, torus_origami):
+    surfaces = {"torus": torus_origami, "l3": l3, "l5": l5, "H4_HYP": H4_HYP, "H4_ODD": H4_ODD}
+    for name, o in surfaces.items():
+        pairing = spin.build_quadratic_form(o).pairing
+        assert ["".join(map(str, row)) for row in pairing] == FROZEN_PAIRINGS[name], name
+
+
+def test_pairing_needs_one_origami(l3, l5):
+    with pytest.raises(ValueError, match="different origamis"):
+        spin.pairing_mod2(spin.fundamental_cycles(l3)[0], spin.fundamental_cycles(l5)[0])
+
+
 def test_spin_parity_values(l5, l3, torus_origami):
     assert spin.spin_parity(l5) == 1
     assert spin.spin_parity(l3) == 1
@@ -106,6 +132,22 @@ def test_spin_parity_isomorphism_invariant(rng):
             sigma = list(range(o.d))
             rng.shuffle(sigma)
             assert spin.spin_parity(origami.relabel(o, sigma)) == base
+
+
+@functools.cache
+def even_classes_d7():
+    """The H(4) and H(2,2) classes of degree 7."""
+    return [o for orders in ((4,), (2, 2)) for o in origami.origamis_in_stratum(7, orders)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_spin_and_component_survive_relabeling(data):
+    o = data.draw(st.sampled_from(even_classes_d7()))
+    moved = origami.relabel(o, data.draw(st.permutations(range(o.d))))
+    tree = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    assert spin.spin_parity(moved, tree) == spin.spin_parity(o)
+    assert spin.classify_component(moved) == spin.classify_component(o)
 
 
 def test_spin_undefined_for_odd_orders():
