@@ -136,14 +136,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report.integral = flatcore.is_integral(surf)
     if kind == "origami":
         report.degree = value.d
-        if all(m % 2 == 0 for m in signature.orders):
+        if signature.genus >= 2:
+            component = spin.classify_component(value)
+        else:
+            component = strata.components(signature.orders)[0]
+        # A spin component is named by the parity classify_component computed.
+        spin_parities = {strata.ComponentLabel.ODD_SPIN: 1, strata.ComponentLabel.EVEN_SPIN: 0}
+        if component in spin_parities:
+            report.spin_parity = spin_parities[component]
+        elif all(m % 2 == 0 for m in signature.orders):
             report.spin_parity = spin.spin_parity(value)
         else:
             report.messages.append("spin parity undefined (odd zero order)")
-        if signature.genus >= 2:
-            report.component = str(spin.classify_component(value))
-        else:
-            report.component = str(strata.components(signature.orders)[0])
+        report.component = str(component)
     _emit(args, report.to_dict(), report.to_text())
     return 0
 

@@ -4,7 +4,11 @@ A surface is a finite list of simple polygons with rational vertices together
 with a pairing of their boundary edges.  Paired edges must be parallel, of
 equal length and oppositely oriented, so that the identification is a pure
 translation.  Everything here is computed in exact rational arithmetic; no
-floating point is used anywhere in this module.
+floating point is used anywhere in this module.  Validation and the cone-point
+sweep decide their predicates on integers: each surface keeps its vertices times
+the common denominator of all its coordinates.  Scaling by one positive integer
+keeps every sign of a cross product or coordinate difference and every equality
+of vertices or edge vectors, so each answer is that of the rational coordinates.
 
 The main operations are structural validation, the cone-point (singularity)
 sweep, genus and stratum computation, the rank of the relative period lattice,
@@ -18,11 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, str, Fraction]
+Point = tuple[int, int]  # a vertex or edge vector of the integer view
 
 
 def _as_fraction(value: Rational) -> Fraction:
@@ -122,6 +127,16 @@ class TranslationSurface:
         object.__setattr__(self, "pairing", MappingProxyType(pairing))
 
     @cached_property
+    def _scaled(self) -> tuple[tuple[Point, ...], ...]:
+        """Each polygon's vertices times the common denominator of all coordinates."""
+        scale = lcm(*(c.denominator for p in self.polygons for v in p.vertices for c in (v.x, v.y)))
+
+        def lift(c: Fraction) -> int:
+            return c.numerator * (scale // c.denominator)
+
+        return tuple(tuple((lift(v.x), lift(v.y)) for v in p.vertices) for p in self.polygons)
+
+    @cached_property
     def _report(self) -> "ValidationReport":
         return _validate(self)
 
@@ -167,52 +182,55 @@ class ValidationReport:
         return not self.violations
 
 
-def _sign(value: Fraction) -> int:
+def _edge(pts: Sequence[Point], i: int) -> Point:
+    (x0, y0), (x1, y1) = pts[i % len(pts)], pts[(i + 1) % len(pts)]
+    return (x1 - x0, y1 - y0)
+
+
+def _cross(u: Point, v: Point) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _orient(a: Point, b: Point, c: Point) -> int:
+    value = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     return (value > 0) - (value < 0)
 
 
-def _orient(a: PlanarVec, b: PlanarVec, c: PlanarVec) -> int:
-    return _sign((b - a).cross(c - a))
-
-
-def _on_segment(p: PlanarVec, a: PlanarVec, b: PlanarVec) -> bool:
+def _on_segment(p: Point, a: Point, b: Point) -> bool:
     """True iff p lies on the closed segment [a, b]."""
-    if _orient(a, b, p) != 0:
-        return False
     return (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+        _orient(a, b, p) == 0
+        and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
     )
 
 
-def _segments_touch(a: PlanarVec, b: PlanarVec, c: PlanarVec, d: PlanarVec) -> bool:
+def _segments_touch(a: Point, b: Point, c: Point, d: Point) -> bool:
     """True iff closed segments [a,b] and [c,d] share at least one point."""
-    d1 = _orient(c, d, a)
-    d2 = _orient(c, d, b)
-    d3 = _orient(a, b, c)
-    d4 = _orient(a, b, d)
-    if d1 != d2 and d3 != d4 and d1 * d2 < 0 and d3 * d4 < 0:
-        return True
+    if (max(a[0], b[0]) < min(c[0], d[0]) or max(c[0], d[0]) < min(a[0], b[0])
+            or max(a[1], b[1]) < min(c[1], d[1]) or max(c[1], d[1]) < min(a[1], b[1])):
+        return False  # closed segments with disjoint bounding boxes cannot meet
     return (
-        _on_segment(a, c, d)
+        _orient(c, d, a) * _orient(c, d, b) < 0 and _orient(a, b, c) * _orient(a, b, d) < 0
+        or _on_segment(a, c, d)
         or _on_segment(b, c, d)
         or _on_segment(c, a, b)
         or _on_segment(d, a, b)
     )
 
 
-def _polygon_violations(index: int, poly: PolygonChain) -> list[str]:
+def _polygon_violations(index: int, pts: Sequence[Point]) -> list[str]:
     out: list[str] = []
-    n = poly.n
+    n = len(pts)
     if n < 3:
         out.append(f"polygon {index}: fewer than 3 vertices")
         return out
     for i in range(n):
-        if poly.vertex(i) == poly.vertex(i + 1):
+        if pts[i] == pts[(i + 1) % n]:
             out.append(f"polygon {index}: zero-length edge at vertex {i}")
     if out:
         return out
-    area2 = poly.twice_signed_area()
+    area2 = sum(_cross(pts[i - 1], pts[i]) for i in range(n))
     if area2 == 0:
         out.append(f"polygon {index}: degenerate (zero signed area)")
     elif area2 < 0:
@@ -220,9 +238,9 @@ def _polygon_violations(index: int, poly: PolygonChain) -> list[str]:
 
     # Simplicity: edges may meet only where consecutive edges share a vertex.
     for i in range(n):
-        a, b = poly.vertex(i), poly.vertex(i + 1)
+        a, b = pts[i], pts[(i + 1) % n]
         for j in range(i + 1, n):
-            c, d = poly.vertex(j), poly.vertex(j + 1)
+            c, d = pts[j], pts[(j + 1) % n]
             if j == i + 1 or (i == 0 and j == n - 1):
                 # Adjacent edges: the shared endpoint is fine, anything more
                 # (a fold-back or overlap) is not.
@@ -262,8 +280,9 @@ def _validate(surf: TranslationSurface) -> ValidationReport:
     out: list[str] = []
     if not surf.polygons:
         return ValidationReport(("no polygons",))
-    for i, poly in enumerate(surf.polygons):
-        out.extend(_polygon_violations(i, poly))
+    scaled = surf._scaled
+    for i, pts in enumerate(scaled):
+        out.extend(_polygon_violations(i, pts))
 
     all_edges = set(surf.edge_refs())
     keys = set(surf.pairing.keys())
@@ -291,7 +310,8 @@ def _validate(surf: TranslationSurface) -> ValidationReport:
         for e in sorted(surf.pairing.keys()):
             partner = surf.pairing[e]
             if e < partner:
-                if surf.edge_vector(partner) != -surf.edge_vector(e):
+                x, y = _edge(scaled[e.polygon], e.edge)
+                if _edge(scaled[partner.polygon], partner.edge) != (-x, -y):
                     out.append(
                         f"paired edge vectors not opposite: {tuple(e)} and {tuple(partner)}"
                     )
@@ -344,30 +364,30 @@ def _rational_directions() -> Iterator[Fraction]:
                 yield Fraction(num, den)
 
 
-def _reference_direction(surf: TranslationSurface) -> PlanarVec:
-    """A direction not parallel to any edge, used to count angle sweeps."""
-    edge_vecs = [surf.edge_vector(e) for e in surf.edge_refs()]
+def _reference_direction(scaled: Sequence[Sequence[Point]]) -> Point:
+    """A direction (q, p) of slope p/q not parallel to any edge, used to count angle sweeps."""
+    edge_vecs = [_edge(pts, i) for pts in scaled for i in range(len(pts))]
     for slope in _rational_directions():
-        ref = PlanarVec(Fraction(1), slope)
-        if all(ref.cross(v) != 0 for v in edge_vecs):
+        ref = (slope.denominator, slope.numerator)
+        if all(_cross(ref, v) != 0 for v in edge_vecs):
             return ref
     raise AssertionError("unreachable: finitely many edge directions")
 
 
-def _sector_contains(ref: PlanarVec, start: PlanarVec, end: PlanarVec) -> bool:
+def _sector_contains(ref: Point, start: Point, end: Point) -> bool:
     """True iff ref lies strictly inside the ccw sector from start to end.
 
     start and end are distinct directions (never opposite ends of the same
     ray) and ref is parallel to neither, so the open/closed distinction
     never matters.
     """
-    s = start.cross(end)
+    s = _cross(start, end)
     if s > 0:
-        return start.cross(ref) > 0 and ref.cross(end) > 0
+        return _cross(start, ref) > 0 and _cross(ref, end) > 0
     if s < 0:
-        return start.cross(ref) > 0 or ref.cross(end) > 0
+        return _cross(start, ref) > 0 or _cross(ref, end) > 0
     # start and end opposite: the sector is the half plane to the left of start.
-    return start.cross(ref) > 0
+    return _cross(start, ref) > 0
 
 
 def _corner_orbits(surf: TranslationSurface) -> list[list[tuple[int, int]]]:
@@ -412,16 +432,15 @@ def _sweep(surf: TranslationSurface) -> tuple[tuple[ConePoint, ...], int]:
     full turns.  The genus comes from the Euler characteristic of the induced
     cell structure.
     """
-    ref = _reference_direction(surf)
+    scaled = surf._scaled
+    ref = _reference_direction(scaled)
     points: list[ConePoint] = []
     total_turns = 0
     for orbit in _corner_orbits(surf):
         turns = 0
         for p, i in orbit:
-            poly = surf.polygons[p]
-            outgoing = poly.edge_vector(i)
-            incoming = poly.edge_vector((i - 1) % poly.n)
-            if _sector_contains(ref, outgoing, -incoming):
+            x, y = _edge(scaled[p], i - 1)
+            if _sector_contains(ref, _edge(scaled[p], i), (-x, -y)):
                 turns += 1
         if turns < 1:
             raise RuntimeError(f"empty angle sweep at corner orbit {orbit[0]}")

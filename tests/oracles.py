@@ -1,4 +1,4 @@
-"""Counts from the literature, computed without flatkit, to check its enumeration.
+"""Test-only references, computed without the code paths they check.
 
 h2_class_count uses the Eskin-Masur-Schmoll count of primitive origamis in
 H(2): for n >= 3 squares there are
@@ -10,9 +10,17 @@ has index m in Z^2 is a primitive n/m-square origami pulled back along one
 of the sigma(m) sublattices of index m, so the origamis of H(2) number
 sum_{m | n} sigma(m) P(n/m).  Their translation automorphisms fix the single
 cone point and therefore are trivial, so the count is the number of classes.
+
+reference_violations and reference_cone_points decide flatcore's polygon
+predicates directly on the Fraction coordinates, without the integer view
+of the surface: the violation strings in order, and the turn count of each
+corner orbit.
 """
 
 from fractions import Fraction
+
+from flatkit import flatcore
+from flatkit.flatcore import PlanarVec
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -45,3 +53,132 @@ def primitive_h2_count(n: int) -> int:
 
 def h2_class_count(n: int) -> int:
     return sum(divisor_sum(m) * primitive_h2_count(n // m) for m in range(1, n + 1) if n % m == 0)
+
+
+# --- polygon predicates on Fraction coordinates ------------------------------
+
+
+def _sign(value: Fraction) -> int:
+    return (value > 0) - (value < 0)
+
+
+def _orient(a: PlanarVec, b: PlanarVec, c: PlanarVec) -> int:
+    return _sign((b - a).cross(c - a))
+
+
+def _on_segment(p: PlanarVec, a: PlanarVec, b: PlanarVec) -> bool:
+    if _orient(a, b, p) != 0:
+        return False
+    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+
+
+def _segments_touch(a: PlanarVec, b: PlanarVec, c: PlanarVec, d: PlanarVec) -> bool:
+    d1, d2 = _orient(c, d, a), _orient(c, d, b)
+    d3, d4 = _orient(a, b, c), _orient(a, b, d)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    return (
+        _on_segment(a, c, d)
+        or _on_segment(b, c, d)
+        or _on_segment(c, a, b)
+        or _on_segment(d, a, b)
+    )
+
+
+def polygon_violations(index: int, poly: flatcore.PolygonChain) -> list[str]:
+    out: list[str] = []
+    n = poly.n
+    if n < 3:
+        return [f"polygon {index}: fewer than 3 vertices"]
+    for i in range(n):
+        if poly.vertex(i) == poly.vertex(i + 1):
+            out.append(f"polygon {index}: zero-length edge at vertex {i}")
+    if out:
+        return out
+    area2 = poly.twice_signed_area()
+    if area2 == 0:
+        out.append(f"polygon {index}: degenerate (zero signed area)")
+    elif area2 < 0:
+        out.append(f"polygon {index}: vertices are clockwise (negative signed area)")
+    for i in range(n):
+        a, b = poly.vertex(i), poly.vertex(i + 1)
+        for j in range(i + 1, n):
+            c, d = poly.vertex(j), poly.vertex(j + 1)
+            if j == i + 1 or (i == 0 and j == n - 1):
+                shared = b if j == i + 1 else a
+                p_other = a if j == i + 1 else b
+                q_other = d if j == i + 1 else c
+                if (
+                    _on_segment(p_other, c, d)
+                    or _on_segment(q_other, a, b)
+                    or (p_other != shared and q_other != shared and p_other == q_other)
+                ):
+                    out.append(
+                        f"polygon {index}: edges {i} and {j} overlap beyond their shared vertex"
+                    )
+            elif _segments_touch(a, b, c, d):
+                out.append(f"polygon {index}: edges {i} and {j} intersect")
+    return out
+
+
+def reference_violations(surf: flatcore.TranslationSurface) -> tuple[str, ...]:
+    """flatcore.validate's violations, with every polygon predicate on Fractions."""
+    if not surf.polygons:
+        return ("no polygons",)
+    out = [v for i, poly in enumerate(surf.polygons) for v in polygon_violations(i, poly)]
+    all_edges = set(surf.edge_refs())
+    keys = set(surf.pairing)
+    refs = dict.fromkeys(ref for pair in surf.pairing.items() for ref in pair)
+    unknown = [ref for ref in refs if ref not in all_edges]
+    out += [f"pairing refers to nonexistent edge {tuple(e)}" for e in unknown]
+    structural_ok = not unknown
+    if structural_ok:
+        missing = all_edges - keys
+        out += [f"edge {tuple(e)} is unpaired" for e in sorted(missing)]
+        for e in sorted(keys):
+            partner = surf.pairing[e]
+            if partner == e:
+                out.append(f"edge {tuple(e)} is paired with itself")
+                structural_ok = False
+            elif surf.pairing.get(partner) != e:
+                out.append(f"pairing is not an involution at edge {tuple(e)}")
+                structural_ok = False
+        if missing:
+            structural_ok = False
+    if structural_ok and not any("polygon" in v for v in out):
+        for e in sorted(surf.pairing):
+            partner = surf.pairing[e]
+            if e < partner and surf.edge_vector(partner) != -surf.edge_vector(e):
+                out.append(f"paired edge vectors not opposite: {tuple(e)} and {tuple(partner)}")
+        links = ((e.polygon, partner.polygon) for e, partner in surf.pairing.items())
+        if len(set(flatcore._roots(len(surf.polygons), links))) > 1:
+            out.append("not connected: gluing graph has multiple components")
+    return tuple(out)
+
+
+def _sector_contains(ref: PlanarVec, start: PlanarVec, end: PlanarVec) -> bool:
+    s = start.cross(end)
+    if s > 0:
+        return start.cross(ref) > 0 and ref.cross(end) > 0
+    if s < 0:
+        return start.cross(ref) > 0 or ref.cross(end) > 0
+    return start.cross(ref) > 0
+
+
+def reference_cone_points(surf: flatcore.TranslationSurface) -> list[tuple[tuple, int]]:
+    """(sorted corners, turns) of each corner orbit, counted on Fraction edge vectors."""
+    edge_vecs = [surf.edge_vector(e) for e in surf.edge_refs()]
+    ref = next(
+        ref
+        for ref in (PlanarVec(1, slope) for slope in flatcore._rational_directions())
+        if all(ref.cross(v) != 0 for v in edge_vecs)
+    )
+    points = []
+    for orbit in flatcore._corner_orbits(surf):
+        turns = 0
+        for p, i in orbit:
+            poly = surf.polygons[p]
+            incoming = poly.edge_vector((i - 1) % poly.n)
+            turns += _sector_contains(ref, poly.edge_vector(i), -incoming)
+        points.append((tuple(sorted(orbit)), turns))
+    return sorted(points, key=lambda point: point[0][0])

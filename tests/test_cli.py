@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from flatkit import cli, flatcore
+from flatkit import cli, flatcore, spin
 
 from conftest import DATA, build_bad_square
 
@@ -48,6 +48,25 @@ def test_analyze_origami(capsys):
     assert "stratum: H(2)" in out
     assert "spin parity: 1" in out
     assert "component: connected" in out
+
+
+def test_analyze_builds_one_quadratic_form(tmp_path, capsys, monkeypatch):
+    # H(4), odd spin: classify_component already computes the parity analyze prints
+    path = tmp_path / "h4_odd.origami"
+    path.write_text("d: 5\nh: (1,2,4,5,3)\nv: (2,4)(3,5)\n")
+    calls = []
+    build = spin.build_quadratic_form
+
+    def counted(o, rng=None):
+        calls.append(o)
+        return build(o, rng)
+
+    monkeypatch.setattr(spin, "build_quadratic_form", counted)
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    assert "spin parity: 1" in out
+    assert "component: odd_spin" in out
+    assert len(calls) == 1
 
 
 def test_analyze_invalid_surface(tmp_path, capsys):

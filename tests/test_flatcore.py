@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from flatkit import flatcore
+from flatkit import flatcore, gl2, origami
 from flatkit.flatcore import PlanarVec
 
-from conftest import DATA, build_2ngon, build_bad_square, build_step_octagon
+import oracles
+from conftest import DATA, build_2ngon, build_bad_square, build_step_octagon, make_rng
 
 
 def test_planar_vec_exact_arithmetic():
@@ -247,7 +248,93 @@ def test_singularities_returns_a_fresh_list(octagon):
     assert len(flatcore.singularities(octagon)) == 1
 
 
-# --- JSON I/O ----------------------------------------------------------------
+# --- integer predicates against the Fraction reference ----------------------
+
+
+def assert_matches_reference(surf, label):
+    violations = flatcore.validate(surf).violations
+    assert violations == oracles.reference_violations(surf), label
+    if not violations:
+        got = [(cp.corners, cp.angle_turns) for cp in flatcore.singularities(surf)]
+        assert got == oracles.reference_cone_points(surf), label
+    return violations
+
+
+# Each shape's vertex list and pairing; every one but the squares breaks a check.
+SHAPES = {
+    "bowtie": ([(0, 0), (2, 2), (2, 0), (0, 2)], {(0, 0): (0, 2), (0, 1): (0, 3)}),
+    "vertex on a non-adjacent edge": (
+        [(0, 0), (6, 0), (6, 4), (4, 4), (3, 0), (2, 4), (0, 4)], {(0, 0): (0, 5)},
+    ),
+    "collinear overlap": (
+        [(0, 0), (6, 0), (6, 2), (4, 2), (4, 0), (2, 0), (2, 2), (0, 2)],
+        {(0, i): (0, i + 4) for i in range(4)},
+    ),
+    "fold-back": ([(0, 0), (4, 0), (2, 0), (2, 2)], {(0, 0): (0, 2), (0, 1): (0, 3)}),
+    "fold-back across the first vertex": ([(0, 0), (4, 0), (4, 4), (0, 4), (2, 0)], {}),
+    "pinched": (
+        [(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)], {(0, i): (0, i + 3) for i in range(3)},
+    ),
+    "zero-length edge": ([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)], {(0, 0): (0, 3)}),
+    "clockwise": ([(0, 0), (0, 1), (1, 1), (1, 0)], {(0, 0): (0, 2), (0, 1): (0, 3)}),
+    "zero area": ([(0, 0), (1, 0), (2, 0)], {}),
+    "square": ([(0, 0), (1, 0), (1, 1), (0, 1)], {(0, 0): (0, 2), (0, 1): (0, 3)}),
+    "square glued wrongly": ([(0, 0), (1, 0), (1, 1), (0, 1)], {(0, 0): (0, 3), (0, 1): (0, 2)}),
+}
+
+# Affine maps x -> Ax + t with det A > 0 keep every predicate, hence every violation.
+F = Fraction
+BIG = 10**30
+AFFINE = (
+    ((F(1, 3), F(5, 7), F(-2, 13), F(11, 13)), (F(1, 3), F(-5, 7))),
+    ((F(BIG + 1, 3), F(5, 7), F(-11, 13), F(BIG - 1, 7)), (F(BIG, 11), F(5 - BIG, 7))),
+)
+
+
+def affine_image(points, matrix, shift):
+    a, b, c, d = matrix
+    return [(a * x + b * y + shift[0], c * x + d * y + shift[1]) for x, y in points]
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_degenerate_shapes_match_fraction_reference(name):
+    points, pairing = SHAPES[name]
+    expected = assert_matches_reference(flatcore.surface([points], pairing), name)
+    assert name.startswith("square") or any(v.startswith("polygon 0") for v in expected)
+    for matrix, shift in AFFINE:
+        image = flatcore.surface([affine_image(points, matrix, shift)], pairing)
+        assert assert_matches_reference(image, name) == expected
+
+
+def random_matrix(rng):
+    """A GL(2,Q) matrix with det > 0 and mixed denominators."""
+    while True:
+        m = gl2.mat2(*(F(rng.randint(-9, 9), rng.choice((1, 3, 7, 13))) for _ in range(4)))
+        if m.det > 0:
+            return m
+
+
+def test_gl2_images_match_fraction_reference():
+    rng = make_rng(9)
+    names = ("octagon.json", "decagon.json", "torus.json")
+    sources = [flatcore.load_surface(str(DATA / name)) for name in names]
+    sources += [build_2ngon(n) for n in range(3, 13)] + [build_step_octagon()]
+    sources += [origami.to_polygons(origami.random_origami(d, rng)) for d in range(2, 13)]
+    for k, source in enumerate(sources):
+        assert_matches_reference(source, k)
+        for _ in range(2):
+            assert_matches_reference(gl2.apply(source, random_matrix(rng)), k)
+
+
+def test_integer_view_has_one_scale_per_surface():
+    # Scaled per polygon, (1/2, 0) and (-1/3, 0) would both become unit vectors.
+    halves = [(0, 0), ("1/2", 0), (0, "1/2")]
+    thirds = [("1/3", "1/3"), (0, "1/3"), (0, 0)]
+    surf = flatcore.surface([halves, thirds], {(0, i): (1, i) for i in range(3)})
+    violations = assert_matches_reference(surf, "halves and thirds")
+    assert "paired edge vectors not opposite: (0, 0) and (1, 0)" in violations
+
+
 
 
 def test_json_roundtrip(octagon):

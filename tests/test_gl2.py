@@ -1,13 +1,24 @@
 """Linear action on translation surfaces: validity, invariants, covariance."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flatkit import flatcore, gl2
 
-from conftest import build_step_octagon, make_rng
+from conftest import DATA, build_step_octagon, make_rng
+
+FIXTURES = tuple(
+    flatcore.load_surface(str(DATA / name)) for name in ("octagon.json", "decagon.json", "torus.json")
+)
+entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+positive_matrices = st.builds(gl2.mat2, entries, entries, entries, entries).filter(
+    lambda m: m.det > 0
+)
 
 
 def random_positive_matrix(rng: random.Random) -> gl2.Mat2:
@@ -67,13 +78,23 @@ def test_apply_rejects_bad_matrices(octagon):
         gl2.apply(octagon, gl2.mat2(1, 2, 2, 4))
 
 
-def test_apply_is_functorial(octagon):
-    a = gl2.mat2(1, 1, 0, 1)
-    b = gl2.mat2(2, 0, 1, 1)
-    seq = gl2.apply(gl2.apply(octagon, a), b)
-    prod = gl2.apply(octagon, b @ a)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIXTURES), positive_matrices, positive_matrices)
+@example(FIXTURES[0], gl2.mat2(1, 1, 0, 1), gl2.mat2(2, 0, 1, 1))
+def test_apply_is_functorial(surf, a, b):
+    seq = gl2.apply(gl2.apply(surf, a), b)
+    prod = gl2.apply(surf, b @ a)
     assert seq.polygons == prod.polygons
     assert seq.pairing == prod.pairing
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIXTURES), positive_matrices)
+def test_image_survives_json_roundtrip(surf, m):
+    image = gl2.apply(surf, m)
+    back = flatcore.surface_from_json(json.dumps(flatcore.surface_to_json(image)))
+    assert back.polygons == image.polygons
+    assert back.pairing == image.pairing
 
 
 def test_rotation_period_covariance(octagon):

@@ -5,14 +5,14 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flatkit import flatcore, origami, spin, strata
 from flatkit.origami import make
 
 import oracles
-from conftest import make_rng, signatures
+from conftest import DATA, make_rng, signatures
 
 
 def test_make_accepts_cycles_and_lists():
@@ -66,12 +66,6 @@ def test_parse_cycles_and_format():
 def test_invert_perm():
     assert origami.invert_perm((1, 2, 0)) == (2, 0, 1)
     assert origami.invert_perm(()) == ()
-
-
-def test_text_roundtrip(l5, l3):
-    for o in (l5, l3):
-        back = origami.parse_origami_text(origami.origami_to_text(o))
-        assert back == o
 
 
 def test_parse_origami_text_errors():
@@ -534,6 +528,28 @@ def test_relabeling_keeps_class_involution_and_cylinders(o, data):
         spin.hyperelliptic_involution(o) is None
     )
     assert origami.cylinders(moved) == origami.cylinders(o)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_origamis())
+@example(origami.load_origami(str(DATA / "l5.origami")))
+@example(origami.load_origami(str(DATA / "l3.origami")))
+def test_text_roundtrip(o):
+    assert origami.parse_origami_text(origami.origami_to_text(o)) == o
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_origamis())
+def test_s4_and_t_inverse_are_identities_on_canonical_forms(o):
+    code = origami.canonical_form(o)
+    rep = origami.decode_canonical(code)
+    s4 = rep
+    for _ in range(4):
+        s4 = origami.act_S(s4)
+    assert s4 == rep
+    assert origami.act_T(origami.act_T_inverse(rep)) == rep
+    assert origami.act_T_inverse(origami.act_T(rep)) == rep
+    assert origami.canonical_form(s4) == code
 
 
 def polygon_cylinders(o):
