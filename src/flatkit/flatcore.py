@@ -101,13 +101,6 @@ class PolygonChain:
     def edge_vector(self, i: int) -> PlanarVec:
         return self.vertex(i + 1) - self.vertex(i)
 
-    def twice_signed_area(self) -> Fraction:
-        total = Fraction(0)
-        for i in range(self.n):
-            a, b = self.vertex(i), self.vertex(i + 1)
-            total += a.x * b.y - b.x * a.y
-        return total
-
 
 def polygon(points: Iterable[Sequence[Rational]]) -> PolygonChain:
     """Build a PolygonChain from raw (x, y) coordinate pairs."""
@@ -515,27 +508,31 @@ class PeriodData:
     rank: int
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows if any(row)]
+def _integer_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals of integer rows, by fraction-free elimination.
+
+    Each pass takes one nonzero row as pivot and clears its first nonzero
+    column from the others by integer cross-multiplication; dividing every
+    row by the gcd of its entries keeps them small.
+    """
+    rows = [row for row in rows if any(row)]
     rank = 0
-    col_count = len(rows[0]) if rows else 0
-    pivot_col = 0
-    while rows and pivot_col < col_count:
-        pivot_row = next((r for r in rows if r[pivot_col] != 0), None)
-        if pivot_row is None:
-            pivot_col += 1
-            continue
-        rows.remove(pivot_row)
+    while rows:
+        pivot_row = rows.pop()
+        col = next(c for c, x in enumerate(pivot_row) if x)
+        p = pivot_row[col]
         rank += 1
-        inv = 1 / pivot_row[pivot_col]
-        pivot_row = [x * inv for x in pivot_row]
+        rest = []
         for row in rows:
-            factor = row[pivot_col]
-            if factor != 0:
-                for c in range(pivot_col, col_count):
-                    row[c] -= factor * pivot_row[c]
-        rows = [row for row in rows if any(row)]
-        pivot_col += 1
+            f = row[col]
+            if f:
+                row = [p * x - f * y for x, y in zip(row, pivot_row)]
+                g = gcd(*row)
+                if g == 0:
+                    continue  # a multiple of the pivot row
+                row = [x // g for x in row]
+            rest.append(row)
+        rows = rest
     return rank
 
 
@@ -554,9 +551,9 @@ def periods(surf: TranslationSurface) -> PeriodData:
     n_pairs = len(pair_list)
 
     # Boundary relation of each polygon, written over the pair generators.
-    boundary_rows: list[list[Fraction]] = []
+    boundary_rows: list[list[int]] = []
     for p, poly in enumerate(surf.polygons):
-        row = [Fraction(0)] * n_pairs
+        row = [0] * n_pairs
         for i in range(poly.n):
             e = EdgeRef(p, i)
             rep = pair_list[pair_index[e]][0]
@@ -575,7 +572,7 @@ def periods(surf: TranslationSurface) -> PeriodData:
     # have boundary supported on the marked set only.
     unmarked = [idx for idx in range(len(points)) if idx not in marked]
     row_of_orbit = {orbit: r for r, orbit in enumerate(unmarked)}
-    endpoint_rows = [[Fraction(0)] * n_pairs for _ in unmarked]
+    endpoint_rows = [[0] * n_pairs for _ in unmarked]
     for k, (rep, _) in enumerate(pair_list):
         p, i = rep
         n = surf.polygons[p].n
@@ -586,7 +583,7 @@ def periods(surf: TranslationSurface) -> PeriodData:
         if head in row_of_orbit:
             endpoint_rows[row_of_orbit[head]][k] += 1
 
-    rank = n_pairs - _rational_rank(endpoint_rows) - _rational_rank(boundary_rows)
+    rank = n_pairs - _integer_rank(endpoint_rows) - _integer_rank(boundary_rows)
     expected = 2 * g + len(marked) - 1
     if rank != expected:
         raise RuntimeError(

@@ -5,17 +5,21 @@ they pass perpendicularly at its midpoint.  From a spanning tree of the
 center graph we get d+1 fundamental cycles; their pairwise intersection
 parities, counted against a copy of one curve pushed off by a small
 translation, and their winding indices define a quadratic form on mod-2
-homology whose Arf invariant is the spin parity of the surface.  The module
-also detects the 180-degree flat involution with sphere quotient and
-classifies the connected component of the ambient stratum.
+homology whose Arf invariant is the spin parity of the surface.  Each cycle
+reads its chords (entry and exit side per square) once, and one GF(2)
+reduction of the pairing yields both the symplectic pairs and a basis of
+the radical.  The module also detects the 180-degree flat involution with
+sphere quotient and classifies the connected component of the ambient
+stratum.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import origami as origami_mod
 from . import strata
@@ -33,29 +37,16 @@ def _opp(direction: str) -> str:
     return _DIRS[(_IDX[direction] + 2) % 4]
 
 
-def _step_target(o: Origami, hinv: Sequence[int], vinv: Sequence[int], s: int, direction: str) -> int:
-    if direction == "E":
-        return o.h[s]
-    if direction == "N":
-        return o.v[s]
-    if direction == "W":
-        return hinv[s]
-    if direction == "S":
-        return vinv[s]
-    raise ValueError(f"bad direction {direction!r}")
+def _moves(o: Origami) -> dict[str, Sequence[int]]:
+    """The square a step in each direction lands on, per starting square."""
+    return {"E": o.h, "N": o.v, "W": invert_perm(o.h), "S": invert_perm(o.v)}
 
 
-def _step_edge(hinv: Sequence[int], vinv: Sequence[int], s: int, direction: str) -> tuple[int, str]:
-    """The tiling edge a step crosses, named by (square, 'E' or 'N')."""
-    if direction == "E":
-        return (s, "E")
-    if direction == "N":
-        return (s, "N")
-    if direction == "W":
-        return (hinv[s], "E")
-    if direction == "S":
-        return (vinv[s], "N")
-    raise ValueError(f"bad direction {direction!r}")
+def _edge(moves: Mapping[str, Sequence[int]], s: int, direction: str) -> tuple[int, str]:
+    """The tiling edge a step crosses, named by the square whose E or N side it is."""
+    if direction in ("E", "N"):
+        return (s, direction)
+    return (moves[direction][s], _opp(direction))
 
 
 @dataclass(frozen=True)
@@ -65,44 +56,49 @@ class SimpleCycle:
     Each step (square, direction) moves to the neighboring square; the drawn
     curve enters a square through one edge midpoint and leaves through
     another.  Vertex-simple means no square is visited twice; reduced means
-    no edge is crossed twice, so chords never degenerate.
+    no edge is crossed twice, so chords never degenerate.  Squares must be
+    integers in 0..d-1 and directions one of E, N, W, S.
     """
 
     origami: Origami
     steps: tuple[tuple[int, str], ...]
 
     def __post_init__(self) -> None:
-        steps = tuple((int(s), str(direction)) for s, direction in self.steps)
-        object.__setattr__(self, "steps", steps)
+        o = self.origami
+        steps = tuple(self.steps)
         if not steps:
             raise ValueError("cycle must have at least one step")
-        o = self.origami
-        hinv, vinv = invert_perm(o.h), invert_perm(o.v)
-        squares = [s for s, _ in steps]
+        squares = strata._integers([s for s, _ in steps], "square")
+        directions = [direction for _, direction in steps]
+        if not all(0 <= s < o.d for s in squares):
+            raise ValueError(f"squares must lie in 0..{o.d - 1}, got {squares}")
+        if not all(direction in _DIRS for direction in directions):
+            raise ValueError(f"directions must be among {_DIRS}, got {directions}")
+        steps = tuple(zip(squares, map(str, directions)))
+        object.__setattr__(self, "steps", steps)
         if len(set(squares)) != len(squares):
             raise ValueError("cycle visits a square twice")
+        moves = _moves(o)
         for i, (s, direction) in enumerate(steps):
-            target = _step_target(o, hinv, vinv, s, direction)
-            nxt = steps[(i + 1) % len(steps)][0]
+            target = moves[direction][s]
+            nxt = squares[(i + 1) % len(steps)]
             if target != nxt:
                 raise ValueError(f"step {i} lands on square {target}, not {nxt}")
-        edges = [_step_edge(hinv, vinv, s, direction) for s, direction in steps]
+        edges = [_edge(moves, s, direction) for s, direction in steps]
         if len(set(edges)) != len(edges):
             raise ValueError("cycle crosses an edge twice")
 
     def edges(self) -> tuple[tuple[int, str], ...]:
-        o = self.origami
-        hinv, vinv = invert_perm(o.h), invert_perm(o.v)
-        return tuple(_step_edge(hinv, vinv, s, d) for s, d in self.steps)
+        moves = _moves(self.origami)
+        return tuple(_edge(moves, s, d) for s, d in self.steps)
 
-    def chords(self) -> dict[int, tuple[str, str]]:
+    @cached_property
+    def chords(self) -> Mapping[int, tuple[str, str]]:
         """Per visited square, the (entry side, exit side) of the chord."""
-        out: dict[int, tuple[str, str]] = {}
-        n = len(self.steps)
-        for i, (s, direction) in enumerate(self.steps):
-            entry = _opp(self.steps[(i - 1) % n][1])
-            out[s] = (entry, direction)
-        return out
+        previous = self.steps[-1:] + self.steps[:-1]
+        return MappingProxyType(
+            {s: (_opp(back), direction) for (s, direction), (_, back) in zip(self.steps, previous)}
+        )
 
 
 def fundamental_cycles(o: Origami, rng: Optional[random.Random] = None) -> list[SimpleCycle]:
@@ -114,61 +110,45 @@ def fundamental_cycles(o: Origami, rng: Optional[random.Random] = None) -> list[
     is the non-tree edge closed up through the tree, which is automatically
     vertex-simple; together they span the mod-2 cycle space.
     """
-    d = len(o.h)
-    hinv, vinv = invert_perm(o.h), invert_perm(o.v)
-    parent = [-1] * d
-    dir_from_parent: list[Optional[str]] = [None] * d
-    depth = [0] * d
-    seen = [False] * d
-    seen[0] = True
-    queue = deque([0])
-    tree_edges: set[tuple[int, str]] = set()
-    while queue:
-        s = queue.popleft()
+    moves = _moves(o)
+    # square -> (parent, direction from it); the root, square 0, has no link
+    link: dict[int, tuple[int, str]] = {}
+    reached = [0]
+    for s in reached:
         order = list(_DIRS)
         if rng is not None:
             rng.shuffle(order)
         for direction in order:
-            t = _step_target(o, hinv, vinv, s, direction)
-            if not seen[t]:
-                seen[t] = True
-                parent[t] = s
-                dir_from_parent[t] = direction
-                depth[t] = depth[s] + 1
-                tree_edges.add(_step_edge(hinv, vinv, s, direction))
-                queue.append(t)
-    if not all(seen):
+            t = moves[direction][s]
+            if t != 0 and t not in link:
+                link[t] = (s, direction)
+                reached.append(t)
+    if len(reached) != o.d:
         raise ValueError("not connected: h and v do not act transitively")
+    tree_edges = {_edge(moves, *step) for step in link.values()}
+
+    def to_root(x: int) -> list[int]:
+        path = []
+        while x != 0:
+            path.append(x)
+            x = link[x][0]
+        return path
 
     def tree_path(a: int, b: int) -> list[tuple[int, str]]:
         """Steps along the tree from square a to square b."""
-        up_from_a: list[tuple[int, str]] = []
-        descend_nodes: list[int] = []
-        x, y = a, b
-        while depth[x] > depth[y]:
-            up_from_a.append((x, _opp(dir_from_parent[x])))
-            x = parent[x]
-        while depth[y] > depth[x]:
-            descend_nodes.append(y)
-            y = parent[y]
-        while x != y:
-            up_from_a.append((x, _opp(dir_from_parent[x])))
-            x = parent[x]
-            descend_nodes.append(y)
-            y = parent[y]
-        for node in reversed(descend_nodes):
-            up_from_a.append((parent[node], dir_from_parent[node]))
-        return up_from_a
+        up, down = to_root(a), to_root(b)
+        while up and down and up[-1] == down[-1]:
+            up.pop()
+            down.pop()
+        return [(x, _opp(link[x][1])) for x in up] + [link[y] for y in reversed(down)]
 
     cycles = []
-    for s in range(d):
+    for s in range(o.d):
         for letter in ("E", "N"):
-            if (s, letter) in tree_edges:
-                continue
-            t = o.h[s] if letter == "E" else o.v[s]
-            steps = tree_path(t, s) + [(s, letter)]
-            cycles.append(SimpleCycle(o, tuple(steps)))
-    assert len(cycles) == d + 1
+            if (s, letter) not in tree_edges:
+                steps = tree_path(moves[letter][s], s) + [(s, letter)]
+                cycles.append(SimpleCycle(o, tuple(steps)))
+    assert len(cycles) == o.d + 1
     return cycles
 
 
@@ -213,9 +193,9 @@ def pairing_mod2(c1: SimpleCycle, c2: SimpleCycle) -> int:
     """
     if c1.origami != c2.origami:
         raise ValueError("cycles live on different origamis")
-    chords2 = c2.chords()
+    chords2 = c2.chords
     total = 0
-    for square, (entry, exit_) in c1.chords().items():
+    for square, (entry, exit_) in c1.chords.items():
         other = chords2.get(square, ())
         start = _MIDPOINT[entry]
         span = (_MIDPOINT[exit_] - start) % 16
@@ -245,13 +225,6 @@ class QuadraticFormData:
     arf: int
 
 
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def build_quadratic_form(o: Origami, rng: Optional[random.Random] = None) -> QuadraticFormData:
     signature = singularity_orders(o)
     if any(m % 2 for m in signature.orders):
@@ -269,77 +242,44 @@ def build_quadratic_form(o: Origami, rng: Optional[random.Random] = None) -> Qua
                 rows[j] |= 1 << i
     q_values = tuple((turning_index(c) + 1) % 2 for c in cycles)
 
-    def bilinear(x: int, y: int) -> int:
-        acc = 0
-        for i in _bits(x):
-            acc ^= (rows[i] & y).bit_count() & 1
-        return acc
+    # One reduction: split off a crossing pair (a, b) and make the rest
+    # orthogonal to it, until no two vectors left cross.  The vectors left
+    # without a partner cross nothing, so they are a basis of the radical.
+    # A vector is (combination of cycles, its pairing row, its q value), and
+    # q(x + y) = q(x) + q(y) + <x, y> keeps q up to date.
+    def crosses(x: tuple[int, int, int], y: tuple[int, int, int]) -> int:
+        return (x[1] & y[0]).bit_count() & 1
 
-    def q_ext(x: int) -> int:
-        acc = 0
-        for i in _bits(x):
-            acc ^= q_values[i]
-            higher = x & ~((1 << (i + 1)) - 1)
-            acc ^= (rows[i] & higher).bit_count() & 1
-        return acc
+    def add(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+        return (x[0] ^ y[0], x[1] ^ y[1], x[2] ^ y[2] ^ crosses(x, y))
 
-    # Radical = nullspace of the pairing matrix over GF(2).
-    reduced: list[tuple[int, int, int]] = []  # (row, pivot bit, combination)
-    radical: list[int] = []
-    for i in range(m):
-        row, comb = rows[i], 1 << i
-        for prow, pbit, pcomb in reduced:
-            if (row >> pbit) & 1:
-                row ^= prow
-                comb ^= pcomb
-        if row == 0:
-            radical.append(comb)
-        else:
-            reduced.append((row, row.bit_length() - 1, comb))
-    for r in radical:
-        if q_ext(r) != 0:
-            raise ValueError("radical q nonzero: intersection pairing is inconsistent")
-
-    # Symplectic reduction: repeatedly split off a crossing pair and make the
-    # rest orthogonal to it.
-    pool = [1 << i for i in range(m)]
-    pairs: list[tuple[int, int]] = []
-    while True:
-        hit = None
-        for ai in range(len(pool)):
-            for bi in range(ai + 1, len(pool)):
-                if bilinear(pool[ai], pool[bi]):
-                    hit = (ai, bi)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        ai, bi = hit
-        a, b = pool[ai], pool[bi]
-        pairs.append((a, b))
-        rest = []
+    pool = [(1 << i, rows[i], q_values[i]) for i in range(m)]
+    radical_rank = symplectic_rank = arf = 0
+    while pool:
+        a = pool.pop()
+        k = next((k for k, w in enumerate(pool) if crosses(a, w)), None)
+        if k is None:
+            if a[2]:
+                raise ValueError("radical q nonzero: intersection pairing is inconsistent")
+            radical_rank += 1
+            continue
+        b = pool.pop(k)
+        symplectic_rank += 2
+        arf ^= a[2] & b[2]
         for k, w in enumerate(pool):
-            if k in (ai, bi):
-                continue
-            if bilinear(w, b):
-                w ^= a
-            if bilinear(w, a):
-                w ^= b
-            rest.append(w)
-        pool = rest
-    symplectic_rank = 2 * len(pairs)
+            if crosses(w, b):
+                w = add(w, a)
+            if crosses(w, a):
+                w = add(w, b)
+            pool[k] = w
     if symplectic_rank != 2 * g:
         raise RuntimeError(
             f"symplectic rank {symplectic_rank} does not match 2g = {2 * g}"
         )
-    arf = 0
-    for a, b in pairs:
-        arf ^= q_ext(a) & q_ext(b)
     matrix = tuple(
         tuple((rows[i] >> j) & 1 for j in range(m)) for i in range(m)
     )
-    return QuadraticFormData(cycles, matrix, q_values, len(radical), symplectic_rank, arf)
+    return QuadraticFormData(cycles, matrix, q_values, radical_rank, symplectic_rank, arf)
 
 
 def spin_parity(o: Origami, rng: Optional[random.Random] = None) -> int:
@@ -571,10 +511,12 @@ def _involution_swaps_singular_vertices(o: Origami, sigma: Sequence[int]) -> boo
 def classify_component(o: Origami) -> ComponentLabel:
     """Connected component of the stratum containing the surface.
 
-    Decision: in a connected stratum the label is Connected; otherwise the
-    flat involution decides hyperellipticity (in the two-equal-zeros strata
-    of odd genus it must additionally swap the zeros), and the spin parity
-    separates the remaining even-order components.
+    Decision: strata.components lists the components of the stratum.  In a
+    connected stratum the label is Connected; where a hyperelliptic component
+    exists the flat involution decides it (in the two-equal-zeros strata it
+    must additionally swap the zeros); otherwise the label is
+    non-hyperelliptic where that component exists and the spin parity
+    everywhere else.
     """
     signature = singularity_orders(o)
     g, orders = signature.genus, signature.orders
@@ -583,26 +525,16 @@ def classify_component(o: Origami) -> ComponentLabel:
     comps = strata.components(orders)
     if comps == (ComponentLabel.CONNECTED,):
         return ComponentLabel.CONNECTED
-
-    minimal = orders == (2 * g - 2,)
-    half_half = len(orders) == 2 and orders[0] == orders[1] == g - 1
-    witness = hyperelliptic_involution(o)
-    if minimal:
-        if witness is not None:
-            label = ComponentLabel.HYPERELLIPTIC
-        else:
-            label = ComponentLabel.ODD_SPIN if spin_parity(o) else ComponentLabel.EVEN_SPIN
-    elif half_half and g % 2 == 0:
-        label = (
-            ComponentLabel.HYPERELLIPTIC
-            if witness is not None
-            else ComponentLabel.NON_HYPERELLIPTIC
-        )
-    elif half_half:
-        if witness is not None and _involution_swaps_singular_vertices(o, witness):
-            label = ComponentLabel.HYPERELLIPTIC
-        else:
-            label = ComponentLabel.ODD_SPIN if spin_parity(o) else ComponentLabel.EVEN_SPIN
+    witness = hyperelliptic_involution(o) if ComponentLabel.HYPERELLIPTIC in comps else None
+    # With two zeros the involution must swap them.  It can fix only zeros of
+    # even order, so in even genus, where both orders g - 1 are odd, it always
+    # swaps them.
+    if witness is not None and (
+        len(orders) == 1 or _involution_swaps_singular_vertices(o, witness)
+    ):
+        label = ComponentLabel.HYPERELLIPTIC
+    elif ComponentLabel.NON_HYPERELLIPTIC in comps:
+        label = ComponentLabel.NON_HYPERELLIPTIC
     else:
         label = ComponentLabel.ODD_SPIN if spin_parity(o) else ComponentLabel.EVEN_SPIN
     if label not in comps:

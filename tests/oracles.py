@@ -95,7 +95,7 @@ def polygon_violations(index: int, poly: flatcore.PolygonChain) -> list[str]:
             out.append(f"polygon {index}: zero-length edge at vertex {i}")
     if out:
         return out
-    area2 = poly.twice_signed_area()
+    area2 = sum((poly.vertex(i).cross(poly.vertex(i + 1)) for i in range(n)), Fraction(0))
     if area2 == 0:
         out.append(f"polygon {index}: degenerate (zero signed area)")
     elif area2 < 0:

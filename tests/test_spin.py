@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,16 @@ def test_simple_cycle_validation(torus_origami):
         spin.SimpleCycle(make(2, "(1,2)", ""), ((0, "E"), (1, "N")))
     with pytest.raises(ValueError, match="visits a square twice"):
         spin.SimpleCycle(make(2, "(1,2)", "(1,2)"), ((0, "E"), (1, "N"), (0, "E"), (1, "N")))
+    with pytest.raises(ValueError, match="must be integers"):
+        spin.SimpleCycle(torus_origami, ((0.9, "E"),))
+    with pytest.raises(ValueError, match="must be integers"):
+        spin.SimpleCycle(torus_origami, ((True, "E"),))
+    for square in (5, -1):
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.0"):
+            spin.SimpleCycle(torus_origami, ((square, "E"),))
+    for direction in ("X", "e", None):
+        with pytest.raises(ValueError, match="directions must be among"):
+            spin.SimpleCycle(torus_origami, ((0, direction),))
 
 
 def test_fundamental_cycles_count(l5, l3, torus_origami):
@@ -88,21 +99,32 @@ def test_quadratic_form_l5(l5):
     assert data.arf == 1
 
 
-# build_quadratic_form(o).pairing on the default tree, one string per row
-FROZEN_PAIRINGS = {
-    "torus": ["01", "10"],
-    "l3": ["0101", "1000", "0001", "1010"],
-    "l5": ["010000", "101101", "010000", "010000", "000001", "010010"],
-    "H4_HYP": ["0010000", "0010000", "1101000", "0010100", "0001010", "0000101", "0000010"],
-    "H4_ODD": ["0010000", "0010000", "1101000", "0010101", "0001000", "0000001", "0001010"],
+# build_quadratic_form(o) on the default tree: the pairing, one string per
+# row, then the radical rank and the q values
+FROZEN_FORMS = {
+    "torus": (["01", "10"], 0, "11"),
+    "l3": (["0101", "1000", "0001", "1010"], 0, "1111"),
+    "l5": (["010000", "101101", "010000", "010000", "000001", "010010"], 2, "111111"),
+    "H4_HYP": (
+        ["0010000", "0010000", "1101000", "0010100", "0001010", "0000101", "0000010"],
+        1,
+        "1111111",
+    ),
+    "H4_ODD": (
+        ["0010000", "0010000", "1101000", "0010101", "0001000", "0000001", "0001010"],
+        1,
+        "1111111",
+    ),
 }
 
 
 def test_pairing_matrices_frozen(l5, l3, torus_origami):
     surfaces = {"torus": torus_origami, "l3": l3, "l5": l5, "H4_HYP": H4_HYP, "H4_ODD": H4_ODD}
     for name, o in surfaces.items():
-        pairing = spin.build_quadratic_form(o).pairing
-        assert ["".join(map(str, row)) for row in pairing] == FROZEN_PAIRINGS[name], name
+        form = spin.build_quadratic_form(o)
+        pairing = ["".join(map(str, row)) for row in form.pairing]
+        q_values = "".join(map(str, form.q_values))
+        assert (pairing, form.radical_rank, q_values) == FROZEN_FORMS[name], name
 
 
 def test_pairing_needs_one_origami(l3, l5):
@@ -249,6 +271,26 @@ def test_classify_component(l5, l3):
     assert spin.classify_component(H4_HYP) == ComponentLabel.HYPERELLIPTIC
     assert spin.classify_component(H4_ODD) == ComponentLabel.ODD_SPIN
     assert spin.classify_component(H11_EXAMPLE) == ComponentLabel.CONNECTED
+
+
+# classify_component over every class of one stratum per decision branch:
+# minimal, (g-1, g-1) in odd genus (the involution must swap the zeros),
+# minimal with both spin components, spin only, and (g-1, g-1) in even genus
+COMPONENT_TALLIES = {
+    (6, (4,)): {"hyperelliptic": 70, "odd_spin": 155},
+    (6, (2, 2)): {"hyperelliptic": 57, "odd_spin": 69},
+    (7, (6,)): {"hyperelliptic": 143, "odd_spin": 701, "even_spin": 416},
+    (8, (4, 2)): {"odd_spin": 2475, "even_spin": 2025},
+    (8, (3, 3)): {"hyperelliptic": 450, "non_hyperelliptic": 2202},
+}
+
+
+def test_classify_component_tallies():
+    for (d, orders), expected in COMPONENT_TALLIES.items():
+        labels = Counter(
+            str(spin.classify_component(o)) for o in origami.origamis_in_stratum(d, orders)
+        )
+        assert labels == expected, (d, orders)
 
 
 def test_classify_component_rejects_torus(torus_origami):
