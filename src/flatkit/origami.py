@@ -13,18 +13,23 @@ exhaustive enumeration by stratum.  The enumeration is one pipeline for
 every degree: a scan yields the raw (h, v) pairs with the right corner cycle
 type, and one loop drops disconnected pairs and isomorphic duplicates.  The
 scan kernel depends on the degree: pure Python below degree 8, numpy from
-degree 8 on, since importing numpy costs more than the small scans.  The
-numpy kernel yields one batch of int8 arrays per cycle type of h, which the
+degree 8 on, since importing numpy costs more than the small scans.  Both
+kernels test one v per right coset v C(h) of the centralizer of h, since
+the corner permutation is the same on the whole coset, and expand each
+passing coset to its rows: d! tests over all cycle types of h instead of
+p(d) d!.  The numpy kernel yields one batch of int8 arrays per cycle type
+of h, in the order a scan of all d! permutations would give, which the
 involution scan of flatkit.spin reads without a tuple per pair.  On the
 batches, a vectorized centralizer filter first drops every pair that a
 symmetry of h conjugates to a pair met earlier, so from degree 8 on the
 canonical form, the costly step, runs on a small share of the raw pairs.
-Enumeration stops at degree 10, where the numpy kernel
-already holds all 10! permutations.
+Enumeration stops at degree 10, where the numpy kernel already holds all
+10! permutations.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -530,6 +535,91 @@ def _cycle_type_rep(parts: Sequence[int]) -> Perm:
     return tuple(images)
 
 
+def _centralizer_subset(parts: Sequence[int]) -> list[Perm]:
+    """The elements of the centralizer of _cycle_type_rep(parts) that fix its fixed points.
+
+    Each one maps every non-trivial cycle of h, rotated, onto a cycle of the
+    same length, so there are prod_{k>=2} m_k! * k^m_k of them when h has
+    m_k cycles of length k.  The identity comes first.
+    """
+    bases: dict[int, list[int]] = {}
+    base = 0
+    for length in parts:
+        if length > 1:
+            bases.setdefault(length, []).append(base)
+        base += length
+    moves_by_length = [
+        [
+            [
+                (src + j, dst + (j + shift) % length)
+                for src, dst, shift in zip(starts, targets, shifts)
+                for j in range(length)
+            ]
+            for targets in permutations(starts)
+            for shifts in product(range(length), repeat=len(starts))
+        ]
+        for length, starts in bases.items()
+    ]
+    out = []
+    for moves in product(*moves_by_length):
+        c = list(range(base))
+        for group in moves:
+            for src, dst in group:
+                c[src] = dst
+        out.append(tuple(c))
+    return out
+
+
+def _centralizer(parts: Sequence[int]) -> list[Perm]:
+    """The centralizer C(h) of h = _cycle_type_rep(parts), with fixed points moved.
+
+    Each element of _centralizer_subset(parts) combined with each permutation
+    of the fixed points of h: prod_k m_k! * k^m_k elements, k = 1 included.
+    """
+    fixed = [s for s, image in enumerate(_cycle_type_rep(parts)) if s == image]
+    out = []
+    for c in _centralizer_subset(parts):
+        for images in permutations(fixed):
+            moved = list(c)
+            for s, image in zip(fixed, images):
+                moved[s] = image
+            out.append(tuple(moved))
+    return out
+
+
+def _centralizer_order(parts: Sequence[int]) -> int:
+    """|C(h)| = prod_k m_k! * k^m_k when h has m_k cycles of length k."""
+    order = 1
+    for length in set(parts):
+        m = parts.count(length)
+        order *= math.factorial(m) * length**m
+    return order
+
+
+def _coset_pairs(parts: Sequence[int]) -> list[tuple[int, int]]:
+    """Position pairs (i, j) with v[i] < v[j] exactly on the representatives
+    of the right cosets v C(h), for h = _cycle_type_rep(parts).
+
+    [h, v c] = [h, v] for every c in C(h), so the corner permutation is the
+    same on the whole coset.  Composing v with c on the right permutes the
+    positions of v: the fixed points of h freely, each cycle block by a
+    rotation, and blocks of equal length among themselves.  Each coset thus
+    holds one v whose entries on the fixed points increase, whose cycle
+    blocks start with their least entry, and whose blocks of equal length
+    have increasing first entries.
+    """
+    pairs = []
+    chains: dict[int, list[int]] = {}
+    base = 0
+    for length in parts:
+        pairs.extend((base, base + j) for j in range(1, length))
+        chains.setdefault(length, []).append(base)
+        base += length
+    for starts in chains.values():
+        pairs.extend(zip(starts, starts[1:]))
+    return pairs
+
+
 def _target_type(d: int, orders: Sequence[int]) -> tuple[int, ...]:
     lengths = sorted((m + 1 for m in orders), reverse=True)
     if sum(lengths) > d:
@@ -543,7 +633,10 @@ def _labeled_stratum_pairs_python(
     """Raw (h, v, h^-1, v^-1) with the given corner cycle type, h fixed per type.
 
     h runs over one representative per cycle type (any pair can be relabeled
-    so that h is its type representative), v over all permutations.  Yields
+    so that h is its type representative), v over all permutations.  The
+    corner cycle type is tested once per right coset v C(h), on its
+    representative (_coset_pairs), and a passing coset yields all its rows;
+    each type's rows come in the order of itertools.permutations.  Yields
     the pairs of _stratum_batches (in another order), with no connectivity
     check and no removal of isomorphic duplicates.
     """
@@ -552,11 +645,19 @@ def _labeled_stratum_pairs_python(
     for parts in int_partitions(d):
         h = _cycle_type_rep(parts)
         hinv = invert_perm(h)
+        pairs = _coset_pairs(parts)
+        centralizer = _centralizer(parts)
+        rows = []
         for v in permutations(squares):
+            if not all(v[i] < v[j] for i, j in pairs):
+                continue
             vinv = invert_perm(v)
             comm = [h[v[hinv[vinv[s]]]] for s in squares]
             if sorted(map(len, cycles_of(comm)), reverse=True) == target:
-                yield h, v, hinv, vinv
+                rows.extend(tuple(map(v.__getitem__, c)) for c in centralizer)
+        rows.sort()
+        for v in rows:
+            yield h, v, hinv, invert_perm(v)
 
 
 _NUMPY_DEGREE = 8  # the numpy kernel scans from this degree on, the Python kernel below it
@@ -619,10 +720,12 @@ def _flat_index(rows):
 class PairBatch(NamedTuple):
     """The raw pairs of one cycle type of h, as int8 arrays.
 
-    h and hinv have shape (d,); v holds one permutation per row and vinv
-    its inverse.  rows counts the permutations scanned and fixed_point_rows
-    those that passed the fixed-point filter; the rows of v passed the power
-    filter as well.
+    h and hinv have shape (d,); v holds one permutation per row, in the
+    column order of _all_perms_array, and vinv its inverse.  The rows are
+    whole right cosets v C(h) of the centralizer of h, since the kernel
+    tests one representative per coset.  rows counts the permutations
+    scanned (d!), fixed_point_rows the rows of the cosets that passed the
+    fixed-point filter; the rows of v passed the power filter as well.
     """
 
     cycle_type: tuple[int, ...]
@@ -637,17 +740,22 @@ class PairBatch(NamedTuple):
 def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
     """Raw (h, v) pairs with the given corner cycle type, one batch per type of h.
 
-    Vectorized scan over all v for each cycle-type representative h.  The
-    corner permutation c = h v h^-1 v^-1 is never formed on the full block:
+    Vectorized scan over the representatives of the right cosets v C(h) for
+    each cycle-type representative h (_coset_pairs): the corner permutation
+    is the same on a whole coset, so the kernel tests d!/|C(h)| columns
+    instead of d!.  The corner permutation c = h v h^-1 v^-1 is never formed:
     its conjugate t = v^-1 h v h^-1 has the same cycle type, and fixed points
     of t are solutions of h(v(h^-1(s))) = v(s), which needs no inversion of
-    v.  Rows passing that count are compressed before t itself and its
+    v.  Columns passing that count are compressed before t itself and its
     powers are taken; fixed-point counts of the powers pin down the
     multiplicity of every cycle length up to the largest target length, and
-    the total degree excludes longer cycles.  Connectivity is NOT checked
-    here and isomorphic duplicates are NOT removed.  Every cycle type of h
-    gets a batch, possibly with no rows; degrees too small to carry the
-    orders give none.
+    the total degree excludes longer cycles.  Each passing representative
+    stands for its |C(h)| rows, which are marked by scan position
+    (_expand_cosets) and read back from the array of all permutations in
+    scan order, so every batch is what a test of all d! columns would give.
+    Connectivity is NOT checked here and isomorphic duplicates are NOT
+    removed.  Every cycle type of h gets a batch, possibly with no rows;
+    degrees too small to carry the orders give none.
     """
     import numpy as np
 
@@ -670,15 +778,18 @@ def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
         hinv = np.empty(d, dtype=np.int8)
         hinv[h] = identity
         hinv_rows = hinv.astype(np.intp)
-        kept_v, kept_vinv = [], []
-        fixed_point_rows = 0
+        pairs = _coset_pairs(parts)
+        centralizer = None
+        mark = np.zeros(all_perms.shape[1], dtype=bool)
+        fixed_point_cosets = 0
         for lo in range(0, all_perms.shape[1], _BLOCK):
             v_block = all_perms[:, lo : lo + _BLOCK]
-            g = h[v_block[hinv_rows]]
-            keep = (g == v_block).sum(axis=0, dtype=np.int8) == expected_fix[1]
-            v_sub = np.compress(keep, v_block, axis=1)
+            v_rep = v_block[:, _coset_columns(v_block, pairs)]
+            g = h[v_rep[hinv_rows]]
+            keep = (g == v_rep).sum(axis=0, dtype=np.int8) == expected_fix[1]
+            v_sub = np.compress(keep, v_rep, axis=1)
             n = v_sub.shape[1]
-            fixed_point_rows += n
+            fixed_point_cosets += n
             vinv = np.empty((d, n), dtype=np.int8)  # C order: ravel() is a view
             vinv.ravel()[_flat_index(v_sub)] = squares
             conj = vinv.ravel()[_flat_index(np.compress(keep, g, axis=1))]
@@ -690,17 +801,81 @@ def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
                     break
                 power = power.ravel()[conj_at]
                 mask &= (power == squares).sum(axis=0, dtype=np.int8) == expected_fix[k]
-            kept_v.append(np.compress(mask, v_sub, axis=1))
-            kept_vinv.append(np.compress(mask, vinv, axis=1))
+            if mask.any():
+                if centralizer is None:
+                    centralizer = _centralizer_array(parts)
+                _expand_cosets(mark, np.compress(mask, vinv, axis=1), centralizer)
+        v, vinv = _marked_columns(all_perms, mark)
         yield PairBatch(
             parts,
             h,
             hinv,
-            np.concatenate(kept_v, axis=1).T,
-            np.concatenate(kept_vinv, axis=1).T,
+            v.T,
+            vinv.T,
             all_perms.shape[1],
-            fixed_point_rows,
+            _centralizer_order(parts) * fixed_point_cosets,
         )
+
+
+def _coset_columns(v_block, pairs):
+    """Indices of the columns of v_block that represent their coset (_coset_pairs)."""
+    import numpy as np
+
+    keep = np.ones(v_block.shape[1], dtype=bool)
+    for i, j in pairs:
+        keep &= v_block[i] < v_block[j]
+    return np.flatnonzero(keep)
+
+
+def _centralizer_array(parts: Sequence[int]):
+    """The elements of _centralizer(parts), one per column of a (d, |C(h)|) int8 array.
+
+    Built from _centralizer_subset and _all_perms_array, since the fixed
+    points alone contribute up to 10! elements.
+    """
+    import numpy as np
+
+    subset = np.array(_centralizer_subset(parts), dtype=np.int8).T
+    h = _cycle_type_rep(parts)
+    fixed = np.array([s for s, image in enumerate(h) if s == image], dtype=np.int8)
+    if not fixed.size:
+        return subset
+    moves = fixed[_all_perms_array(fixed.size)]
+    out = np.repeat(subset, moves.shape[1], axis=1)
+    out[fixed] = np.tile(moves, subset.shape[1])
+    return out
+
+
+def _expand_cosets(mark, vinv, centralizer) -> None:
+    """Mark the scan position of every row of the cosets of the representatives
+    whose inverses are the columns of vinv.
+
+    The row v c^-1 has the inverse c v^-1, so as c runs over the centralizer
+    the columns of centralizer[vinv] are the inverses of the whole coset,
+    and _scan_rank reads their positions off them.  Pieces of at most
+    _BLOCK rows bound the temporaries.
+    """
+    d, order = centralizer.shape
+    for c_lo in range(0, order, _BLOCK):
+        elements = centralizer[:, c_lo : c_lo + _BLOCK]
+        step = max(1, _BLOCK // elements.shape[1])
+        for lo in range(0, vinv.shape[1], step):
+            mark[_scan_rank(elements[vinv[:, lo : lo + step]].reshape(d, -1))] = True
+
+
+def _marked_columns(all_perms, mark):
+    """The marked columns of all_perms, in order, and their inverses, as (d, n) arrays."""
+    import numpy as np
+
+    v = all_perms[:, np.flatnonzero(mark)]
+    vinv = np.empty_like(v)
+    squares = np.arange(len(v), dtype=np.int8)[:, None]
+    for lo in range(0, v.shape[1], _BLOCK):
+        piece = v[:, lo : lo + _BLOCK]
+        inverse = np.empty(piece.shape, dtype=np.int8)  # C order: ravel() is a view
+        inverse.ravel()[_flat_index(piece)] = squares
+        vinv[:, lo : lo + _BLOCK] = inverse
+    return v, vinv
 
 
 def _scan_rank(vinv):
@@ -723,39 +898,11 @@ def _scan_rank(vinv):
     return rank
 
 
-def _centralizer_subset(parts: Sequence[int]) -> list[Perm]:
-    """The elements of the centralizer of _cycle_type_rep(parts) that fix its fixed points.
+def _conjugate_inverses(c: Perm, vinv):
+    """The inverses of c v c^-1, from the inverses of v in the columns of vinv."""
+    import numpy as np
 
-    Each one maps every non-trivial cycle of h, rotated, onto a cycle of the
-    same length, so there are prod_{k>=2} m_k! * k^m_k of them when h has
-    m_k cycles of length k.  The identity comes first.
-    """
-    bases: dict[int, list[int]] = {}
-    base = 0
-    for length in parts:
-        if length > 1:
-            bases.setdefault(length, []).append(base)
-        base += length
-    moves_by_length = [
-        [
-            [
-                (src + j, dst + (j + shift) % length)
-                for src, dst, shift in zip(starts, targets, shifts)
-                for j in range(length)
-            ]
-            for targets in permutations(starts)
-            for shifts in product(range(length), repeat=len(starts))
-        ]
-        for length, starts in bases.items()
-    ]
-    out = []
-    for moves in product(*moves_by_length):
-        c = list(range(base))
-        for group in moves:
-            for src, dst in group:
-                c[src] = dst
-        out.append(tuple(c))
-    return out
+    return np.array(c, dtype=np.int8)[vinv[list(invert_perm(c))]]
 
 
 def _centralizer_survivors(batch: PairBatch):
@@ -766,21 +913,40 @@ def _centralizer_survivors(batch: PairBatch):
     a row with a conjugate of lower scan rank repeats a class the scan has
     already met.  The first row of each class has no such conjugate and
     always survives, so dropping the others changes neither the classes nor
-    their discovery order.  The inverse of c v c^-1 is c[vinv[c^-1]].
+    their discovery order.  Each orbit of the subset acting by conjugation
+    keeps exactly its first row.  Rows are decided one _BLOCK at a time.
     """
     import numpy as np
 
-    vinv = np.ascontiguousarray(batch.vinv.T)
-    rank = _scan_rank(vinv)
-    rows = np.arange(vinv.shape[1])
-    for c in _centralizer_subset(batch.cycle_type)[1:]:  # [0], the identity, fixes every row
-        conj_inv = np.array(c, dtype=np.int8)[vinv[list(invert_perm(c))]]
-        keep = _scan_rank(conj_inv) >= rank
-        if not keep.all():
-            vinv = np.compress(keep, vinv, axis=1)
-            rank = rank[keep]
-            rows = rows[keep]
-    return rows
+    subset = _centralizer_subset(batch.cycle_type)[1:]  # [0], the identity, fixes every row
+    out = []
+    for lo in range(0, len(batch.vinv), _BLOCK):
+        vinv = np.ascontiguousarray(batch.vinv[lo : lo + _BLOCK].T)
+        rank = _scan_rank(vinv)
+        rows = np.arange(lo, lo + vinv.shape[1])
+        for c in subset:
+            keep = _scan_rank(_conjugate_inverses(c, vinv)) >= rank
+            if not keep.all():
+                vinv = np.compress(keep, vinv, axis=1)
+                rank = rank[keep]
+                rows = rows[keep]
+        out.append(rows)
+    return np.concatenate(out) if out else np.arange(0)
+
+
+def _orbit_sizes(parts: Sequence[int], vinv):
+    """Sizes of the orbits, under conjugation by _centralizer_subset(parts), of
+    the permutations whose inverses are the columns of vinv.
+
+    Each size is |K| over the number of elements of K that fix the row.
+    """
+    import numpy as np
+
+    subset = _centralizer_subset(parts)
+    stabilizer = np.zeros(vinv.shape[1], dtype=np.int64)
+    for c in subset:
+        stabilizer += (_conjugate_inverses(c, vinv) == vinv).all(axis=0)
+    return len(subset) // stabilizer
 
 
 def _connected_columns(h, hinv, v, vinv):
@@ -809,8 +975,9 @@ def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
 
     Below _NUMPY_DEGREE every raw pair of the Python kernel gets a canonical
     code; the scans there are short enough that importing numpy would cost
-    more memory and start-up time than it saves.  From it on, only the batch rows that survive the centralizer
-    filter (_centralizer_survivors) do, and each cycle type of h logs its
+    more memory and start-up time than it saves.  From it on, only the batch
+    rows that survive the centralizer filter (_centralizer_survivors) do,
+    and each cycle type of h logs its
     funnel at DEBUG on the flatkit.origami logger: raw pairs, filter
     survivors, and how many of those were disconnected, duplicates of a
     class already met, or new classes.  The seen set catches the duplicates

@@ -438,30 +438,57 @@ def _propagation_survivors(batch: origami_mod.PairBatch) -> np.ndarray:
 
 
 def _batch_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
-    """hyperelliptic_scan over every raw pair of the numpy batches.
+    """hyperelliptic_scan over every raw pair of the numpy batches, one row
+    per centralizer orbit.
 
-    Only the rows that survive _propagation_survivors go to _involution_core.
-    Each cycle type of h logs its funnel at DEBUG: rows scanned, rows passing
-    the fixed-point and the power filters of the kernel, propagation
-    survivors and witnesses.
+    Conjugating (h, v) by an element c of K = origami._centralizer_subset
+    relabels the pair and keeps h, so a flat involution exists on every row
+    of a K-orbit or on none.  Only the first row of each orbit
+    (origami._centralizer_survivors) goes to _propagation_survivors, only
+    the rows that survive it go to _involution_core, and a witness counts
+    once per row of its orbit, |K| / |Stab_K(v)| times.  Each cycle type of
+    h logs at DEBUG its funnel (cosets tested, cosets passing the kernel's
+    filters, rows, K-survivors, propagation survivors, witness orbits,
+    witnesses) and the seconds spent in the kernel, the centralizer filter,
+    the propagation and the per-pair test.
     """
     import logging
+    import time
 
     log = logging.getLogger(__name__)
     scanned = 0
     hits = 0
-    for batch in origami_mod._stratum_batches(d, orders):
-        survive = _propagation_survivors(batch)
+    batches = origami_mod._stratum_batches(d, orders)
+    while True:
+        start = time.perf_counter()
+        batch = next(batches, None)
+        if batch is None:
+            break
+        kernel = time.perf_counter()
+        orbits = origami_mod._centralizer_survivors(batch)
+        reps = batch._replace(v=batch.v[orbits], vinv=batch.vinv[orbits])
+        centralizer_filter = time.perf_counter()
+        survive = _propagation_survivors(reps).nonzero()[0]
+        propagation = time.perf_counter()
         h, hinv = batch.h.tolist(), batch.hinv.tolist()
-        witnesses = sum(
-            _involution_core(d, h, v, hinv, vinv) is not None
-            for v, vinv in zip(batch.v[survive].tolist(), batch.vinv[survive].tolist())
-        )
+        found = [
+            row
+            for row, v, vinv in zip(survive, reps.v[survive].tolist(), reps.vinv[survive].tolist())
+            if _involution_core(d, h, v, hinv, vinv) is not None
+        ]
+        witnesses = 0
+        if found:
+            witnesses = int(origami_mod._orbit_sizes(batch.cycle_type, reps.vinv[found].T).sum())
+        test = time.perf_counter()
+        order = origami_mod._centralizer_order(batch.cycle_type)
         log.debug(
-            "hyperelliptic_scan d=%d h type %s: %d rows, %d pass fixed points, "
-            "%d pass powers, %d survive propagation, %d witnesses",
-            d, batch.cycle_type, batch.rows, batch.fixed_point_rows, len(batch.v),
-            int(survive.sum()), witnesses,
+            "hyperelliptic_scan d=%d h type %s: %d cosets tested, %d pass, %d rows, "
+            "%d K-survivors, %d survive propagation, %d witness orbits, %d witnesses; "
+            "kernel %.3f s, centralizer filter %.3f s, propagation %.3f s, per-pair test %.3f s",
+            d, batch.cycle_type, batch.rows // order, len(batch.v) // order, len(batch.v),
+            len(orbits), len(survive), len(found), witnesses,
+            kernel - start, centralizer_filter - kernel, propagation - centralizer_filter,
+            test - propagation,
         )
         scanned += len(batch.v)
         hits += witnesses
@@ -474,10 +501,12 @@ def hyperelliptic_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
     Returns (pairs scanned, pairs admitting an involution).  Below degree 9
     the pairs are one per isomorphism class (origami.stratum_pairs_raw).
     From degree 9 on the scan covers every labeled cycle-type match,
-    including non-transitive pairs, read as numpy batches (_batch_scan);
-    non-transitive pairs can never produce a witness (see _involution_core),
-    so a zero count proves no origami of the stratum in that degree is
-    hyperelliptic.  The batch scan logs a funnel per cycle type of h at
+    including non-transitive pairs, read as numpy batches (_batch_scan); it
+    tests one pair per orbit of the centralizer of h acting by conjugation
+    and counts each witness once per pair of its orbit.  Non-transitive
+    pairs can never produce a witness (see _involution_core), so a zero
+    count proves no origami of the stratum in that degree is hyperelliptic.
+    The batch scan logs a funnel and stage times per cycle type of h at
     DEBUG on the flatkit.spin logger.
     """
     if d >= origami_mod._RAW_DEGREE:

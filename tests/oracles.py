@@ -11,13 +11,26 @@ of the sigma(m) sublattices of index m, so the origamis of H(2) number
 sum_{m | n} sigma(m) P(n/m).  Their translation automorphisms fix the single
 cone point and therefore are trivial, so the count is the number of classes.
 
+commutator_counts counts, for h of each cycle type mu, the v whose corner
+permutation [h, v] = h v h^-1 v^-1 has a given cycle type lam.  The pairs
+(x, y) in C_mu x C_mu with x y = g number
+|C_mu|^2/d! sum_chi chi(mu)^2 chi(g)/chi(1) (Frobenius; the counting behind
+Eskin-Okounkov 2001).  Conjugation shows that every x in C_mu has the same
+number of y in C_mu with x y in C_lam, |C_lam| |C_mu|/d! times the sum,
+and each y = v h^-1 v^-1 comes from |C(h)| = d!/|C_mu| choices of v, so
+|C_lam| sum_chi chi(mu)^2 chi(lam)/chi(1) v remain.  The characters come
+from the Murnaghan-Nakayama rule on beta-sets.
+
 reference_violations and reference_cone_points decide flatcore's polygon
 predicates directly on the Fraction coordinates, without the integer view
 of the surface: the violation strings in order, and the turn count of each
 corner orbit.
 """
 
+import math
 from fractions import Fraction
+from functools import lru_cache
+from typing import Optional
 
 from flatkit import flatcore
 from flatkit.flatcore import PlanarVec
@@ -53,6 +66,61 @@ def primitive_h2_count(n: int) -> int:
 
 def h2_class_count(n: int) -> int:
     return sum(divisor_sum(m) * primitive_h2_count(n // m) for m in range(1, n + 1) if n % m == 0)
+
+
+# --- raw pair counts from the characters of S_d ------------------------------
+
+
+def partitions_of(n: int, cap: Optional[int] = None) -> list[tuple[int, ...]]:
+    cap = n if cap is None else cap
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, cap), 0, -1) for rest in partitions_of(n - k, k)]
+
+
+@lru_cache(maxsize=None)
+def _murnaghan_nakayama(beta: frozenset, mu: tuple[int, ...]) -> int:
+    """chi^lambda(mu) for the partition lambda with beta-set beta: removing a
+    rim hook of length k moves one bead from b to a free b - k, with the sign
+    of the number of beads it jumps over."""
+    if not mu:
+        return 1
+    k, rest = mu[0], mu[1:]
+    total = 0
+    for b in beta:
+        if b >= k and b - k not in beta:
+            jumped = sum(1 for c in beta if b - k < c < b)
+            total += (-1) ** jumped * _murnaghan_nakayama(beta - {b} | {b - k}, rest)
+    return total
+
+
+def character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    return _murnaghan_nakayama(frozenset(part + len(lam) - 1 - i for i, part in enumerate(lam)), mu)
+
+
+def class_size(mu: tuple[int, ...]) -> int:
+    z = 1
+    for k in set(mu):
+        z *= math.factorial(mu.count(k)) * k ** mu.count(k)
+    return math.factorial(sum(mu)) // z
+
+
+def commutator_counts(d: int, orders: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """For each cycle type mu of h, #{v in S_d : [h, v] has the cycle type of
+    the orders} = |C_lam| sum_chi chi(mu)^2 chi(lam) / chi(1) (Frobenius)."""
+    lengths = sorted((m + 1 for m in orders), reverse=True)
+    lam = tuple(lengths + [1] * (d - sum(lengths)))
+    irreducibles = partitions_of(d)
+    out = {}
+    for mu in irreducibles:
+        total = Fraction(0)
+        for chi in irreducibles:
+            degree = character(chi, (1,) * d)
+            total += Fraction(character(chi, mu) ** 2 * character(chi, lam), degree)
+        count = class_size(lam) * total
+        assert count.denominator == 1, (d, mu, lam)
+        out[mu] = int(count)
+    return out
 
 
 # --- polygon predicates on Fraction coordinates ------------------------------

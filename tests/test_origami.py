@@ -446,6 +446,56 @@ def test_centralizer_subset():
                 assert all(c[s] == s for s in range(d) if h[s] == s)
 
 
+def test_coset_representatives():
+    """Each right coset v C(h) holds exactly one marked column, so d!/|C(h)|
+    columns are marked; the full centralizer has prod_k m_k! * k^m_k distinct
+    elements, k = 1 included, each commuting with h."""
+    for d in range(1, 8):
+        perms = origami._all_perms_array(d)
+        columns = [tuple(v) for v in perms.T.tolist()]
+        for parts in strata.int_partitions(d):
+            h = origami._cycle_type_rep(parts)
+            centralizer = origami._centralizer(parts)
+            order = math.prod(math.factorial(m) * k**m for k, m in Counter(parts).items())
+            assert len(set(centralizer)) == len(centralizer) == order, parts
+            assert origami._centralizer_order(parts) == order
+            for c in centralizer:
+                assert all(c[h[s]] == h[c[s]] for s in range(d))
+            as_array = origami._centralizer_array(parts).T.tolist()
+            assert sorted(map(tuple, as_array)) == sorted(centralizer), parts
+            marked = origami._coset_columns(perms, origami._coset_pairs(parts)).tolist()
+            assert len(marked) * order == len(columns), parts
+            cosets = Counter(
+                tuple(columns[r][s] for s in c) for r in marked for c in centralizer
+            )
+            assert len(cosets) == len(columns) and set(cosets.values()) == {1}, parts
+
+
+@pytest.mark.parametrize(
+    "d,orders", [(7, (3, 1)), (9, (3, 1)), (8, (4,))], ids=["H(3,1)-d=7", "H(3,1)-d=9", "H(4)-d=8"]
+)
+def test_batch_sizes_match_character_counts(d, orders):
+    """Every h type's row count is the Frobenius count of tests/oracles.py."""
+    sizes = {b.cycle_type: len(b.v) for b in origami._stratum_batches(d, orders)}
+    assert sizes == oracles.commutator_counts(d, orders)
+
+
+def test_h31_raw_totals_from_characters():
+    """The raw pair totals of criterion 08 (and d = 7) from the table alone."""
+    totals = [sum(oracles.commutator_counts(d, (3, 1)).values()) for d in (7, 9, 10)]
+    assert totals == [13080, 647560, 4433056]
+
+
+def test_orbit_sizes_add_up_to_the_batch():
+    """The first row of each centralizer orbit, weighted by its orbit size,
+    accounts for every row of the batch."""
+    for orders in ((4,), (2, 2), ()):
+        for batch in origami._stratum_batches(7, orders):
+            first = origami._centralizer_survivors(batch)
+            sizes = origami._orbit_sizes(batch.cycle_type, batch.vinv[first].T)
+            assert sizes.sum() == len(batch.v), (orders, batch.cycle_type)
+
+
 def test_connected_columns_match_is_connected():
     for orders in signatures(6):
         for batch in origami._stratum_batches(6, orders):

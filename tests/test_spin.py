@@ -234,18 +234,37 @@ def test_batch_scan_matches_per_pair_loop():
     assert scans[7, (2, 2)] == (8572, 3651)
 
 
+def test_batch_scan_weights_witnesses_by_orbit():
+    """Each witness counts once per row of its centralizer orbit, as a per-row
+    scan would.  The witness orbits of H(4) and H(2) are regular; those of
+    H(2,2) and H(1,1) include rows with non-trivial stabilizers, where
+    counting |K| rows per orbit would give 34473 and 17998."""
+    assert spin._batch_scan(8, (4,)) == (90000, 16474)
+    assert spin._batch_scan(8, (2,)) == (35952, 6716)
+    assert spin._batch_scan(8, (2, 2)) == (85416, 31945)
+    assert spin._batch_scan(8, (1, 1)) == (50472, 17214)
+
+
 def test_batch_scan_funnel_adds_up(caplog):
     caplog.set_level(logging.DEBUG, logger="flatkit")
     assert spin._batch_scan(7, (4,)) == (15480, 3909)
     records = [r for r in caplog.records if r.name == "flatkit.spin"]
     assert [r.args[1] for r in records] == list(strata.int_partitions(7))
-    funnels = [r.args[2:] for r in records]
-    for rows, fixed_points, powers, survivors, witnesses in funnels:
-        assert rows == 5040
-        assert rows >= fixed_points >= powers >= survivors >= witnesses
-    assert sum(f[2] for f in funnels) == 15480
-    assert sum(f[4] for f in funnels) == 3909
-    assert sum(f[3] for f in funnels) < 15480
+    funnels = []
+    for r in records:
+        tested, passing, rows, k_survivors, survivors, orbits, witnesses = r.args[2:9]
+        order = origami._centralizer_order(r.args[1])
+        assert tested * order == 5040
+        assert tested >= passing
+        assert rows == order * passing
+        assert rows >= k_survivors >= survivors >= orbits
+        assert orbits <= witnesses <= rows
+        assert (orbits == 0) == (witnesses == 0)
+        assert len(r.args[9:]) == 4 and min(r.args[9:]) >= 0  # stage seconds
+        funnels.append((rows, survivors, witnesses))
+    assert sum(f[0] for f in funnels) == 15480
+    assert sum(f[2] for f in funnels) == 3909
+    assert sum(f[1] for f in funnels) < 15480
 
 
 def test_small_degrees_import_neither_numpy_nor_logging():
