@@ -111,7 +111,10 @@ def parse_form(text: str) -> FactoredForm:
             raise ValueError(f"empty factor in form string {text!r}")
         m = _FACTOR_RE.match(token)
         if m is not None:
-            root = Fraction(m.group("root"))
+            try:
+                root = Fraction(m.group("root"))
+            except ZeroDivisionError as exc:
+                raise ValueError(f"zero denominator in factor {token!r} of {text!r}") from exc
             if m.group("op") == "+":
                 root = -root
             k = int(m.group("mult") or 1)

@@ -186,7 +186,7 @@ def parse_origami_text(text: str) -> Origami:
     are defined.
     """
     d: Optional[int] = None
-    perms: dict[str, Perm] = {}
+    cycles: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -207,18 +207,24 @@ def parse_origami_text(text: str) -> Origami:
         else:
             if d is None:
                 raise ValueError(f"line {lineno}: 'd:' must come before '{key}:'")
-            if key in perms:
+            if key in cycles:
                 raise ValueError(f"line {lineno}: duplicate '{key}:' line")
+            cycles[key] = (lineno, rest)
+    if d is None or "h" not in cycles or "v" not in cycles:
+        raise ValueError("origami text needs 'd:', 'h:' and 'v:' lines")
+    # Each label is written with a digit run, and from d = 2 on a square in no
+    # cycle of h or v is isolated: refuse such a degree before allocating it.
+    if d <= max(1, sum(len(re.findall(r"\d+", rest)) for _, rest in cycles.values())):
+        perms = {}
+        for key, (lineno, rest) in cycles.items():
             try:
                 perms[key] = parse_cycles(rest, d)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
-    if d is None or "h" not in perms or "v" not in perms:
-        raise ValueError("origami text needs 'd:', 'h:' and 'v:' lines")
-    o = Origami(d, perms["h"], perms["v"])
-    if not is_connected(o):
-        raise ValueError("not connected: h and v do not act transitively")
-    return o
+        o = Origami(d, perms["h"], perms["v"])
+        if is_connected(o):
+            return o
+    raise ValueError("not connected: h and v do not act transitively")
 
 
 def origami_to_text(o: Origami) -> str:
@@ -723,9 +729,8 @@ class PairBatch(NamedTuple):
     h and hinv have shape (d,); v holds one permutation per row, in the
     column order of _all_perms_array, and vinv its inverse.  The rows are
     whole right cosets v C(h) of the centralizer of h, since the kernel
-    tests one representative per coset.  rows counts the permutations
-    scanned (d!), fixed_point_rows the rows of the cosets that passed the
-    fixed-point filter; the rows of v passed the power filter as well.
+    tests one representative per coset, so their number is a multiple of
+    |C(h)|.
     """
 
     cycle_type: tuple[int, ...]
@@ -733,8 +738,6 @@ class PairBatch(NamedTuple):
     hinv: np.ndarray
     v: np.ndarray
     vinv: np.ndarray
-    rows: int
-    fixed_point_rows: int
 
 
 def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
@@ -749,10 +752,11 @@ def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
     v.  Columns passing that count are compressed before t itself and its
     powers are taken; fixed-point counts of the powers pin down the
     multiplicity of every cycle length up to the largest target length, and
-    the total degree excludes longer cycles.  Each passing representative
-    stands for its |C(h)| rows, which are marked by scan position
-    (_expand_cosets) and read back from the array of all permutations in
-    scan order, so every batch is what a test of all d! columns would give.
+    the total degree excludes longer cycles.  The inverses of the passing
+    representatives are kept.  The row v c^-1 has the inverse c v^-1, so
+    _centralizer_array(parts)[vinv] holds the inverses of every row of the
+    passing cosets; sorting them by _scan_rank puts the rows in scan order,
+    so every batch is what a test of all d! columns would give.
     Connectivity is NOT checked here and isomorphic duplicates are NOT
     removed.  Every cycle type of h gets a batch, possibly with no rows;
     degrees too small to carry the orders give none.
@@ -771,50 +775,34 @@ def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
     }
 
     all_perms = _all_perms_array(d)
-    identity = np.arange(d, dtype=np.int8)
-    squares = identity[:, None]
+    squares = np.arange(d, dtype=np.int8)[:, None]
     for parts in int_partitions(d):
         h = np.array(_cycle_type_rep(parts), dtype=np.int8)
-        hinv = np.empty(d, dtype=np.int8)
-        hinv[h] = identity
+        hinv = _inverse_columns(h[:, None])[:, 0]
         hinv_rows = hinv.astype(np.intp)
         pairs = _coset_pairs(parts)
-        centralizer = None
-        mark = np.zeros(all_perms.shape[1], dtype=bool)
-        fixed_point_cosets = 0
+        kept = []
         for lo in range(0, all_perms.shape[1], _BLOCK):
             v_block = all_perms[:, lo : lo + _BLOCK]
             v_rep = v_block[:, _coset_columns(v_block, pairs)]
             g = h[v_rep[hinv_rows]]
             keep = (g == v_rep).sum(axis=0, dtype=np.int8) == expected_fix[1]
-            v_sub = np.compress(keep, v_rep, axis=1)
-            n = v_sub.shape[1]
-            fixed_point_cosets += n
-            vinv = np.empty((d, n), dtype=np.int8)  # C order: ravel() is a view
-            vinv.ravel()[_flat_index(v_sub)] = squares
+            vinv = _inverse_columns(np.compress(keep, v_rep, axis=1))
             conj = vinv.ravel()[_flat_index(np.compress(keep, g, axis=1))]
             conj_at = _flat_index(conj)
-            mask = np.ones(n, dtype=bool)
+            mask = np.ones(vinv.shape[1], dtype=bool)
             power = conj
             for k in range(2, max_len + 1):
                 if not mask.any():
                     break
                 power = power.ravel()[conj_at]
                 mask &= (power == squares).sum(axis=0, dtype=np.int8) == expected_fix[k]
-            if mask.any():
-                if centralizer is None:
-                    centralizer = _centralizer_array(parts)
-                _expand_cosets(mark, np.compress(mask, vinv, axis=1), centralizer)
-        v, vinv = _marked_columns(all_perms, mark)
-        yield PairBatch(
-            parts,
-            h,
-            hinv,
-            v.T,
-            vinv.T,
-            all_perms.shape[1],
-            _centralizer_order(parts) * fixed_point_cosets,
-        )
+            kept.append(np.compress(mask, vinv, axis=1))
+        vinv = np.concatenate(kept, axis=1)
+        if vinv.size:  # an empty type skips its centralizer, which can hold 10! elements
+            vinv = _centralizer_array(parts)[vinv].reshape(d, -1)
+            vinv = vinv[:, np.argsort(_scan_rank(vinv))]
+        yield PairBatch(parts, h, hinv, _inverse_columns(vinv).T, vinv.T)
 
 
 def _coset_columns(v_block, pairs):
@@ -846,36 +834,18 @@ def _centralizer_array(parts: Sequence[int]):
     return out
 
 
-def _expand_cosets(mark, vinv, centralizer) -> None:
-    """Mark the scan position of every row of the cosets of the representatives
-    whose inverses are the columns of vinv.
-
-    The row v c^-1 has the inverse c v^-1, so as c runs over the centralizer
-    the columns of centralizer[vinv] are the inverses of the whole coset,
-    and _scan_rank reads their positions off them.  Pieces of at most
-    _BLOCK rows bound the temporaries.
-    """
-    d, order = centralizer.shape
-    for c_lo in range(0, order, _BLOCK):
-        elements = centralizer[:, c_lo : c_lo + _BLOCK]
-        step = max(1, _BLOCK // elements.shape[1])
-        for lo in range(0, vinv.shape[1], step):
-            mark[_scan_rank(elements[vinv[:, lo : lo + step]].reshape(d, -1))] = True
-
-
-def _marked_columns(all_perms, mark):
-    """The marked columns of all_perms, in order, and their inverses, as (d, n) arrays."""
+def _inverse_columns(perms):
+    """The inverses of the columns of a (d, n) int8 array, C-ordered, in _BLOCK pieces."""
     import numpy as np
 
-    v = all_perms[:, np.flatnonzero(mark)]
-    vinv = np.empty_like(v)
-    squares = np.arange(len(v), dtype=np.int8)[:, None]
-    for lo in range(0, v.shape[1], _BLOCK):
-        piece = v[:, lo : lo + _BLOCK]
+    out = np.empty(perms.shape, dtype=np.int8)
+    squares = np.arange(len(perms), dtype=np.int8)[:, None]
+    for lo in range(0, perms.shape[1], _BLOCK):
+        piece = perms[:, lo : lo + _BLOCK]
         inverse = np.empty(piece.shape, dtype=np.int8)  # C order: ravel() is a view
         inverse.ravel()[_flat_index(piece)] = squares
-        vinv[:, lo : lo + _BLOCK] = inverse
-    return v, vinv
+        out[:, lo : lo + _BLOCK] = inverse
+    return out
 
 
 def _scan_rank(vinv):
@@ -885,8 +855,8 @@ def _scan_rank(vinv):
     sum_{k=2..d} (k-1)! * p_k of _all_perms_array(d) is the permutation
     whose largest k - 1 is preceded by p_k of 0..k-2, and the inverse gives
     the position of each value, so p_k counts the e < k - 1 with
-    vinv[e] < vinv[k - 1].  The batch rows of one cycle type are in this
-    order, so the rank is the scan position.
+    vinv[e] < vinv[k - 1].  The kernel sorts each type's rows by it, so the
+    rank is the scan position.
     """
     import numpy as np
 

@@ -15,6 +15,7 @@ stratum.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -485,7 +486,7 @@ def _batch_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
             "hyperelliptic_scan d=%d h type %s: %d cosets tested, %d pass, %d rows, "
             "%d K-survivors, %d survive propagation, %d witness orbits, %d witnesses; "
             "kernel %.3f s, centralizer filter %.3f s, propagation %.3f s, per-pair test %.3f s",
-            d, batch.cycle_type, batch.rows // order, len(batch.v) // order, len(batch.v),
+            d, batch.cycle_type, math.factorial(d) // order, len(batch.v) // order, len(batch.v),
             len(orbits), len(survive), len(found), witnesses,
             kernel - start, centralizer_filter - kernel, propagation - centralizer_filter,
             test - propagation,

@@ -144,6 +144,18 @@ def test_analyze_malformed_surface_json(tmp_path, capsys, payload, message):
     assert "Traceback" not in err
 
 
+def test_analyze_refuses_a_degree_beyond_the_written_labels(tmp_path, capsys):
+    """A degree no cycle could reach is refused as disconnected, not allocated."""
+    path = tmp_path / "huge.origami"
+    path.write_text("d: 1000000000000\nh: ()\nv: ()\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "not connected" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_analyze_half_paired_square(tmp_path, capsys):
     path = tmp_path / "half.json"
     path.write_text(json.dumps({"polygons": [SQUARE], "pairings": SQUARE_PAIRS[:1]}))
@@ -282,6 +294,16 @@ def test_divisor_genus_mismatch(capsys):
     )
     assert code == 1
     assert "genus 1" in err
+
+
+def test_divisor_zero_denominator_root(capsys):
+    code, out, err = run_cli(
+        capsys, "divisor", "--branch", "1,2,3,4", "--form", "(z-1/0)"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: zero denominator")
+    assert len(err.splitlines()) == 1
 
 
 def test_render_writes_svg(tmp_path, capsys):

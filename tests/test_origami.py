@@ -356,7 +356,10 @@ def test_python_kernel_matches_numpy_kernel():
 
 
 def test_numpy_batches_are_consistent():
-    """Each batch holds its type representative, inverses and funnel counts."""
+    """Each batch holds its type representative and inverses, whole cosets
+    of the centralizer of h, and its rows in strictly increasing scan order."""
+    import numpy as np
+
     batches = list(origami._stratum_batches(7, (2, 2)))
     assert [b.cycle_type for b in batches] == list(strata.int_partitions(7))
     for b in batches:
@@ -365,7 +368,8 @@ def test_numpy_batches_are_consistent():
         assert b.v.shape == b.vinv.shape == (len(b.v), 7)
         for v, vinv in zip(b.v.tolist(), b.vinv.tolist()):
             assert tuple(vinv) == origami.invert_perm(v)
-        assert b.rows == 5040 >= b.fixed_point_rows >= len(b.v)
+        assert len(b.v) % origami._centralizer_order(b.cycle_type) == 0, b.cycle_type
+        assert (np.diff(origami._scan_rank(b.vinv.T)) > 0).all(), b.cycle_type
     assert sum(len(b.v) for b in batches) == 8572
 
 
