@@ -25,12 +25,17 @@ reference_violations and reference_cone_points decide flatcore's polygon
 predicates directly on the Fraction coordinates, without the integer view
 of the surface: the violation strings in order, and the turn count of each
 corner orbit.
+
+canonical_code_reference is the canonical code of an origami by its
+definition: the least breadth-first relabeling over every start square,
+each one built in full before it is compared, with no start skipped and no
+comparison cut short.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from flatkit import flatcore
 from flatkit.flatcore import PlanarVec
@@ -250,3 +255,38 @@ def reference_cone_points(surf: flatcore.TranslationSurface) -> list[tuple[tuple
             turns += _sector_contains(ref, poly.edge_vector(i), -incoming)
         points.append((tuple(sorted(orbit)), turns))
     return sorted(points, key=lambda point: point[0][0])
+
+
+def relabeled_code(
+    d: int, h: Sequence[int], v: Sequence[int], hinv: Sequence[int], vinv: Sequence[int], start: int
+) -> Optional[tuple[int, ...]]:
+    """(d, h', v') with the squares renamed in breadth-first order from start
+    (neighbor order right, left, up, down), or None when the search misses
+    a square."""
+    label = [-1] * d
+    order = [start]
+    label[start] = 0
+    qi = 0
+    while qi < len(order):
+        s = order[qi]
+        qi += 1
+        for t in (h[s], hinv[s], v[s], vinv[s]):
+            if label[t] < 0:
+                label[t] = len(order)
+                order.append(t)
+    if qi != d:
+        return None
+    hp = [0] * d
+    vp = [0] * d
+    for s in range(d):
+        hp[label[s]] = label[h[s]]
+        vp[label[s]] = label[v[s]]
+    return (d, *hp, *vp)
+
+
+def canonical_code_reference(
+    d: int, h: Sequence[int], v: Sequence[int], hinv: Sequence[int], vinv: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """The least relabeled_code over all d starts, or None for a disconnected pair."""
+    codes = [relabeled_code(d, h, v, hinv, vinv, start) for start in range(d)]
+    return None if None in codes else min(codes)

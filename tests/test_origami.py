@@ -257,6 +257,109 @@ def test_orbit_canonical_forms_once_per_move(monkeypatch):
     assert len(calls) == 2 * len(data.elements) + 1
 
 
+def test_orbit_log_adds_up(monkeypatch, caplog, l3, l5):
+    caplog.set_level(logging.DEBUG, logger="flatkit")
+    calls = []
+    body = origami.canonical_form
+
+    def counted(o):
+        calls.append(o)
+        return body(o)
+
+    monkeypatch.setattr(origami, "canonical_form", counted)
+    for o in (l3, l5):
+        caplog.clear()
+        calls.clear()
+        data = origami.orbit(o)
+        [record] = [r for r in caplog.records if r.name == "flatkit.origami"]
+        nodes, edges, forms = record.args
+        assert (nodes, edges, forms) == (len(data.elements), len(data.edges), len(calls))
+        assert forms == 2 * nodes + 1
+        assert edges == 3 * nodes
+
+
+def code_args(o):
+    return (o.d, o.h, o.v, origami.invert_perm(o.h), origami.invert_perm(o.v))
+
+
+def scrambled(d, h, v, rng):
+    """The pair (h, v) under a random relabeling, connected or not."""
+    sigma = list(range(d))
+    rng.shuffle(sigma)
+    return origami.relabel(origami.Origami(d, tuple(h), tuple(v)), sigma)
+
+
+def test_canonical_code_matches_reference():
+    rng = make_rng(salt=13)
+    cases = [origami.random_origami(d, rng) for d in range(1, 21) for _ in range(8)]
+    # every cycle of h of length 4 or more, so every start is tried
+    for parts in [(4,), (5,), (4, 4), (5, 4), (6, 4), (4, 4, 4), (7, 5)]:
+        d = sum(parts)
+        h = origami._cycle_type_rep(parts)
+        cases += [scrambled(d, h, rng.sample(range(d), d), rng) for _ in range(10)]
+    for d in range(1, 21):
+        h = origami._cycle_type_rep((d,))
+        cases += [scrambled(d, h, rng.sample(range(d), d), rng) for _ in range(5)]
+    for d in range(5, 8):
+        for o in origami.origamis_in_stratum(d, (4,)):
+            cases.append(scrambled(d, o.h, o.v, rng))
+    data = origami.orbit(make(9, *D9))
+    for code in data.elements:
+        rep = origami.decode_canonical(code)
+        cases += [origami.act_S(rep), origami.act_T(rep)]
+    for o in cases:
+        assert origami._canonical_code(*code_args(o)) == oracles.canonical_code_reference(
+            *code_args(o)
+        )
+
+    for _ in range(200):
+        a = origami.random_origami(rng.randint(1, 6), rng)
+        b = origami.random_origami(rng.randint(1, 6), rng)
+        h = a.h + tuple(a.d + s for s in b.h)
+        v = a.v + tuple(a.d + s for s in b.v)
+        o = scrambled(a.d + b.d, h, v, rng)
+        assert origami._canonical_code(*code_args(o)) is None
+        assert oracles.canonical_code_reference(*code_args(o)) is None
+        d = rng.randint(1, 8)
+        o = scrambled(d, rng.sample(range(d), d), rng.sample(range(d), d), rng)
+        assert origami._canonical_code(*code_args(o)) == oracles.canonical_code_reference(
+            *code_args(o)
+        )
+
+
+@st.composite
+def pairs_by_cycle_type(draw):
+    """A pair (h, v), connected or not, whose h has drawn cycle lengths."""
+    parts = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    d = sum(parts)
+    o = origami.Origami(d, origami._cycle_type_rep(parts), tuple(draw(st.permutations(range(d)))))
+    return origami.relabel(o, draw(st.permutations(range(d))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs_by_cycle_type())
+@example(make(5, "(1,2)(3,4,5)", "(2,3)"))
+@example(make(4, "(1,2)(3,4)", "(2,3)"))
+@example(make(6, "(1,2,3)(4,5,6)", "(3,4)"))
+def test_least_code_starts_on_a_shortest_cycle(o):
+    """The start rule of canonical_form: when the shortest cycle of h has
+    length m <= 3, every start square that reaches the least code lies on a
+    cycle of length m."""
+    codes = [oracles.relabeled_code(*code_args(o), start) for start in range(o.d)]
+    assume(None not in codes)
+    length = []
+    for s in range(o.d):
+        k, t = 1, o.h[s]
+        while t != s:
+            k, t = k + 1, o.h[t]
+        length.append(k)
+    m = min(length)
+    if m <= 3:
+        best = min(codes)
+        assert all(length[s] == m for s in range(o.d) if codes[s] == best)
+        assert origami._canonical_code(*code_args(o)) == best
+
+
 def test_cylinders(l5, l3, torus_origami):
     def shape(o):
         dec = origami.cylinders(o)
