@@ -75,6 +75,14 @@ class Origami:
         object.__setattr__(self, "h", _check_perm(self.h, self.d, "h"))
         object.__setattr__(self, "v", _check_perm(self.v, self.d, "v"))
 
+    @classmethod
+    def _trusted(cls, d: int, h: Perm, v: Perm) -> Origami:
+        """An origami from two permutation tuples of 0..d-1 that the caller
+        already knows to be valid; __post_init__ does not run."""
+        o = object.__new__(cls)
+        o.__dict__.update(d=d, h=h, v=v)
+        return o
+
 
 def is_connected(o: Origami) -> bool:
     seen = [False] * o.d
@@ -424,6 +432,8 @@ def relabel(o: Origami, sigma: Sequence[int]) -> Origami:
 
 
 # --- integer shear and rotation actions -------------------------------------
+# Each move composes the permutations of a valid origami, so its image is
+# valid too and is built without checking it again.
 
 
 def act_T(o: Origami) -> Origami:
@@ -433,16 +443,16 @@ def act_T(o: Origami) -> Origami:
     the row above, which composes the old climb with one step of h^-1.
     """
     hinv = invert_perm(o.h)
-    return Origami(o.d, o.h, tuple(hinv[o.v[s]] for s in range(o.d)))
+    return Origami._trusted(o.d, o.h, tuple(hinv[o.v[s]] for s in range(o.d)))
 
 
 def act_T_inverse(o: Origami) -> Origami:
-    return Origami(o.d, o.h, tuple(o.h[o.v[s]] for s in range(o.d)))
+    return Origami._trusted(o.d, o.h, tuple(o.h[o.v[s]] for s in range(o.d)))
 
 
 def act_S(o: Origami) -> Origami:
     """Quarter turn: rows become columns; (h, v) -> (v, h^-1).  S^4 = id."""
-    return Origami(o.d, o.v, invert_perm(o.h))
+    return Origami._trusted(o.d, o.v, invert_perm(o.h))
 
 
 @dataclass(frozen=True)
@@ -470,7 +480,9 @@ def orbit(o: Origami, max_elements: int = 10000) -> OrbitData:
     of t.  Raises RuntimeError when the orbit has more than max_elements
     elements.  Logs at DEBUG on the flatkit.origami logger the nodes, the
     edges and the canonical forms computed: the start's, and those of the S
-    and T images of each node.
+    and T images of each node.  The elements are canonical codes of valid
+    origamis, so each is read back, and moved, without checking its
+    permutations again.
     """
     import logging
 
@@ -483,7 +495,8 @@ def orbit(o: Origami, max_elements: int = 10000) -> OrbitData:
     frontier = [start]
     while frontier:
         code = frontier.pop()
-        rep = decode_canonical(code)
+        d = code[0]
+        rep = Origami._trusted(d, code[1 : 1 + d], code[1 + d :])
         images[code] = (canonical_form(act_S(rep)), canonical_form(act_T(rep)))
         forms += 2
         for image in images[code]:

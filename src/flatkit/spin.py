@@ -6,9 +6,13 @@ center graph we get d+1 fundamental cycles; their pairwise intersection
 parities, counted against a copy of one curve pushed off by a small
 translation, and their winding indices define a quadratic form on mod-2
 homology whose Arf invariant is the spin parity of the surface.  Each cycle
-reads its chords (entry and exit side per square) once, and one GF(2)
-reduction of the pairing yields both the symplectic pairs and a basis of
-the radical.  The module also detects the 180-degree flat involution with
+reads its chords (entry and exit side per square) once; a 256-entry table
+holds the crossing bit of every pair of chords, and one pass over the
+squares reads it for every pair of cycles that meet there, so the whole
+pairing comes from one walk.  One GF(2) reduction of the pairing yields
+both the symplectic pairs and a basis of the radical.  The cycles of a
+spanning tree are checked by the tree walk that builds them, not again by
+SimpleCycle.  The module also detects the 180-degree flat involution with
 sphere quotient and classifies the connected component of the ambient
 stratum.
 """
@@ -93,13 +97,24 @@ class SimpleCycle:
         moves = _moves(self.origami)
         return tuple(_edge(moves, s, d) for s, d in self.steps)
 
+    @classmethod
+    def _trusted(cls, origami: Origami, steps: tuple[tuple[int, str], ...]) -> SimpleCycle:
+        """A cycle built from steps that already meet every check of __post_init__,
+        which does not run."""
+        cycle = object.__new__(cls)
+        cycle.__dict__.update(origami=origami, steps=steps)
+        return cycle
+
     @cached_property
-    def chords(self) -> Mapping[int, tuple[str, str]]:
-        """Per visited square, the (entry side, exit side) of the chord."""
-        previous = self.steps[-1:] + self.steps[:-1]
-        return MappingProxyType(
-            {s: (_opp(back), direction) for (s, direction), (_, back) in zip(self.steps, previous)}
-        )
+    def chords(self) -> Mapping[int, int]:
+        """Per visited square, its chord 4 * entry side + exit side, with the
+        sides numbered as in _DIRS."""
+        chords = {}
+        back = self.steps[-1][1]
+        for s, direction in self.steps:
+            chords[s] = 4 * ((_IDX[back] + 2) % 4) + _IDX[direction]
+            back = direction
+        return MappingProxyType(chords)
 
 
 def fundamental_cycles(o: Origami, rng: Optional[random.Random] = None) -> list[SimpleCycle]:
@@ -109,7 +124,10 @@ def fundamental_cycles(o: Origami, rng: Optional[random.Random] = None) -> list[
     left, down; passing an rng shuffles the neighbor order at every square,
     giving a random spanning tree instead.  Each of the d+1 returned cycles
     is the non-tree edge closed up through the tree, which is automatically
-    vertex-simple; together they span the mod-2 cycle space.
+    vertex-simple; together they span the mod-2 cycle space.  Each step of a
+    tree path lands where the next one starts, no square is on a tree path
+    twice and the closing edge is no tree edge, so every cycle meets the
+    checks of SimpleCycle, and they are not run again.
     """
     moves = _moves(o)
     # square -> (parent, direction from it); the root, square 0, has no link
@@ -148,7 +166,7 @@ def fundamental_cycles(o: Origami, rng: Optional[random.Random] = None) -> list[
         for letter in ("E", "N"):
             if (s, letter) not in tree_edges:
                 steps = tree_path(moves[letter][s], s) + [(s, letter)]
-                cycles.append(SimpleCycle(o, tuple(steps)))
+                cycles.append(SimpleCycle._trusted(o, tuple(steps)))
     assert len(cycles) == o.d + 1
     return cycles
 
@@ -174,11 +192,25 @@ def turning_index(cycle: SimpleCycle) -> int:
 
 
 # Where a curve crosses each side of a square, in sixteenths of a turn from
-# the midpoint of the E side: the curve itself at the midpoint, and its copy
-# pushed by (-eps, +eps) just counterclockwise of the midpoint on the E and N
-# sides and just clockwise of it on the W and S sides.
-_MIDPOINT = {"E": 0, "N": 4, "W": 8, "S": 12}
-_PUSHED = {"E": 1, "N": 5, "W": 7, "S": 11}
+# the midpoint of the E side, per side in the order of _DIRS: the curve itself
+# at the midpoint, and its copy pushed by (-eps, +eps) just counterclockwise of
+# the midpoint on the E and N sides and just clockwise of it on the W and S
+# sides.
+_MIDPOINT = (0, 4, 8, 12)
+_PUSHED = (1, 5, 7, 11)
+
+
+def _crossing(chord1: int, chord2: int) -> int:
+    """Whether, in one square, chord1 and the pushed copy of chord2 cross an
+    odd number of times: exactly one pushed end lies strictly between
+    chord1's two ends."""
+    start = _MIDPOINT[chord1 // 4]
+    span = (_MIDPOINT[chord1 % 4] - start) % 16
+    return sum(0 < (_PUSHED[side] - start) % 16 < span for side in divmod(chord2, 4)) % 2
+
+
+# The crossing bit of every pair of chords, at 16 * chord1 + chord2.
+_CROSS = bytes(_crossing(chord1, chord2) for chord1 in range(16) for chord2 in range(16))
 
 
 def pairing_mod2(c1: SimpleCycle, c2: SimpleCycle) -> int:
@@ -189,19 +221,17 @@ def pairing_mod2(c1: SimpleCycle, c2: SimpleCycle) -> int:
     agree seen from both of its squares.  The pushed curve shares no
     crossing point with c1, so inside each square both visit the two arcs
     cross an odd number of times exactly when one pushed end lies strictly
-    between c1's two ends.  The sum of these bits over the squares is the
-    intersection number mod 2.
+    between c1's two ends; _CROSS holds that bit for every pair of chords.
+    The sum of these bits over the squares is the intersection number mod 2.
     """
     if c1.origami != c2.origami:
         raise ValueError("cycles live on different origamis")
     chords2 = c2.chords
     total = 0
-    for square, (entry, exit_) in c1.chords.items():
-        other = chords2.get(square, ())
-        start = _MIDPOINT[entry]
-        span = (_MIDPOINT[exit_] - start) % 16
-        total += sum(0 < (_PUSHED[side] - start) % 16 < span for side in other)
-    return total % 2
+    for square, chord in c1.chords.items():
+        if square in chords2:
+            total ^= _CROSS[16 * chord + chords2[square]]
+    return total
 
 
 # --- quadratic form and Arf invariant ----------------------------------------
@@ -233,14 +263,25 @@ def build_quadratic_form(o: Origami, rng: Optional[random.Random] = None) -> Qua
     g = signature.genus
     cycles = tuple(fundamental_cycles(o, rng))
     m = len(cycles)
+    # pairing_mod2 for every pair of cycles at once: the chords of each
+    # square in cycle order, so the lower index is c1, and bit i of diagonal
+    # is pairing_mod2(cycles[i], cycles[i]).
+    visits: list[list[tuple[int, int]]] = [[] for _ in range(o.d)]
+    for i, cycle in enumerate(cycles):
+        for square, chord in cycle.chords.items():
+            visits[square].append((i, chord))
     rows = [0] * m
-    for i in range(m):
-        if pairing_mod2(cycles[i], cycles[i]) != 0:
-            raise RuntimeError("self-pairing must vanish")
-        for j in range(i + 1, m):
-            if pairing_mod2(cycles[i], cycles[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    diagonal = 0
+    for chords in visits:
+        for k, (i, chord) in enumerate(chords):
+            base = 16 * chord
+            diagonal ^= _CROSS[base + chord] << i
+            for j, other in chords[k + 1 :]:
+                if _CROSS[base + other]:
+                    rows[i] ^= 1 << j
+                    rows[j] ^= 1 << i
+    if diagonal:
+        raise RuntimeError("self-pairing must vanish")
     q_values = tuple((turning_index(c) + 1) % 2 for c in cycles)
 
     # One reduction: split off a crossing pair (a, b) and make the rest

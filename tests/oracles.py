@@ -30,6 +30,13 @@ canonical_code_reference is the canonical code of an origami by its
 definition: the least breadth-first relabeling over every start square,
 each one built in full before it is compared, with no start skipped and no
 comparison cut short.
+
+pairing_reference is the mod-2 intersection number of two spin.SimpleCycles
+counted square by square, with no crossing table: each cycle's chords are
+read from its steps as (entry side, exit side), and in each square both
+cycles visit, the bit is whether exactly one end of c2's chord, pushed off
+to the sixteenths PUSHED, lies strictly between c1's ends at the sixteenths
+MIDPOINT (counterclockwise from the midpoint of the E side).
 """
 
 import math
@@ -290,3 +297,31 @@ def canonical_code_reference(
     """The least relabeled_code over all d starts, or None for a disconnected pair."""
     codes = [relabeled_code(d, h, v, hinv, vinv, start) for start in range(d)]
     return None if None in codes else min(codes)
+
+
+# Where a curve crosses each side of a square, in sixteenths of a turn from the
+# midpoint of the E side: the curve at the midpoint, and its copy pushed by
+# (-eps, +eps) just counterclockwise of it on E and N, just clockwise on W and S.
+MIDPOINT = {"E": 0, "N": 4, "W": 8, "S": 12}
+PUSHED = {"E": 1, "N": 5, "W": 7, "S": 11}
+OPPOSITE = {"E": "W", "N": "S", "W": "E", "S": "N"}
+
+
+def reference_chords(cycle) -> dict[int, tuple[str, str]]:
+    """Per square a cycle visits, the (entry side, exit side) of its chord."""
+    previous = cycle.steps[-1:] + cycle.steps[:-1]
+    return {
+        s: (OPPOSITE[back], direction)
+        for (s, direction), (_, back) in zip(cycle.steps, previous)
+    }
+
+
+def pairing_reference(c1, c2) -> int:
+    chords2 = reference_chords(c2)
+    total = 0
+    for square, (entry, exit_) in reference_chords(c1).items():
+        other = chords2.get(square, ())
+        start = MIDPOINT[entry]
+        span = (MIDPOINT[exit_] - start) % 16
+        total += sum(0 < (PUSHED[side] - start) % 16 < span for side in other)
+    return total % 2

@@ -159,7 +159,10 @@ def test_moves_preserve_stratum(l5, rng):
     o = origami.random_origami(6, rng)
     sig = origami.singularity_orders(o)
     for move in (origami.act_T, origami.act_T_inverse, origami.act_S):
-        assert origami.singularity_orders(move(o)) == sig
+        image = move(o)
+        assert origami.singularity_orders(image) == sig
+        # the moves skip the constructor's checks; their images pass them
+        assert origami.Origami(image.d, image.h, image.v) == image
 
 
 def test_orbit_l3(l3):

@@ -1,6 +1,7 @@
 """Spin parity via the Arf invariant, flat involutions, component labels."""
 
 import functools
+import itertools
 import logging
 import os
 import random
@@ -18,6 +19,7 @@ from flatkit import origami, spin, strata
 from flatkit.origami import make
 from flatkit.strata import ComponentLabel
 
+import oracles
 from conftest import make_rng, signatures
 
 # frozen degree-6 examples, one per component of their stratum
@@ -125,6 +127,69 @@ def test_pairing_matrices_frozen(l5, l3, torus_origami):
         pairing = ["".join(map(str, row)) for row in form.pairing]
         q_values = "".join(map(str, form.q_values))
         assert (pairing, form.radical_rank, q_values) == FROZEN_FORMS[name], name
+
+
+@functools.cache
+def form_cases():
+    """Every H(4) and H(2,2) class with d <= 7, each with the salts of its
+    spanning trees: None for the default tree, then two random ones."""
+    classes = [
+        o
+        for d in range(1, 8)
+        for orders in ((4,), (2, 2))
+        for o in origami.origamis_in_stratum(d, orders)
+    ]
+    return [(o, (None, 2 * k, 2 * k + 1)) for k, o in enumerate(classes)]
+
+
+def tree(salt):
+    return None if salt is None else make_rng(salt=1400 + salt)
+
+
+def test_pairing_matches_reference():
+    """The one pass over the squares gives, on every pair of cycles, diagonal
+    included, the bit of the square-by-square reference count."""
+    for o, salts in form_cases():
+        for salt in salts:
+            form = spin.build_quadratic_form(o, tree(salt))
+            cycles = form.cycles
+            expected = [[oracles.pairing_reference(a, b) for b in cycles] for a in cycles]
+            assert [list(row) for row in form.pairing] == expected, (o, salt)
+            pairing = [[spin.pairing_mod2(a, b) for b in cycles] for a in cycles]
+            assert pairing == expected, (o, salt)
+
+
+def test_crossing_table_follows_the_sixteenths_rule():
+    """Chords are numbered 4 * entry + exit with the sides in the order of
+    spin._DIRS, and the table holds the bit of (chord1, chord2) at
+    16 * chord1 + chord2."""
+    for e1, x1, e2, x2 in itertools.product(spin._DIRS, repeat=4):
+        start = oracles.MIDPOINT[e1]
+        span = (oracles.MIDPOINT[x1] - start) % 16
+        inside = sum(0 < (oracles.PUSHED[side] - start) % 16 < span for side in (e2, x2))
+        chord1 = 4 * spin._IDX[e1] + spin._IDX[x1]
+        chord2 = 4 * spin._IDX[e2] + spin._IDX[x2]
+        assert spin._CROSS[16 * chord1 + chord2] == inside % 2, (e1, x1, e2, x2)
+
+
+def test_self_pairing_is_checked(monkeypatch, torus_origami):
+    """A table that makes the torus's E loop (chord W to E) cross its own
+    pushed copy once trips the self-pairing check."""
+    loop = 4 * spin._IDX["W"] + spin._IDX["E"]
+    table = bytearray(spin._CROSS)
+    table[17 * loop] ^= 1
+    monkeypatch.setattr(spin, "_CROSS", bytes(table))
+    with pytest.raises(RuntimeError, match="self-pairing must vanish"):
+        spin.build_quadratic_form(torus_origami)
+
+
+def test_fundamental_cycles_pass_the_public_checks():
+    """fundamental_cycles skips SimpleCycle's checks; every cycle it builds
+    passes them when rebuilt through the public constructor."""
+    for o, salts in form_cases():
+        for salt in salts:
+            for cycle in spin.fundamental_cycles(o, tree(salt)):
+                assert spin.SimpleCycle(o, cycle.steps).steps == cycle.steps
 
 
 def test_pairing_needs_one_origami(l3, l5):
