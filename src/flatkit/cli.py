@@ -2,7 +2,9 @@
 
 Input files are either surface JSON (see flatcore) or origami text (see
 origami); the format is sniffed from the content.  All arithmetic stays
-rational; floating point appears only when emitting SVG coordinates.
+rational; floating point appears only when emitting SVG coordinates.  Each
+subcommand imports only the modules it runs, so a process that lists
+strata never compiles the origami or spin code.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from . import flatcore, gl2, hyperell, origami as origami_mod, spin, strata
+if TYPE_CHECKING:
+    from . import flatcore, gl2
+    from .origami import Origami
 
 
 @dataclass
@@ -86,10 +90,12 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_input(path: str) -> tuple[str, Union[flatcore.TranslationSurface, origami_mod.Origami]]:
+def _load_input(path: str) -> tuple[str, Union[flatcore.TranslationSurface, Origami]]:
     """Sniff the format: JSON object or array -> surface, otherwise origami text."""
     text = _read_text(path)
     if text.lstrip().startswith(("{", "[")):
+        from . import flatcore
+
         try:
             return "surface", flatcore.surface_from_json(text)
         except json.JSONDecodeError as exc:
@@ -98,16 +104,23 @@ def _load_input(path: str) -> tuple[str, Union[flatcore.TranslationSurface, orig
             ) from exc
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
+    from . import origami
+
     try:
-        return "origami", origami_mod.parse_origami_text(text)
+        return "origami", origami.parse_origami_text(text)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
 def _valid_surface(loaded: tuple[str, object]) -> Optional[flatcore.TranslationSurface]:
     """The input as a polygon surface, or None after one `invalid:` line per violation."""
-    kind, value = loaded
-    surf = value if kind == "surface" else origami_mod.to_polygons(value)
+    from . import flatcore
+
+    kind, surf = loaded
+    if kind == "origami":
+        from . import origami
+
+        surf = origami.to_polygons(surf)
     violations = flatcore.validate(surf).violations
     for violation in violations:
         print(f"invalid: {violation}", file=sys.stderr)
@@ -122,6 +135,8 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import flatcore
+
     kind, value = loaded = _load_input(args.path)
     surf = _valid_surface(loaded)
     if surf is None:
@@ -135,6 +150,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report.period_rank = flatcore.periods(surf).rank
     report.integral = flatcore.is_integral(surf)
     if kind == "origami":
+        from . import spin, strata
+
         report.degree = value.d
         if signature.genus >= 2:
             component = spin.classify_component(value)
@@ -154,11 +171,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
+    from . import origami
+
     kind, value = _load_input(args.path)
     if kind != "origami":
         raise CliError("orbit requires an origami input")
     try:
-        data = origami_mod.orbit(value, max_elements=args.max)
+        data = origami.orbit(value, max_elements=args.max)
     except RuntimeError as exc:
         raise CliError(str(exc)) from exc
     payload = {
@@ -173,15 +192,17 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         f"cusp widths: {list(data.cusp_widths)}",
     ]
     for i, code in enumerate(data.elements):
-        rep = origami_mod.decode_canonical(code)
+        rep = origami.decode_canonical(code)
         lines.append(
-            f"  [{i}] h: {origami_mod.format_cycles(rep.h)}  v: {origami_mod.format_cycles(rep.v)}"
+            f"  [{i}] h: {origami.format_cycles(rep.h)}  v: {origami.format_cycles(rep.v)}"
         )
     _emit(args, payload, "\n".join(lines))
     return 0
 
 
 def cmd_spin(args: argparse.Namespace) -> int:
+    from . import spin
+
     kind, value = _load_input(args.path)
     if kind != "origami":
         raise CliError("spin requires an origami input")
@@ -195,6 +216,8 @@ def cmd_spin(args: argparse.Namespace) -> int:
 
 
 def _parse_matrix(tokens: Sequence[str]) -> gl2.Mat2:
+    from . import gl2
+
     entries = [piece for token in tokens for piece in token.replace(",", " ").split()]
     if len(entries) != 4:
         raise CliError(f"matrix needs 4 entries a b c d, got {len(entries)}")
@@ -206,6 +229,8 @@ def _parse_matrix(tokens: Sequence[str]) -> gl2.Mat2:
 
 
 def cmd_act(args: argparse.Namespace) -> int:
+    from . import flatcore, gl2
+
     surf = _valid_surface(_load_input(args.path))
     if surf is None:
         return 1
@@ -224,6 +249,8 @@ MAX_STRATA = 100_000
 
 
 def cmd_strata(args: argparse.Namespace) -> int:
+    from . import strata
+
     g = args.genus
     if g < 1:
         raise CliError("genus must be at least 1")
@@ -258,6 +285,8 @@ def cmd_strata(args: argparse.Namespace) -> int:
 
 
 def cmd_divisor(args: argparse.Namespace) -> int:
+    from . import hyperell
+
     try:
         points = [Fraction(p) for p in args.branch.split(",") if p.strip() != ""]
     except (ValueError, ZeroDivisionError) as exc:
@@ -301,6 +330,8 @@ def render_svg(surf: flatcore.TranslationSurface, width: int = 800) -> str:
 
     Rational coordinates are converted to floats here and only here.
     """
+    from . import flatcore
+
     xs = [p.x for poly in surf.polygons for p in poly.vertices]
     ys = [p.y for poly in surf.polygons for p in poly.vertices]
     minx, maxx = min(xs), max(xs)

@@ -19,10 +19,11 @@ the corner permutation is the same on the whole coset, and expand each
 passing coset to its rows: d! tests over all cycle types of h instead of
 p(d) d!.  The numpy kernel yields one batch of int8 arrays per cycle type
 of h, in the order a scan of all d! permutations would give, which the
-involution scan of flatkit.spin reads without a tuple per pair.  On the
-batches, a vectorized centralizer filter first drops every pair that a
-symmetry of h conjugates to a pair met earlier, so from degree 8 on the
-canonical form, the costly step, runs on a small share of the raw pairs.
+involution scan of flatkit.spin reads without a tuple per pair.  A class
+is one orbit of the raw pairs under conjugation by C(h), so the canonical
+form, the costly step, runs on a small share of them: below degree 8 once
+per orbit, and from degree 8 on after a vectorized centralizer filter drops
+every pair that a symmetry of h conjugates to a pair met earlier.
 Enumeration stops at degree 10, where the numpy kernel already holds all
 10! permutations.
 """
@@ -698,35 +699,79 @@ def _target_type(d: int, orders: Sequence[int]) -> tuple[int, ...]:
     return tuple(lengths + [1] * (d - sum(lengths)))
 
 
-def _labeled_stratum_pairs_python(
-    d: int, orders: tuple[int, ...]
-) -> Iterator[tuple[Perm, Perm, Perm, Perm]]:
-    """Raw (h, v, h^-1, v^-1) with the given corner cycle type, h fixed per type.
+def _coset_representatives(parts: Sequence[int]) -> list[Perm]:
+    """The representatives of the right cosets v C(h) (_coset_pairs), in
+    lexicographic order, for h = _cycle_type_rep(parts).
 
-    h runs over one representative per cycle type (any pair can be relabeled
-    so that h is its type representative), v over all permutations.  The
-    corner cycle type is tested once per right coset v C(h), on its
-    representative (_coset_pairs), and a passing coset yields all its rows;
-    each type's rows come in the order of itertools.permutations.  Yields
-    the pairs of _stratum_batches (in another order), with no connectivity
-    check and no removal of isomorphic duplicates.
+    Each position is bounded below by at most one earlier position: a cycle
+    block's later entries by its first entry, a block's first entry by the
+    first entry of the previous block of the same length (fixed points are
+    blocks of length 1).  So filling the positions in order, each with the
+    free values above its bound taken in increasing order, lists exactly the
+    permutations that pass the _coset_pairs test, in the order of
+    itertools.permutations, without walking all d! of them.
+    """
+    d = sum(parts)
+    bound = [-1] * d
+    for i, j in _coset_pairs(parts):
+        bound[j] = i
+    v = [0] * d
+    free = [True] * d
+    out: list[Perm] = []
+
+    def fill(p: int) -> None:
+        if p == d:
+            out.append(tuple(v))
+            return
+        for x in range(v[bound[p]] + 1 if bound[p] >= 0 else 0, d):
+            if free[x]:
+                free[x] = False
+                v[p] = x
+                fill(p + 1)
+                free[x] = True
+
+    fill(0)
+    return out
+
+
+def _python_batches(
+    d: int, orders: tuple[int, ...]
+) -> Iterator[tuple[Perm, Perm, list[Perm], list[Perm]]]:
+    """(h, h^-1, C(h), rows) per cycle type of h, rows in scan order.
+
+    h is the type representative (any pair can be relabeled so that h is
+    its type representative).  The corner cycle type is tested once per
+    right coset v C(h), on its representative (_coset_representatives), and
+    a passing coset contributes all its rows v c; the rows are sorted into
+    the order of itertools.permutations, so each type's rows are the rows a
+    test of all d! permutations would pass, in that order.
     """
     target = list(_target_type(d, orders))
     squares = range(d)
     for parts in int_partitions(d):
         h = _cycle_type_rep(parts)
         hinv = invert_perm(h)
-        pairs = _coset_pairs(parts)
         centralizer = _centralizer(parts)
         rows = []
-        for v in permutations(squares):
-            if not all(v[i] < v[j] for i, j in pairs):
-                continue
+        for v in _coset_representatives(parts):
             vinv = invert_perm(v)
             comm = [h[v[hinv[vinv[s]]]] for s in squares]
             if sorted(map(len, cycles_of(comm)), reverse=True) == target:
                 rows.extend(tuple(map(v.__getitem__, c)) for c in centralizer)
         rows.sort()
+        yield h, hinv, centralizer, rows
+
+
+def _labeled_stratum_pairs_python(
+    d: int, orders: tuple[int, ...]
+) -> Iterator[tuple[Perm, Perm, Perm, Perm]]:
+    """Raw (h, v, h^-1, v^-1) with the given corner cycle type, h fixed per type.
+
+    The rows of _python_batches, one cycle type of h after another.  Yields
+    the pairs of _stratum_batches (in another order), with no connectivity
+    check and no removal of isomorphic duplicates.
+    """
+    for h, hinv, _, rows in _python_batches(d, orders):
         for v in rows:
             yield h, v, hinv, invert_perm(v)
 
@@ -1008,32 +1053,46 @@ def _connected_columns(h, hinv, v, vinv):
 def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
     """One canonical origami per isomorphism class, in discovery order.
 
-    Below _NUMPY_DEGREE every raw pair of the Python kernel gets a canonical
-    code; the scans there are short enough that importing numpy would cost
-    more memory and start-up time than it saves.  From it on, only the batch
-    rows that survive the centralizer filter (_centralizer_survivors) do,
-    and each cycle type of h logs its
-    funnel at DEBUG on the flatkit.origami logger: raw pairs, filter
-    survivors, and how many of those were disconnected, duplicates of a
-    class already met, or new classes.  The seen set catches the duplicates
-    the filter leaves: conjugates by centralizer elements that move fixed
+    With h fixed to its type representative, an isomorphism c of two pairs
+    (h, v) and (h, w) commutes with h, so the class of (h, v) is its orbit
+    {c v c^-1 : c in C(h)} (the cycle type of h is kept, so classes never
+    span two types).  Below _NUMPY_DEGREE the loop walks each type's rows of
+    the Python kernel (_python_batches) in scan order, skips the rows already
+    marked, and at the first unmarked row marks its whole orbit and computes
+    one canonical code, which is None exactly when the orbit is disconnected.
+    The first row of each class comes first in scan order, so the classes
+    and their order are those of coding every row; numpy is never imported
+    there, since it would cost more memory and start-up time than it saves.
+    From _NUMPY_DEGREE on, only the batch rows that survive the centralizer
+    filter (_centralizer_survivors) get a code, and each cycle type of h
+    logs its funnel at DEBUG on the flatkit.origami logger: raw pairs,
+    filter survivors, and how many of those were disconnected, duplicates of
+    a class already met, or new classes.  A seen set catches the duplicates
+    that filter leaves: conjugates by centralizer elements that move fixed
     points of h.
     """
-    seen: set[CanonicalForm] = set()
     if d < _NUMPY_DEGREE:
         orders = _stratum_orders(d, orders)
         if orders is None:
             return
-        for h, v, hinv, vinv in _labeled_stratum_pairs_python(d, orders):
-            code = _canonical_code(d, h, v, hinv, vinv)
-            if code is not None and code not in seen:
-                seen.add(code)
-                yield decode_canonical(code)
+        for h, hinv, centralizer, rows in _python_batches(d, orders):
+            conjugators = [(c, invert_perm(c)) for c in centralizer] if rows else []
+            marked: set[Perm] = set()
+            for v in rows:
+                if v in marked:
+                    continue
+                marked.update(
+                    tuple(map(c.__getitem__, map(v.__getitem__, cinv))) for c, cinv in conjugators
+                )
+                code = _canonical_code(d, h, v, hinv, invert_perm(v))
+                if code is not None:
+                    yield decode_canonical(code)
         return
 
     import logging
 
     log = logging.getLogger(__name__)
+    seen: set[CanonicalForm] = set()
     for batch in _stratum_batches(d, orders):
         survivors = _centralizer_survivors(batch)
         v, vinv = batch.v[survivors], batch.vinv[survivors]
@@ -1060,11 +1119,13 @@ def origamis_in_stratum(d: int, orders: Sequence[int]) -> Iterator[Origami]:
     """All connected degree-d origamis whose zero orders equal the given ones.
 
     One representative per isomorphism class, in its canonical labeling, in
-    the order the scan first meets the class.  From degree 8 on the raw
-    pairs are first conjugated by part of the centralizer of h, and only
-    those no conjugate precedes get a canonical form.  Degrees too small to
-    carry the orders give an empty enumeration; orders that are not
-    positive integers with an even sum raise ValueError.
+    the order the scan first meets the class.  A class is one orbit of the
+    raw pairs under conjugation by the centralizer of h.  Below degree 8 one
+    canonical form is computed per orbit, on its first pair in scan order;
+    from degree 8 on the pairs are first conjugated by part of the
+    centralizer, and only those no conjugate precedes get a canonical form.
+    Degrees too small to carry the orders give an empty enumeration; orders
+    that are not positive integers with an even sum raise ValueError.
     """
     yield from _classes(d, orders)
 

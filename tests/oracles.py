@@ -31,6 +31,10 @@ definition: the least breadth-first relabeling over every start square,
 each one built in full before it is compared, with no start skipped and no
 comparison cut short.
 
+classes_reference is the class loop below degree 8 without the orbit
+marking: every connected raw pair of the Python kernel, in scan order, gets
+a canonical code, and a seen set drops the codes already met.
+
 pairing_reference is the mod-2 intersection number of two spin.SimpleCycles
 counted square by square, with no crossing table: each cycle's chords are
 read from its steps as (entry side, exit side), and in each square both
@@ -42,9 +46,10 @@ MIDPOINT (counterclockwise from the midpoint of the E side).
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import Optional, Sequence
 
-from flatkit import flatcore
+from flatkit import flatcore, origami
 from flatkit.flatcore import PlanarVec
 
 
@@ -297,6 +302,23 @@ def canonical_code_reference(
     """The least relabeled_code over all d starts, or None for a disconnected pair."""
     codes = [relabeled_code(d, h, v, hinv, vinv, start) for start in range(d)]
     return None if None in codes else min(codes)
+
+
+def classes_reference(d: int, orders: tuple[int, ...]) -> list[origami.Origami]:
+    """One origami per class in discovery order, from a code for every raw pair.
+
+    The pairs of each type of h are sorted here, so the scan order does not
+    rest on the kernel's own sort."""
+    seen = set()
+    out = []
+    pairs = origami._labeled_stratum_pairs_python(d, orders)
+    for _, rows in groupby(pairs, key=lambda row: row[0]):
+        for h, v, hinv, vinv in sorted(rows):
+            code = origami._canonical_code(d, h, v, hinv, vinv)
+            if code is not None and code not in seen:
+                seen.add(code)
+                out.append(origami.decode_canonical(code))
+    return out
 
 
 # Where a curve crosses each side of a square, in sixteenths of a turn from the

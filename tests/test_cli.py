@@ -15,6 +15,27 @@ from flatkit import cli, flatcore, spin
 from conftest import DATA, build_bad_square
 
 
+def test_strata_loads_neither_origami_nor_spin():
+    """Each subcommand imports only the modules it runs."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from flatkit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['strata', '--genus', '3']) == 0\n"
+        "print(sorted({'flatkit.origami', 'flatkit.spin'} & set(sys.modules)))\n"
+    )
+    package_root = str(pathlib.Path(cli.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()

@@ -3,6 +3,7 @@
 import logging
 import math
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -579,6 +580,45 @@ def test_coset_representatives():
                 tuple(columns[r][s] for s in c) for r in marked for c in centralizer
             )
             assert len(cosets) == len(columns) and set(cosets.values()) == {1}, parts
+
+
+def test_coset_representatives_are_generated_in_scan_order():
+    """The generated representatives are the permutations that pass the
+    _coset_pairs test, in the order of itertools.permutations, d!/|C(h)| of
+    them."""
+    for d in range(1, 9):
+        perms = list(permutations(range(d)))
+        for parts in strata.int_partitions(d):
+            pairs = origami._coset_pairs(parts)
+            expected = [v for v in perms if all(v[i] < v[j] for i, j in pairs)]
+            reps = origami._coset_representatives(parts)
+            assert reps == expected, parts
+            assert len(reps) == math.factorial(d) // origami._centralizer_order(parts), parts
+
+
+def test_one_code_per_centralizer_orbit_below_degree_8(monkeypatch):
+    """Below degree 8 the class loop codes one row per centralizer orbit and
+    gives the list of the loop that codes every row, order included; the
+    code is not None exactly once per class."""
+    cases = [(d, orders) for d in range(1, 8) for orders in signatures(d)]
+    expected = {case: oracles.classes_reference(*case) for case in cases}
+    code = origami._canonical_code
+    codes = []
+
+    def counted(*args):
+        codes.append(code(*args))
+        return codes[-1]
+
+    monkeypatch.setattr(origami, "_canonical_code", counted)
+    for case in cases:
+        codes.clear()
+        classes = list(origami.origamis_in_stratum(*case))
+        assert classes == expected[case], case
+        found = [c for c in codes if c is not None]
+        assert len(found) == len(set(found)) == len(classes), case
+    codes.clear()
+    assert sum(len(list(origami.origamis_in_stratum(d, (4,)))) for d in (5, 6, 7)) == 1040
+    assert sum(c is not None for c in codes) == 1040
 
 
 @pytest.mark.parametrize(
