@@ -80,6 +80,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 text") from exc
 
 
 def _write_text(path: str, text: str) -> None:

@@ -9,23 +9,17 @@ Provides conversion to a polygon surface, stratum computation from the
 corner permutation (the source of truth; the tests check it against the
 polygon model), canonical forms and isomorphism, the shear and quarter-turn
 actions with orbit enumeration, horizontal cylinder decompositions, and
-exhaustive enumeration by stratum.  The enumeration is one pipeline for
-every degree: a scan yields the raw (h, v) pairs with the right corner cycle
-type, and one loop drops disconnected pairs and isomorphic duplicates.  The
-scan kernel depends on the degree: pure Python below degree 8, numpy from
-degree 8 on, since importing numpy costs more than the small scans.  Both
-kernels test one v per right coset v C(h) of the centralizer of h, since
-the corner permutation is the same on the whole coset, and expand each
-passing coset to its rows: d! tests over all cycle types of h instead of
-p(d) d!.  The numpy kernel yields one batch of int8 arrays per cycle type
-of h, in the order a scan of all d! permutations would give, which the
-involution scan of flatkit.spin reads without a tuple per pair.  A class
-is one orbit of the raw pairs under conjugation by C(h), so the canonical
-form, the costly step, runs on a small share of them: below degree 8 once
-per orbit, and from degree 8 on after a vectorized centralizer filter drops
-every pair that a symmetry of h conjugates to a pair met earlier.
-Enumeration stops at degree 10, where the numpy kernel already holds all
-10! permutations.
+exhaustive enumeration by stratum.  Enumeration fixes h to the
+representative of its cycle type; a kernel tests one v per right coset
+v C(h) of the centralizer of h (the rows of a coset share their corner
+permutation) and expands the passing cosets.  It is pure Python below
+degree 8, where importing numpy costs more than the scan, and numpy from
+degree 8 on, with one batch of int8 arrays per cycle type of h.  A class is
+one orbit of the rows under conjugation by C(h).  Below degree 8 the class
+loop marks each orbit at its first row; from degree 8 on one rule keeps one
+connected row per orbit (_orbit_representatives), which the classes code
+once and the involution scan of flatkit.spin tests once.  Enumeration
+stops at degree 10, where the numpy kernel holds all 10! permutations.
 """
 
 from __future__ import annotations
@@ -643,20 +637,11 @@ def _centralizer_subset(parts: Sequence[int]) -> list[Perm]:
 
 
 def _centralizer(parts: Sequence[int]) -> list[Perm]:
-    """The centralizer C(h) of h = _cycle_type_rep(parts), with fixed points moved.
-
-    Each element of _centralizer_subset(parts) combined with each permutation
-    of the fixed points of h: prod_k m_k! * k^m_k elements, k = 1 included.
-    """
-    fixed = [s for s, image in enumerate(_cycle_type_rep(parts)) if s == image]
-    out = []
-    for c in _centralizer_subset(parts):
-        for images in permutations(fixed):
-            moved = list(c)
-            for s, image in zip(fixed, images):
-                moved[s] = image
-            out.append(tuple(moved))
-    return out
+    """The centralizer C(h) of h = _cycle_type_rep(parts): each element of
+    _centralizer_subset(parts) combined with each permutation of the fixed
+    points n..d-1 of h, prod_k m_k! * k^m_k elements, k = 1 included."""
+    n = sum(length for length in parts if length > 1)
+    return [c[:n] + p for c in _centralizer_subset(parts) for p in permutations(range(n, len(c)))]
 
 
 def _centralizer_order(parts: Sequence[int]) -> int:
@@ -693,9 +678,8 @@ def _coset_pairs(parts: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def _target_type(d: int, orders: Sequence[int]) -> tuple[int, ...]:
+    """The corner cycle type of the orders; the caller knows that d squares carry them."""
     lengths = sorted((m + 1 for m in orders), reverse=True)
-    if sum(lengths) > d:
-        raise ValueError(f"orders {orders} need more than {d} squares")
     return tuple(lengths + [1] * (d - sum(lengths)))
 
 
@@ -737,14 +721,12 @@ def _coset_representatives(parts: Sequence[int]) -> list[Perm]:
 def _python_batches(
     d: int, orders: tuple[int, ...]
 ) -> Iterator[tuple[Perm, Perm, list[Perm], list[Perm]]]:
-    """(h, h^-1, C(h), rows) per cycle type of h, rows in scan order.
+    """(h, h^-1, C(h), rows) per cycle type of h, h its type representative.
 
-    h is the type representative (any pair can be relabeled so that h is
-    its type representative).  The corner cycle type is tested once per
-    right coset v C(h), on its representative (_coset_representatives), and
-    a passing coset contributes all its rows v c; the rows are sorted into
-    the order of itertools.permutations, so each type's rows are the rows a
-    test of all d! permutations would pass, in that order.
+    The corner cycle type is tested once per right coset v C(h), on its
+    representative (_coset_representatives), and a passing coset gives all
+    its rows v c, sorted into the order of itertools.permutations: the rows
+    a test of all d! permutations would pass, in that order.
     """
     target = list(_target_type(d, orders))
     squares = range(d)
@@ -760,20 +742,6 @@ def _python_batches(
                 rows.extend(tuple(map(v.__getitem__, c)) for c in centralizer)
         rows.sort()
         yield h, hinv, centralizer, rows
-
-
-def _labeled_stratum_pairs_python(
-    d: int, orders: tuple[int, ...]
-) -> Iterator[tuple[Perm, Perm, Perm, Perm]]:
-    """Raw (h, v, h^-1, v^-1) with the given corner cycle type, h fixed per type.
-
-    The rows of _python_batches, one cycle type of h after another.  Yields
-    the pairs of _stratum_batches (in another order), with no connectivity
-    check and no removal of isomorphic duplicates.
-    """
-    for h, hinv, _, rows in _python_batches(d, orders):
-        for v in rows:
-            yield h, v, hinv, invert_perm(v)
 
 
 _NUMPY_DEGREE = 8  # the numpy kernel scans from this degree on, the Python kernel below it
@@ -834,13 +802,10 @@ def _flat_index(rows):
 
 
 class PairBatch(NamedTuple):
-    """The raw pairs of one cycle type of h, as int8 arrays.
-
-    h and hinv have shape (d,); v holds one permutation per row, in the
-    column order of _all_perms_array, and vinv its inverse.  The rows are
-    whole right cosets v C(h) of the centralizer of h, since the kernel
-    tests one representative per coset, so their number is a multiple of
-    |C(h)|.
+    """The raw pairs of one cycle type of h, as int8 arrays: h and hinv of
+    shape (d,), v one permutation per row in the column order of
+    _all_perms_array, vinv their inverses.  The rows are whole right cosets
+    v C(h), so their number is a multiple of |C(h)|.
     """
 
     cycle_type: tuple[int, ...]
@@ -853,22 +818,17 @@ class PairBatch(NamedTuple):
 def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
     """Raw (h, v) pairs with the given corner cycle type, one batch per type of h.
 
-    Vectorized scan over the representatives of the right cosets v C(h) for
-    each cycle-type representative h (_coset_pairs): the corner permutation
-    is the same on a whole coset, so the kernel tests d!/|C(h)| columns
-    instead of d!.  The corner permutation c = h v h^-1 v^-1 is never formed:
-    its conjugate t = v^-1 h v h^-1 has the same cycle type, and fixed points
-    of t are solutions of h(v(h^-1(s))) = v(s), which needs no inversion of
-    v.  Columns passing that count are compressed before t itself and its
-    powers are taken; fixed-point counts of the powers pin down the
-    multiplicity of every cycle length up to the largest target length, and
-    the total degree excludes longer cycles.  The inverses of the passing
-    representatives are kept.  The row v c^-1 has the inverse c v^-1, so
-    _centralizer_array(parts)[vinv] holds the inverses of every row of the
-    passing cosets; sorting them by _scan_rank puts the rows in scan order,
-    so every batch is what a test of all d! columns would give.
-    Connectivity is NOT checked here and isomorphic duplicates are NOT
-    removed.  Every cycle type of h gets a batch, possibly with no rows;
+    Vectorized test of the coset representatives (_coset_pairs), d!/|C(h)|
+    columns per type.  The corner permutation h v h^-1 v^-1 is never formed:
+    its conjugate t = v^-1 h v h^-1 has the same cycle type, and the fixed
+    points of t solve h(v(h^-1(s))) = v(s), with no inversion of v.  On the
+    columns passing that count, the fixed points of the powers of t pin down
+    the multiplicity of every cycle length up to the largest target length.
+    The row v c^-1 has the inverse c v^-1, so _centralizer_array(parts)[vinv]
+    holds the inverses of every row of the passing cosets, sorted by
+    _scan_rank one square at a time into the order a test of all d! columns
+    would give.  Connectivity is NOT checked and isomorphic duplicates are
+    NOT removed.  Every cycle type of h gets a batch, possibly empty;
     degrees too small to carry the orders give none.
     """
     import numpy as np
@@ -911,7 +871,14 @@ def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
         vinv = np.concatenate(kept, axis=1)
         if vinv.size:  # an empty type skips its centralizer, which can hold 10! elements
             vinv = _centralizer_array(parts)[vinv].reshape(d, -1)
-            vinv = vinv[:, np.argsort(_scan_rank(vinv))]
+            rank = np.empty(vinv.shape[1], dtype=np.int32)
+            for lo in range(0, len(rank), _BLOCK):
+                rank[lo : lo + _BLOCK] = _scan_rank(vinv[:, lo : lo + _BLOCK])
+            index = np.argsort(rank)
+            del rank
+            for row in vinv:  # sorted one square at a time: no second copy of the rows
+                row[:] = row[index]
+            del index
         yield PairBatch(parts, h, hinv, _inverse_columns(vinv).T, vinv.T)
 
 
@@ -926,21 +893,17 @@ def _coset_columns(v_block, pairs):
 
 
 def _centralizer_array(parts: Sequence[int]):
-    """The elements of _centralizer(parts), one per column of a (d, |C(h)|) int8 array.
-
-    Built from _centralizer_subset and _all_perms_array, since the fixed
-    points alone contribute up to 10! elements.
-    """
+    """The elements of C(h), one per column of a (d, |C(h)|)
+    int8 array, built with _all_perms_array: the fixed points alone give up
+    to 10! elements."""
     import numpy as np
 
     subset = np.array(_centralizer_subset(parts), dtype=np.int8).T
-    h = _cycle_type_rep(parts)
-    fixed = np.array([s for s, image in enumerate(h) if s == image], dtype=np.int8)
-    if not fixed.size:
+    n = sum(length for length in parts if length > 1)  # the fixed points of h are n..d-1
+    if n == len(subset):
         return subset
-    moves = fixed[_all_perms_array(fixed.size)]
-    out = np.repeat(subset, moves.shape[1], axis=1)
-    out[fixed] = np.tile(moves, subset.shape[1])
+    out = np.repeat(subset, math.factorial(len(subset) - n), axis=1)
+    out[n:] = np.tile(n + _all_perms_array(len(subset) - n), subset.shape[1])
     return out
 
 
@@ -959,14 +922,11 @@ def _inverse_columns(perms):
 
 
 def _scan_rank(vinv):
-    """Column index in _all_perms_array(d) of each permutation, from its inverse.
-
-    vinv is a (d, n) array holding one inverse per column.  Column
-    sum_{k=2..d} (k-1)! * p_k of _all_perms_array(d) is the permutation
-    whose largest k - 1 is preceded by p_k of 0..k-2, and the inverse gives
-    the position of each value, so p_k counts the e < k - 1 with
-    vinv[e] < vinv[k - 1].  The kernel sorts each type's rows by it, so the
-    rank is the scan position.
+    """Column index in _all_perms_array(d) of each permutation, from its
+    inverse (one per column of vinv): column sum_{k=2..d} (k-1)! * p_k holds
+    the permutation whose largest k - 1 is preceded by p_k of 0..k-2, so p_k
+    counts the e < k - 1 with vinv[e] < vinv[k - 1].  The kernel sorts each
+    type's rows by it, so the rank is the scan position.
     """
     import numpy as np
 
@@ -978,98 +938,140 @@ def _scan_rank(vinv):
     return rank
 
 
-def _conjugate_inverses(c: Perm, vinv):
-    """The inverses of c v c^-1, from the inverses of v in the columns of vinv."""
-    import numpy as np
+def _least_conjugates(parts: Sequence[int], vinv):
+    """Indices of the columns of vinv, F-canonical rows (_orbit_representatives),
+    that no k in K, followed by the F-relabeling, takes to a lower _scan_rank.
 
-    return np.array(c, dtype=np.int8)[vinv[list(invert_perm(c))]]
-
-
-def _centralizer_survivors(batch: PairBatch):
-    """Indices, ascending, of the batch rows that no element of the
-    centralizer subset conjugates to an earlier row.
-
-    (h, v) and (h, c v c^-1) are isomorphic for every c commuting with h, so
-    a row with a conjugate of lower scan rank repeats a class the scan has
-    already met.  The first row of each class has no such conjugate and
-    always survives, so dropping the others changes neither the classes nor
-    their discovery order.  Each orbit of the subset acting by conjugation
-    keeps exactly its first row.  Rows are decided one _BLOCK at a time.
+    k fixes F, so the chain of k v k^-1 leaving square s is the chain of v
+    leaving k^-1(s).  In an F-canonical v the chain of root r is the run
+    start[r] .. start[r] + lens[r] - 1, so the F-relabeling of k v k^-1
+    moves each run to the place of its root k(r) in the new root order: the
+    result is p v p^-1, with p = k on 0..n-1 and the run shifts on F.
     """
     import numpy as np
 
-    subset = _centralizer_subset(batch.cycle_type)[1:]  # [0], the identity, fixes every row
-    out = []
-    for lo in range(0, len(batch.vinv), _BLOCK):
-        vinv = np.ascontiguousarray(batch.vinv[lo : lo + _BLOCK].T)
-        rank = _scan_rank(vinv)
-        rows = np.arange(lo, lo + vinv.shape[1])
-        for c in subset:
-            keep = _scan_rank(_conjugate_inverses(c, vinv)) >= rank
-            if not keep.all():
-                vinv = np.compress(keep, vinv, axis=1)
-                rank = rank[keep]
-                rows = rows[keep]
-        out.append(rows)
-    return np.concatenate(out) if out else np.arange(0)
+    d, m = vinv.shape
+    n = sum(length for length in parts if length > 1)
+    alive = np.arange(m)
+    # _scan_rank orders rows by digits[j] = #{e < j : vinv[e] < vinv[j]}, from the last.
+    digits = np.stack([(vinv[:j] < vinv[j]).sum(axis=0, dtype=np.int8) for j in range(d)])
+    relabel = n > 0 and d - n > 1  # a single fixed point never moves
+    if relabel:
+        # The root of each F square: the heads come in increasing root order.
+        root = np.maximum.accumulate(np.where(vinv[n:] < n, vinv[n:], -1), axis=0)
+        lens = np.stack([(root == r).sum(axis=0) for r in range(n)])
+        start = np.cumsum(lens, axis=0) - lens
+        fixed = np.arange(n, d)[:, None]
+    for c in _centralizer_subset(parts)[1:] if m else ():  # [0], the identity, fixes every row
+        if not len(alive):
+            break
+        cinv = invert_perm(c)
+        if not relabel:  # the conjugate's last row first, the rest where it ties
+            images = np.array(c, dtype=np.int8)
+            top = images[vinv[cinv[d - 1]]]
+        else:
+            moved = lens[list(cinv[:n])]
+            shift = (np.cumsum(moved, axis=0) - moved)[list(c[:n])] - start
+            p = np.empty(vinv.shape, dtype=np.int8)
+            p[:n] = np.array(c[:n], dtype=np.int8)[:, None]
+            p[n:] = fixed + shift.ravel()[_flat_index(root)]
+            pinv = np.empty(vinv.shape, dtype=np.int8)
+            pinv[:n] = np.array(cinv[:n], dtype=np.int8)[:, None]
+            pinv[n:].ravel()[_flat_index(p[n:] - n)] = fixed
+            conj = p.ravel()[_flat_index(vinv.ravel()[_flat_index(pinv)])]
+            top = conj[d - 1]
+        keep = top >= vinv[d - 1]
+        tied = np.flatnonzero(top == vinv[d - 1])
+        conj = conj[:, tied] if relabel else images[vinv[:, tied][list(cinv)]]
+        for j in range(d - 2, 0, -1):
+            if not len(tied):
+                break
+            digit = (conj[:j] < conj[j]).sum(axis=0, dtype=np.int8)
+            keep[tied[digit < digits[j, tied]]] = False
+            same = digit == digits[j, tied]
+            tied, conj = tied[same], conj[:, same]
+        if not keep.all():
+            alive, vinv, digits = (np.compress(keep, a, axis=-1) for a in (alive, vinv, digits))
+            if relabel:
+                root, lens, start = (np.compress(keep, a, axis=1) for a in (root, lens, start))
+    return alive
 
 
-def _orbit_sizes(parts: Sequence[int], vinv):
-    """Sizes of the orbits, under conjugation by _centralizer_subset(parts), of
-    the permutations whose inverses are the columns of vinv.
+def _orbit_representatives(batch: PairBatch):
+    """One connected row per orbit of C(h) acting on the batch by conjugation.
 
-    Each size is |K| over the number of elements of K that fix the row.
+    Returns the indices, ascending, of the kept rows, then the number of
+    F-canonical rows and of connected ones among them.  F = n..d-1 are the
+    fixed points of h, and C(h) = K x Sym(F) with K = _centralizer_subset.
+    The F-relabeling of v walks, from each square of 0..n-1 in order, the
+    v-chain through F, and labels the F squares n, n+1, ... as met.  A row
+    is F-canonical when that is the identity: each f in F heads a chain
+    (v^-1(f) < n), the heads in the order of the squares they leave, or
+    follows f - 1 in its chain (v^-1(f) = f - 1 in F); when h is the
+    identity (n = 0) the one chain starts at square 0.  A v-cycle inside F
+    breaks the rule and disconnects the pair, so each Sym(F)-orbit of
+    connected rows holds exactly one F-canonical row.  A connected
+    F-canonical row is kept when no K-conjugate of it, F-relabeled, has a
+    lower _scan_rank (_least_conjugates).  So each isomorphism class of the
+    batch is kept once, and a kept row stands for |C(h)| / |Aut| rows.
     """
     import numpy as np
 
-    subset = _centralizer_subset(parts)
-    stabilizer = np.zeros(vinv.shape[1], dtype=np.int64)
-    for c in subset:
-        stabilizer += (_conjugate_inverses(c, vinv) == vinv).all(axis=0)
-    return len(subset) // stabilizer
+    n = sum(length for length in batch.cycle_type if length > 1)
+    first = max(n, 1)  # the one chain of h = id starts at square 0
+    follow = np.arange(first - 1, len(batch.h) - 1)[:, None]  # f - 1 for f in F
+    kept = []
+    f_canonical = connected = 0
+    for lo in range(0, len(batch.v), _BLOCK):
+        # Heads (v^-1(f) < n) in root order, the roots being distinct; other f follow f - 1.
+        pred = batch.vinv[lo : lo + _BLOCK, first:].T  # v^-1(f) for f in F
+        root = np.where(pred < n, pred, -1)
+        ok = np.where(pred < n, root == np.maximum.accumulate(root, axis=0), pred == follow)
+        rows = lo + np.flatnonzero(ok.all(axis=0))
+        f_canonical += len(rows)
+        rows = rows[_connected_columns(batch.h, batch.v[rows].T)]
+        connected += len(rows)
+        kept.append(rows[_least_conjugates(batch.cycle_type, batch.vinv[rows].T.copy())])
+    return (np.concatenate(kept) if kept else np.arange(0)), f_canonical, connected
 
 
-def _connected_columns(h, hinv, v, vinv):
-    """Mask of the columns r of the (d, n) arrays v, vinv with (h, v[:, r]) connected.
+def _connected_columns(h, v):
+    """Mask of the columns r of the (d, n) array v with (h, v[:, r]) connected.
 
-    Every square takes the least label among itself and its four neighbors
-    until no label changes; a pair is connected when every label is 0.
+    Every cycle of h (a run of squares, h being a type representative) takes
+    the least label among its own and those of the cycles its squares go to
+    under v, until no label changes; v is a permutation, so v alone leads
+    around each component.  A pair is connected when every label is 0.
     """
     import numpy as np
 
-    d, n = v.shape
-    label = np.repeat(np.arange(d, dtype=np.int8)[:, None], n, axis=1)
-    v_at, vinv_at = _flat_index(v), _flat_index(vinv)
-    while True:
-        least = np.minimum(label, label[h])
-        np.minimum(least, label[hinv], out=least)
-        np.minimum(least, label.ravel()[v_at], out=least)
-        np.minimum(least, label.ravel()[vinv_at], out=least)
+    cycles = [(c[0], c[0] + len(c)) for c in cycles_of(h.tolist())]
+    cycle_of = np.repeat(np.arange(len(cycles), dtype=np.int8), [b - a for a, b in cycles])
+    label = np.repeat(np.arange(len(cycles), dtype=np.int8)[:, None], v.shape[1], axis=1)
+    at = _flat_index(cycle_of[v])  # where label holds the label of the cycle of v(s)
+    while label.any():
+        reach = label.ravel()[at]
+        least = np.minimum(label, np.stack([reach[a:b].min(axis=0) for a, b in cycles]))
         if (least == label).all():
-            return (label == 0).all(axis=0)
+            break
         label = least
+    return (label == 0).all(axis=0)
 
 
 def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
     """One canonical origami per isomorphism class, in discovery order.
 
-    With h fixed to its type representative, an isomorphism c of two pairs
-    (h, v) and (h, w) commutes with h, so the class of (h, v) is its orbit
-    {c v c^-1 : c in C(h)} (the cycle type of h is kept, so classes never
-    span two types).  Below _NUMPY_DEGREE the loop walks each type's rows of
-    the Python kernel (_python_batches) in scan order, skips the rows already
-    marked, and at the first unmarked row marks its whole orbit and computes
-    one canonical code, which is None exactly when the orbit is disconnected.
-    The first row of each class comes first in scan order, so the classes
-    and their order are those of coding every row; numpy is never imported
-    there, since it would cost more memory and start-up time than it saves.
-    From _NUMPY_DEGREE on, only the batch rows that survive the centralizer
-    filter (_centralizer_survivors) get a code, and each cycle type of h
-    logs its funnel at DEBUG on the flatkit.origami logger: raw pairs,
-    filter survivors, and how many of those were disconnected, duplicates of
-    a class already met, or new classes.  A seen set catches the duplicates
-    that filter leaves: conjugates by centralizer elements that move fixed
-    points of h.
+    With h fixed to its type representative, the class of (h, v) is its
+    orbit {c v c^-1 : c in C(h)}, and the classes come in the scan order of
+    the first row of each orbit.  Below _NUMPY_DEGREE the loop walks each
+    type's rows of the Python kernel (_python_batches), skips the rows
+    already marked, and at the first unmarked row marks its whole orbit and
+    computes one canonical code, None exactly when the orbit is
+    disconnected; numpy is never imported there.  From _NUMPY_DEGREE on,
+    each kept row of _orbit_representatives is coded once, in the order of
+    the least scan rank of its orbit, and each cycle type of h logs its
+    funnel at DEBUG on the flatkit.origami logger: raw pairs, F-canonical
+    rows, connected ones and classes.
     """
     if d < _NUMPY_DEGREE:
         orders = _stratum_orders(d, orders)
@@ -1091,27 +1093,29 @@ def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
 
     import logging
 
+    import numpy as np
+
     log = logging.getLogger(__name__)
-    seen: set[CanonicalForm] = set()
     for batch in _stratum_batches(d, orders):
-        survivors = _centralizer_survivors(batch)
-        v, vinv = batch.v[survivors], batch.vinv[survivors]
-        connected = _connected_columns(batch.h, batch.hinv, v.T, vinv.T)
+        kept, f_canonical, connected = _orbit_representatives(batch)
+        # The least scan rank over the C(h)-orbit of each kept row, in pieces
+        # of about _BLOCK conjugates.
+        centralizer = _centralizer_array(batch.cycle_type)
+        cinv, size = _inverse_columns(centralizer), centralizer.shape[1]
+        first = np.empty(len(kept), dtype=np.int32)
+        step = max(1, _BLOCK // size)
+        for lo in range(0, len(kept), step):
+            vinv = batch.vinv[kept[lo : lo + step]].T
+            conj = centralizer[vinv[cinv], np.arange(size)[:, None]]  # (d, |C(h)|, rows)
+            first[lo : lo + step] = _scan_rank(conj.reshape(d, -1)).reshape(size, -1).min(axis=0)
+        kept = kept[np.argsort(first)]
         h, hinv = batch.h.tolist(), batch.hinv.tolist()
-        duplicates = classes = 0
-        for row, row_inv in zip(v[connected].tolist(), vinv[connected].tolist()):
-            code = _canonical_code(d, h, row, hinv, row_inv)
-            if code in seen:
-                duplicates += 1
-            else:
-                seen.add(code)
-                classes += 1
-                yield decode_canonical(code)
+        for row, row_inv in zip(batch.v[kept].tolist(), batch.vinv[kept].tolist()):
+            yield decode_canonical(_canonical_code(d, h, row, hinv, row_inv))
         log.debug(
-            "origamis_in_stratum d=%d h type %s: %d pairs, %d survive the centralizer "
-            "filter, %d disconnected, %d duplicates, %d classes",
-            d, batch.cycle_type, len(batch.v), len(survivors),
-            len(survivors) - int(connected.sum()), duplicates, classes,
+            "origamis_in_stratum d=%d h type %s: %d pairs, %d F-canonical, %d connected, "
+            "%d classes",
+            d, batch.cycle_type, len(batch.v), f_canonical, connected, len(kept),
         )
 
 
@@ -1120,12 +1124,10 @@ def origamis_in_stratum(d: int, orders: Sequence[int]) -> Iterator[Origami]:
 
     One representative per isomorphism class, in its canonical labeling, in
     the order the scan first meets the class.  A class is one orbit of the
-    raw pairs under conjugation by the centralizer of h.  Below degree 8 one
-    canonical form is computed per orbit, on its first pair in scan order;
-    from degree 8 on the pairs are first conjugated by part of the
-    centralizer, and only those no conjugate precedes get a canonical form.
-    Degrees too small to carry the orders give an empty enumeration; orders
-    that are not positive integers with an even sum raise ValueError.
+    raw pairs under conjugation by the centralizer of h, and one canonical
+    form is computed per class.  Degrees too small to carry the orders give
+    an empty enumeration; orders that are not positive integers with an
+    even sum raise ValueError.
     """
     yield from _classes(d, orders)
 
@@ -1133,13 +1135,10 @@ def origamis_in_stratum(d: int, orders: Sequence[int]) -> Iterator[Origami]:
 def stratum_pairs_raw(d: int, orders: Sequence[int]) -> Iterator[tuple[Perm, Perm]]:
     """Raw (h, v) permutation pairs whose corner cycle type matches orders.
 
-    For d below _RAW_DEGREE this yields one pair per isomorphism class (all
-    connected).  From it on it yields every labeled pair with the right
-    cycle type WITHOUT the connectivity check, one tuple pair per row of the
-    numpy batches; that is the cheap superset appropriate for universally
-    quantified scans: any property verified on all raw pairs holds on all
-    origamis in the stratum.  spin.hyperelliptic_scan reads the batches
-    themselves instead of this view.
+    Below _RAW_DEGREE one pair per isomorphism class (all connected).  From
+    it on every labeled pair with the right cycle type, with NO connectivity
+    check, one tuple pair per row of the numpy batches: the superset that a
+    universally quantified scan needs.
     """
     if d < _RAW_DEGREE:
         for o in _classes(d, orders):

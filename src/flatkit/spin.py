@@ -425,18 +425,21 @@ def hyperelliptic_involution(o: Origami) -> Optional[tuple[int, ...]]:
     return _involution_core(o.d, o.h, o.v, invert_perm(o.h), invert_perm(o.v))
 
 
-def _propagation_survivors(batch: origami_mod.PairBatch) -> np.ndarray:
-    """Rows of a batch on which some sigma(0) propagates to every square.
+def _propagations(batch: origami_mod.PairBatch, commuting: bool = False) -> np.ndarray:
+    """Per row of a batch, the number of squares t from which sigma(0) = t
+    propagates to a map defined on every square without a clash.
 
-    An involution sigma conjugates h to h^-1, so sigma(0) can only be a
-    square t whose h-cycle is as long as the h-cycle of 0.  For each such t,
-    every round applies sigma(h(s)) = h^-1(sigma(s)) and then
-    sigma(v(s)) = v^-1(sigma(s)) to the whole state matrix at once, int8 with
-    -1 for an image not known yet.  A row drops out when two images of one
-    square clash, when a round adds no image (0 does not reach every square)
-    or when every image is known; only the last kind survives.  A witness
-    meets no clash and reaches every square, so every row with a flat
-    involution survives.  Returns a boolean mask over the rows of the batch.
+    The involution propagation (commuting False) applies
+    sigma(h(s)) = h^-1(sigma(s)) and sigma(v(s)) = v^-1(sigma(s)); a flat
+    involution is such a map, so every row with one has a nonzero count.
+    The commuting propagation applies sigma(h(s)) = h(sigma(s)) and
+    sigma(v(s)) = v(sigma(s)); on a connected row its maps are the
+    automorphisms of the pair, so the count is |Aut|.  Either map sends the
+    h-cycle of 0 to an h-cycle as long, so only such t are tried.  Each
+    round applies both rules to the whole state matrix at once, int8 with -1
+    for an image not known yet.  A row stops when two images of one square
+    clash or when a round adds no image, and counts when it stops with no
+    clash and every image known.
     """
     import numpy as np
 
@@ -452,47 +455,56 @@ def _propagation_survivors(batch: origami_mod.PairBatch) -> np.ndarray:
             length[s] = len(cycle)
     candidates = [t for t in range(d) if length[t] == length[0]]
     hinv_rows = batch.hinv.astype(np.intp)
-    hinv_images = np.append(batch.hinv, np.int8(-1))  # index -1 stays -1
-    survive = np.zeros(n, dtype=bool)
+    h_images = np.append(batch.h if commuting else batch.hinv, np.int8(-1))  # index -1 stays -1
+    v_images = batch.v if commuting else batch.vinv
+    counts = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, origami_mod._BLOCK):
         for t in candidates:
             # One column per row of the batch: state[s] holds sigma(s), and
-            # vinv has a last row of -1, which index -1 wraps to.
-            alive = lo + np.flatnonzero(~survive[lo : lo + origami_mod._BLOCK])
-            vinv = np.full((d + 1, len(alive)), -1, dtype=np.int8)
-            vinv[:d] = np.take(batch.vinv, alive, axis=0).T
+            # image has a last row of -1, which index -1 wraps to.
+            alive = np.arange(lo, min(lo + origami_mod._BLOCK, n))
+            vinv = batch.vinv[alive].T
+            image = np.full((d + 1, len(alive)), -1, dtype=np.int8)
+            image[:d] = v_images[alive].T
             state = np.full((d, len(alive)), -1, dtype=np.int8)
             state[0] = t
             while len(alive):
                 before = state
-                state, clash_h = merge(state, hinv_images[state[hinv_rows]])
-                at = state.ravel()[origami_mod._flat_index(vinv[:d])]
-                image = vinv.ravel()[origami_mod._flat_index(at)]
-                state, clash_v = merge(state, image)
+                state, clash_h = merge(state, h_images[state[hinv_rows]])
+                at = state.ravel()[origami_mod._flat_index(vinv)]
+                state, clash_v = merge(state, image.ravel()[origami_mod._flat_index(at)])
                 clash = clash_h | clash_v
-                complete = state.min(axis=0) >= 0
-                survive[alive[complete & ~clash]] = True
-                keep = ~(clash | complete | (state == before).all(axis=0))
+                still = (state == before).all(axis=0)
+                counts[alive[still & ~clash & (state.min(axis=0) >= 0)]] += 1
+                keep = ~(clash | still)
                 alive = alive[keep]
                 state = np.compress(keep, state, axis=1)
                 vinv = np.compress(keep, vinv, axis=1)
-    return survive
+                image = np.compress(keep, image, axis=1)
+    return counts
 
 
-def _batch_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
-    """hyperelliptic_scan over every raw pair of the numpy batches, one row
-    per centralizer orbit.
+def _propagation_survivors(batch: origami_mod.PairBatch) -> np.ndarray:
+    """Mask of the rows of a batch that may have a flat involution (_propagations)."""
+    return _propagations(batch) > 0
 
-    Conjugating (h, v) by an element c of K = origami._centralizer_subset
-    relabels the pair and keeps h, so a flat involution exists on every row
-    of a K-orbit or on none.  Only the first row of each orbit
-    (origami._centralizer_survivors) goes to _propagation_survivors, only
-    the rows that survive it go to _involution_core, and a witness counts
-    once per row of its orbit, |K| / |Stab_K(v)| times.  Each cycle type of
-    h logs at DEBUG its funnel (cosets tested, cosets passing the kernel's
-    filters, rows, K-survivors, propagation survivors, witness orbits,
-    witnesses) and the seconds spent in the kernel, the centralizer filter,
-    the propagation and the per-pair test.
+
+def _batch_scan(d: int, orders: Sequence[int], per_class: bool = False) -> tuple[int, int]:
+    """hyperelliptic_scan over the numpy batches, one row per isomorphism class.
+
+    Conjugating (h, v) by an element of C(h) relabels the pair and keeps h,
+    so a flat involution exists on every row of a C(h)-orbit or on none.
+    Only the kept rows of origami._orbit_representatives, one connected row
+    per orbit, go to _propagation_survivors, and only the rows that survive
+    it go to _involution_core.  Disconnected rows never have a witness.
+    Returns (rows, rows with a witness), a witness row counting
+    |C(h)| / |Aut| times, |Aut| from the commuting propagation; with
+    per_class, (kept rows, kept rows with a witness), which counts classes.
+    Each cycle type of h logs at DEBUG its funnel (cosets tested, cosets
+    passing the kernel's filters, rows, F-canonical rows, connected ones,
+    kept rows, propagation survivors, witness rows, witnesses) and the
+    seconds spent in the kernel, the orbit filter, the propagation and the
+    per-pair test.
     """
     import logging
     import time
@@ -507,9 +519,9 @@ def _batch_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
         if batch is None:
             break
         kernel = time.perf_counter()
-        orbits = origami_mod._centralizer_survivors(batch)
-        reps = batch._replace(v=batch.v[orbits], vinv=batch.vinv[orbits])
-        centralizer_filter = time.perf_counter()
+        kept, f_canonical, connected = origami_mod._orbit_representatives(batch)
+        reps = batch._replace(v=batch.v[kept], vinv=batch.vinv[kept])
+        orbit_filter = time.perf_counter()
         survive = _propagation_survivors(reps).nonzero()[0]
         propagation = time.perf_counter()
         h, hinv = batch.h.tolist(), batch.hinv.tolist()
@@ -518,21 +530,23 @@ def _batch_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
             for row, v, vinv in zip(survive, reps.v[survive].tolist(), reps.vinv[survive].tolist())
             if _involution_core(d, h, v, hinv, vinv) is not None
         ]
-        witnesses = 0
-        if found:
-            witnesses = int(origami_mod._orbit_sizes(batch.cycle_type, reps.vinv[found].T).sum())
-        test = time.perf_counter()
         order = origami_mod._centralizer_order(batch.cycle_type)
+        if per_class:
+            witnesses = len(found)
+        else:
+            found_rows = reps._replace(v=reps.v[found], vinv=reps.vinv[found])
+            witnesses = int((order // _propagations(found_rows, commuting=True)).sum())
+        test = time.perf_counter()
         log.debug(
             "hyperelliptic_scan d=%d h type %s: %d cosets tested, %d pass, %d rows, "
-            "%d K-survivors, %d survive propagation, %d witness orbits, %d witnesses; "
-            "kernel %.3f s, centralizer filter %.3f s, propagation %.3f s, per-pair test %.3f s",
+            "%d F-canonical, %d connected, %d kept, %d survive propagation, "
+            "%d witness rows, %d witnesses; kernel %.3f s, orbit filter %.3f s, "
+            "propagation %.3f s, per-pair test %.3f s",
             d, batch.cycle_type, math.factorial(d) // order, len(batch.v) // order, len(batch.v),
-            len(orbits), len(survive), len(found), witnesses,
-            kernel - start, centralizer_filter - kernel, propagation - centralizer_filter,
-            test - propagation,
+            f_canonical, connected, len(kept), len(survive), len(found), witnesses,
+            kernel - start, orbit_filter - kernel, propagation - orbit_filter, test - propagation,
         )
-        scanned += len(batch.v)
+        scanned += len(kept) if per_class else len(batch.v)
         hits += witnesses
     return scanned, hits
 
@@ -541,18 +555,20 @@ def hyperelliptic_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
     """Exhaustively test a stratum's degree-d pairs for flat involutions.
 
     Returns (pairs scanned, pairs admitting an involution).  Below degree 9
-    the pairs are one per isomorphism class (origami.stratum_pairs_raw).
+    the pairs are one per isomorphism class: below degree 8 those of
+    origami.stratum_pairs_raw, from degree 8 on the kept rows of the numpy
+    batches (_batch_scan with per_class), with no canonical form computed.
     From degree 9 on the scan covers every labeled cycle-type match,
-    including non-transitive pairs, read as numpy batches (_batch_scan); it
-    tests one pair per orbit of the centralizer of h acting by conjugation
-    and counts each witness once per pair of its orbit.  Non-transitive
-    pairs can never produce a witness (see _involution_core), so a zero
-    count proves no origami of the stratum in that degree is hyperelliptic.
-    The batch scan logs a funnel and stage times per cycle type of h at
-    DEBUG on the flatkit.spin logger.
+    including non-transitive pairs (_batch_scan): it tests one pair per
+    orbit of the centralizer of h acting by conjugation and counts each
+    witness once per pair of its orbit.  Non-transitive pairs can never
+    produce a witness (see _involution_core), so a zero count proves no
+    origami of the stratum in that degree is hyperelliptic.  The batch scan
+    logs a funnel and stage times per cycle type of h at DEBUG on the
+    flatkit.spin logger.
     """
-    if d >= origami_mod._RAW_DEGREE:
-        return _batch_scan(d, orders)
+    if d >= origami_mod._NUMPY_DEGREE:
+        return _batch_scan(d, orders, per_class=d < origami_mod._RAW_DEGREE)
     scanned = 0
     hits = 0
     for h, v in origami_mod.stratum_pairs_raw(d, orders):

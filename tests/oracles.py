@@ -34,6 +34,22 @@ comparison cut short.
 classes_reference is the class loop below degree 8 without the orbit
 marking: every connected raw pair of the Python kernel, in scan order, gets
 a canonical code, and a seen set drops the codes already met.
+labeled_stratum_pairs_python lists those raw pairs.
+
+connected_pair_count is A_d(orders), the number of connected labeled pairs
+(h, v) in S_d x S_d whose corner permutation has the cycle type of the
+orders.  All labeled pairs, connected or not, number
+N_d(orders) = sum_mu |C_mu| commutator_counts(d, orders)[mu].  Splitting
+them by the orbit of square 0, which has k squares (C(d - 1, k - 1)
+choices), carries the orders sub and is a connected pair, while the other
+d - k squares carry the rest of the orders, gives
+N_d(orders) = sum_{k, sub} C(d - 1, k - 1) A_k(sub) N_{d - k}(orders - sub),
+which is solved for A_d.  Each class o of connected pairs holds
+d!/|Aut(o)| labeled pairs, so the sum of 1/|Aut(o)| over the classes is
+A_d/d! (the mass formula).  automorphism_count takes |Aut(o)| as the number
+of starts whose relabeled_code is the least one: the relabelings from two
+starts give the same code exactly when an automorphism maps one start to
+the other.
 
 pairing_reference is the mod-2 intersection number of two spin.SimpleCycles
 counted square by square, with no crossing table: each cycle's chords are
@@ -44,9 +60,10 @@ MIDPOINT (counterclockwise from the midpoint of the E side).
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Optional, Sequence
 
 from flatkit import flatcore, origami
@@ -138,6 +155,33 @@ def commutator_counts(d: int, orders: tuple[int, ...]) -> dict[tuple[int, ...], 
         assert count.denominator == 1, (d, mu, lam)
         out[mu] = int(count)
     return out
+
+
+@lru_cache(maxsize=None)
+def labeled_pair_count(d: int, orders: tuple[int, ...]) -> int:
+    """N_d(orders): the pairs in S_d x S_d, connected or not, whose corner
+    permutation has the cycle type of the orders."""
+    if sum(m + 1 for m in orders) > d:
+        return 0
+    return sum(class_size(mu) * n for mu, n in commutator_counts(d, orders).items())
+
+
+@lru_cache(maxsize=None)
+def connected_pair_count(d: int, orders: tuple[int, ...]) -> int:
+    """A_d(orders), from the split of N_d by the orbit of square 0."""
+    orders = tuple(sorted(orders, reverse=True))
+    subs = {sub for r in range(len(orders) + 1) for sub in combinations(orders, r)}
+    total = labeled_pair_count(d, orders)
+    for k in range(1, d):
+        for sub in subs:
+            if sum(sub) % 2 == 0:
+                rest = tuple(sorted((Counter(orders) - Counter(sub)).elements(), reverse=True))
+                total -= (
+                    math.comb(d - 1, k - 1)
+                    * connected_pair_count(k, sub)
+                    * labeled_pair_count(d - k, rest)
+                )
+    return total
 
 
 # --- polygon predicates on Fraction coordinates ------------------------------
@@ -304,6 +348,24 @@ def canonical_code_reference(
     return None if None in codes else min(codes)
 
 
+def automorphism_count(
+    d: int, h: Sequence[int], v: Sequence[int], hinv: Sequence[int], vinv: Sequence[int]
+) -> int:
+    """|Aut| of a connected pair: the starts whose relabeled_code is the least."""
+    codes = [relabeled_code(d, h, v, hinv, vinv, start) for start in range(d)]
+    return codes.count(min(codes))
+
+
+def labeled_stratum_pairs_python(d: int, orders: tuple[int, ...]):
+    """Raw (h, v, h^-1, v^-1) of the Python kernel with the given corner cycle
+    type: the rows of origami._python_batches, one cycle type of h after
+    another, with no connectivity check and no removal of isomorphic
+    duplicates."""
+    for h, hinv, _, rows in origami._python_batches(d, orders):
+        for v in rows:
+            yield h, v, hinv, origami.invert_perm(v)
+
+
 def classes_reference(d: int, orders: tuple[int, ...]) -> list[origami.Origami]:
     """One origami per class in discovery order, from a code for every raw pair.
 
@@ -311,7 +373,7 @@ def classes_reference(d: int, orders: tuple[int, ...]) -> list[origami.Origami]:
     rest on the kernel's own sort."""
     seen = set()
     out = []
-    pairs = origami._labeled_stratum_pairs_python(d, orders)
+    pairs = labeled_stratum_pairs_python(d, orders)
     for _, rows in groupby(pairs, key=lambda row: row[0]):
         for h, v, hinv, vinv in sorted(rows):
             code = origami._canonical_code(d, h, v, hinv, vinv)

@@ -130,6 +130,16 @@ def test_analyze_unreadable_input(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "spin", "orbit"])
+def test_non_utf8_input_names_the_file(tmp_path, capsys, command):
+    path = tmp_path / "binary.origami"
+    path.write_bytes(b"d: 2\nh: (1,2)\xff\n")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot read {path}: not UTF-8 text\n"
+
+
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 SQUARE_PAIRS = [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]
 

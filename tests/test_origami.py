@@ -458,7 +458,7 @@ def test_python_kernel_matches_numpy_kernel():
     with the same inverses."""
     cases = [(d, orders) for d in range(1, 7) for orders in signatures(d)]
     for d, orders in cases + [(7, (4,)), (7, (3, 1)), (8, (3, 1))]:
-        rows = sorted(origami._labeled_stratum_pairs_python(d, orders))
+        rows = sorted(oracles.labeled_stratum_pairs_python(d, orders))
         assert rows == sorted(numpy_kernel_rows(d, orders)), (d, orders)
 
 
@@ -637,26 +637,57 @@ def test_h31_raw_totals_from_characters():
 
 
 def test_orbit_sizes_add_up_to_the_batch():
-    """The first row of each centralizer orbit, weighted by its orbit size,
-    accounts for every row of the batch."""
-    for orders in ((4,), (2, 2), ()):
-        for batch in origami._stratum_batches(7, orders):
-            first = origami._centralizer_survivors(batch)
-            sizes = origami._orbit_sizes(batch.cycle_type, batch.vinv[first].T)
-            assert sizes.sum() == len(batch.v), (orders, batch.cycle_type)
+    """Each kept row stands for |C(h)| / |Aut| rows, its C(h)-orbit, so the
+    kept rows account for every connected row of the batch."""
+    import numpy as np
+
+    for d in (7, 8):
+        for orders in signatures(d):
+            for batch in origami._stratum_batches(d, orders):
+                kept, f_canonical, connected = origami._orbit_representatives(batch)
+                reps = batch._replace(v=batch.v[kept], vinv=batch.vinv[kept])
+                automorphisms = spin._propagations(reps, commuting=True)
+                order = origami._centralizer_order(batch.cycle_type)
+                weight = order // automorphisms
+                assert (weight * automorphisms == order).all()
+                rows = origami._connected_columns(batch.h, batch.v.T)
+                assert weight.sum() == rows.sum(), (d, orders, batch.cycle_type)
+                assert len(batch.v) >= f_canonical >= connected >= len(kept)
+                assert (np.diff(kept) > 0).all()
+
+
+def test_kept_rows_satisfy_the_mass_formula():
+    """The sum of 1/|Aut| over the kept rows is A_d/d!, with |Aut| and A_d
+    from tests/oracles.py, for every signature up to degree 7 and H(3,1) at
+    degree 8."""
+    from fractions import Fraction
+
+    cases = [(d, orders) for d in range(1, 8) for orders in signatures(d)] + [(8, (3, 1))]
+    for d, orders in cases:
+        sizes = Counter()
+        for batch in origami._stratum_batches(d, orders):
+            kept = origami._orbit_representatives(batch)[0]
+            h, hinv = batch.h.tolist(), batch.hinv.tolist()
+            for v, vinv in zip(batch.v[kept].tolist(), batch.vinv[kept].tolist()):
+                sizes[oracles.automorphism_count(d, h, v, hinv, vinv)] += 1
+        mass = sum(Fraction(n, size) for size, n in sizes.items())
+        assert mass == Fraction(oracles.connected_pair_count(d, orders), math.factorial(d)), (
+            d, orders,
+        )
+    assert oracles.connected_pair_count(8, (2, 2)) == math.factorial(8) * 4131 // 2
 
 
 def test_connected_columns_match_is_connected():
     for orders in signatures(6):
         for batch in origami._stratum_batches(6, orders):
-            got = origami._connected_columns(batch.h, batch.hinv, batch.v.T, batch.vinv.T)
+            got = origami._connected_columns(batch.h, batch.v.T)
             h = tuple(batch.h.tolist())
             expected = [origami.is_connected(origami.Origami(6, h, tuple(v))) for v in batch.v.tolist()]
             assert got.tolist() == expected, (orders, batch.cycle_type)
 
 
 def test_one_canonical_form_per_class_at_degree_8(monkeypatch):
-    """H(3,1) at d = 8 computes at most two canonical codes per class."""
+    """The H(3,1) scan at d = 8 counts classes without a canonical code."""
     calls = []
     code = origami._canonical_code
 
@@ -665,8 +696,9 @@ def test_one_canonical_form_per_class_at_degree_8(monkeypatch):
         return code(*args)
 
     monkeypatch.setattr(origami, "_canonical_code", counted)
+    monkeypatch.setattr(origami, "decode_canonical", None)
     assert spin.hyperelliptic_scan(8, (3, 1)) == (4032, 0)
-    assert len(calls) <= 2 * 4032
+    assert calls == []
 
 
 def test_class_funnel_adds_up(caplog):
@@ -675,10 +707,12 @@ def test_class_funnel_adds_up(caplog):
     records = [r for r in caplog.records if r.name == "flatkit.origami"]
     assert [r.args[1] for r in records] == list(strata.int_partitions(8))
     funnels = [r.args[2:] for r in records]
-    for pairs, survivors, disconnected, duplicates, classes in funnels:
-        assert pairs >= survivors == disconnected + duplicates + classes
+    for (pairs, f_canonical, connected, classes), record in zip(funnels, records):
+        order = origami._centralizer_order(record.args[1])
+        assert pairs >= f_canonical >= connected >= classes
+        assert classes <= connected <= order * classes
     assert sum(f[0] for f in funnels) == len(numpy_kernel_rows(8, (2,)))
-    assert sum(f[4] for f in funnels) == 135
+    assert sum(f[3] for f in funnels) == 135
     assert sum(f[1] for f in funnels) < sum(f[0] for f in funnels)
 
 

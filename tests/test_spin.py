@@ -317,19 +317,32 @@ def test_batch_scan_funnel_adds_up(caplog):
     assert [r.args[1] for r in records] == list(strata.int_partitions(7))
     funnels = []
     for r in records:
-        tested, passing, rows, k_survivors, survivors, orbits, witnesses = r.args[2:9]
+        tested, passing, rows, f_canonical, connected, kept = r.args[2:8]
+        survivors, found, witnesses = r.args[8:11]
         order = origami._centralizer_order(r.args[1])
         assert tested * order == 5040
         assert tested >= passing
         assert rows == order * passing
-        assert rows >= k_survivors >= survivors >= orbits
-        assert orbits <= witnesses <= rows
-        assert (orbits == 0) == (witnesses == 0)
-        assert len(r.args[9:]) == 4 and min(r.args[9:]) >= 0  # stage seconds
-        funnels.append((rows, survivors, witnesses))
+        assert rows >= f_canonical >= connected >= kept >= survivors >= found
+        assert kept <= connected <= order * kept
+        assert found <= witnesses <= order * found
+        assert len(r.args[11:]) == 4 and min(r.args[11:]) >= 0  # stage seconds
+        funnels.append((rows, kept, survivors, witnesses))
     assert sum(f[0] for f in funnels) == 15480
-    assert sum(f[2] for f in funnels) == 3909
-    assert sum(f[1] for f in funnels) < 15480
+    assert sum(f[3] for f in funnels) == 3909
+    assert sum(f[1] for f in funnels) == len(list(origami.origamis_in_stratum(7, (4,)))) == 775
+    assert sum(f[2] for f in funnels) < sum(f[1] for f in funnels)
+
+
+def test_class_scan_matches_the_python_path(monkeypatch):
+    """The engine's class-count scan gives (classes, classes with a flat
+    involution) as the Python path does, on every stratum up to degree 7."""
+    cases = [(d, orders) for d in range(1, 8) for orders in signatures(d)]
+    expected = {case: spin.hyperelliptic_scan(*case) for case in cases}
+    monkeypatch.setattr(origami, "_NUMPY_DEGREE", 1)
+    for case in cases:
+        assert spin.hyperelliptic_scan(*case) == expected[case], case
+    assert expected[7, (4,)] == (775, 255)
 
 
 def test_small_degrees_import_neither_numpy_nor_logging():
