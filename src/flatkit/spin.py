@@ -556,7 +556,7 @@ def hyperelliptic_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
 
     Returns (pairs scanned, pairs admitting an involution).  Below degree 9
     the pairs are one per isomorphism class: below degree 8 those of
-    origami.stratum_pairs_raw, from degree 8 on the kept rows of the numpy
+    origami.stratum_pairs_raw, at degree 8 the kept rows of the numpy
     batches (_batch_scan with per_class), with no canonical form computed.
     From degree 9 on the scan covers every labeled cycle-type match,
     including non-transitive pairs (_batch_scan): it tests one pair per
