@@ -104,6 +104,8 @@ def _load_input(path: str) -> tuple[str, Union[flatcore.TranslationSurface, Orig
             raise CliError(
                 f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except RecursionError as exc:
+            raise CliError(f"{path}: JSON nested too deeply") from exc
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
     from . import origami

@@ -803,9 +803,9 @@ def _flat_index(rows):
 
 class PairBatch(NamedTuple):
     """The raw pairs of one cycle type of h, as int8 arrays: h and hinv of
-    shape (d,), v one permutation per row in the column order of
-    _all_perms_array, vinv their inverses.  The rows are whole right cosets
-    v C(h), so their number is a multiple of |C(h)|.
+    shape (d,), v one permutation per row, vinv their inverses.  The rows
+    are whole right cosets v C(h), one coset per run of |C(h)| rows, so
+    their number is a multiple of |C(h)|; they are not in scan order.
     """
 
     cycle_type: tuple[int, ...]
@@ -825,11 +825,11 @@ def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
     columns passing that count, the fixed points of the powers of t pin down
     the multiplicity of every cycle length up to the largest target length.
     The row v c^-1 has the inverse c v^-1, so _centralizer_array(parts)[vinv]
-    holds the inverses of every row of the passing cosets, sorted by
-    _scan_rank one square at a time into the order a test of all d! columns
-    would give.  Connectivity is NOT checked and isomorphic duplicates are
-    NOT removed.  Every cycle type of h gets a batch, possibly empty;
-    degrees too small to carry the orders give none.
+    holds the inverses of every row of the passing cosets, one whole coset
+    after another and NOT in scan order: a reader that needs that order
+    sorts by _scan_rank.  Connectivity is NOT checked and isomorphic
+    duplicates are NOT removed.  Every cycle type of h gets a batch,
+    possibly empty; degrees too small to carry the orders give none.
     """
     import numpy as np
 
@@ -871,14 +871,6 @@ def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
         vinv = np.concatenate(kept, axis=1)
         if vinv.size:  # an empty type skips its centralizer, which can hold 10! elements
             vinv = _centralizer_array(parts)[vinv].reshape(d, -1)
-            rank = np.empty(vinv.shape[1], dtype=np.int32)
-            for lo in range(0, len(rank), _BLOCK):
-                rank[lo : lo + _BLOCK] = _scan_rank(vinv[:, lo : lo + _BLOCK])
-            index = np.argsort(rank)
-            del rank
-            for row in vinv:  # sorted one square at a time: no second copy of the rows
-                row[:] = row[index]
-            del index
         yield PairBatch(parts, h, hinv, _inverse_columns(vinv).T, vinv.T)
 
 
@@ -925,8 +917,8 @@ def _scan_rank(vinv):
     """Column index in _all_perms_array(d) of each permutation, from its
     inverse (one per column of vinv): column sum_{k=2..d} (k-1)! * p_k holds
     the permutation whose largest k - 1 is preceded by p_k of 0..k-2, so p_k
-    counts the e < k - 1 with vinv[e] < vinv[k - 1].  The kernel sorts each
-    type's rows by it, so the rank is the scan position.
+    counts the e < k - 1 with vinv[e] < vinv[k - 1].  So the rank is the
+    position of the permutation in a scan of all d! columns.
     """
     import numpy as np
 
@@ -1063,15 +1055,17 @@ def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
 
     With h fixed to its type representative, the class of (h, v) is its
     orbit {c v c^-1 : c in C(h)}, and the classes come in the scan order of
-    the first row of each orbit.  Below _NUMPY_DEGREE the loop walks each
-    type's rows of the Python kernel (_python_batches), skips the rows
-    already marked, and at the first unmarked row marks its whole orbit and
-    computes one canonical code, None exactly when the orbit is
-    disconnected; numpy is never imported there.  From _NUMPY_DEGREE on,
-    each kept row of _orbit_representatives is coded once, in the order of
-    the least scan rank of its orbit, and each cycle type of h logs its
-    funnel at DEBUG on the flatkit.origami logger: raw pairs, F-canonical
-    rows, connected ones and classes.
+    the first row of each orbit: the order of itertools.permutations below
+    _NUMPY_DEGREE, the column order of _all_perms_array (_scan_rank) from it
+    on.  Below _NUMPY_DEGREE the loop walks each type's rows of the Python
+    kernel (_python_batches), skips the rows already marked, and at the
+    first unmarked row marks its whole orbit and computes one canonical
+    code, None exactly when the orbit is disconnected; numpy is never
+    imported there.  From _NUMPY_DEGREE on, each kept row of
+    _orbit_representatives is coded once, in the order of the least scan
+    rank of its orbit, and each cycle type of h logs its funnel at DEBUG on
+    the flatkit.origami logger: raw pairs, F-canonical rows, connected ones
+    and classes.
     """
     if d < _NUMPY_DEGREE:
         orders = _stratum_orders(d, orders)
@@ -1098,6 +1092,13 @@ def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
     log = logging.getLogger(__name__)
     for batch in _stratum_batches(d, orders):
         kept, f_canonical, connected = _orbit_representatives(batch)
+        log.debug(
+            "origamis_in_stratum d=%d h type %s: %d pairs, %d F-canonical, %d connected, "
+            "%d classes",
+            d, batch.cycle_type, len(batch.v), f_canonical, connected, len(kept),
+        )
+        if not len(kept):  # no class: skip the centralizer, which can hold 10! elements
+            continue
         # The least scan rank over the C(h)-orbit of each kept row, in pieces
         # of about _BLOCK conjugates.
         centralizer = _centralizer_array(batch.cycle_type)
@@ -1112,22 +1113,19 @@ def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
         h, hinv = batch.h.tolist(), batch.hinv.tolist()
         for row, row_inv in zip(batch.v[kept].tolist(), batch.vinv[kept].tolist()):
             yield decode_canonical(_canonical_code(d, h, row, hinv, row_inv))
-        log.debug(
-            "origamis_in_stratum d=%d h type %s: %d pairs, %d F-canonical, %d connected, "
-            "%d classes",
-            d, batch.cycle_type, len(batch.v), f_canonical, connected, len(kept),
-        )
 
 
 def origamis_in_stratum(d: int, orders: Sequence[int]) -> Iterator[Origami]:
     """All connected degree-d origamis whose zero orders equal the given ones.
 
     One representative per isomorphism class, in its canonical labeling, in
-    the order the scan first meets the class.  A class is one orbit of the
-    raw pairs under conjugation by the centralizer of h, and one canonical
-    form is computed per class.  Degrees too small to carry the orders give
-    an empty enumeration; orders that are not positive integers with an
-    even sum raise ValueError.
+    the order the scan first meets the class: itertools.permutations order
+    below _NUMPY_DEGREE, _all_perms_array column order from it on, so the
+    two paths list the same classes in different orders.  A class is one
+    orbit of the raw pairs under conjugation by the centralizer of h, and
+    one canonical form is computed per class.  Degrees too small to carry
+    the orders give an empty enumeration; orders that are not positive
+    integers with an even sum raise ValueError.
     """
     yield from _classes(d, orders)
 
@@ -1137,8 +1135,8 @@ def stratum_pairs_raw(d: int, orders: Sequence[int]) -> Iterator[tuple[Perm, Per
 
     Below _RAW_DEGREE one pair per isomorphism class (all connected).  From
     it on every labeled pair with the right cycle type, with NO connectivity
-    check, one tuple pair per row of the numpy batches: the superset that a
-    universally quantified scan needs.
+    check, one tuple pair per row of the numpy batches in scan order
+    (_scan_rank): the superset that a universally quantified scan needs.
     """
     if d < _RAW_DEGREE:
         for o in _classes(d, orders):
@@ -1146,5 +1144,5 @@ def stratum_pairs_raw(d: int, orders: Sequence[int]) -> Iterator[tuple[Perm, Per
         return
     for batch in _stratum_batches(d, orders):
         h = tuple(batch.h.tolist())
-        for row in batch.v.tolist():
+        for row in batch.v[_scan_rank(batch.vinv.T).argsort()].tolist():
             yield h, tuple(row)

@@ -140,6 +140,18 @@ def test_non_utf8_input_names_the_file(tmp_path, capsys, command):
     assert err == f"error: cannot read {path}: not UTF-8 text\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "act", "render"])
+def test_deeply_nested_json_is_an_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    extra = {"act": ["--matrix", "1,1,0,1"], "render": ["-o", str(tmp_path / "deep.svg")]}
+    code, out, err = run_cli(capsys, command, str(path), *extra.get(command, []))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {path}: JSON nested too deeply"]
+    assert "Traceback" not in err
+
+
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 SQUARE_PAIRS = [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]
 

@@ -463,21 +463,59 @@ def test_python_kernel_matches_numpy_kernel():
 
 
 def test_numpy_batches_are_consistent():
-    """Each batch holds its type representative and inverses, whole cosets
-    of the centralizer of h, and its rows in strictly increasing scan order."""
-    import numpy as np
-
+    """Each batch holds its type representative and inverses, and distinct
+    rows that come one whole coset v C(h) per run of |C(h)| rows."""
     batches = list(origami._stratum_batches(7, (2, 2)))
     assert [b.cycle_type for b in batches] == list(strata.int_partitions(7))
     for b in batches:
         assert tuple(b.h.tolist()) == origami._cycle_type_rep(b.cycle_type)
         assert tuple(b.hinv.tolist()) == origami.invert_perm(b.h.tolist())
         assert b.v.shape == b.vinv.shape == (len(b.v), 7)
-        for v, vinv in zip(b.v.tolist(), b.vinv.tolist()):
+        rows = [tuple(v) for v in b.v.tolist()]
+        for v, vinv in zip(rows, b.vinv.tolist()):
             assert tuple(vinv) == origami.invert_perm(v)
-        assert len(b.v) % origami._centralizer_order(b.cycle_type) == 0, b.cycle_type
-        assert (np.diff(origami._scan_rank(b.vinv.T)) > 0).all(), b.cycle_type
+        assert len(set(rows)) == len(rows), b.cycle_type
+        size = origami._centralizer_order(b.cycle_type)
+        assert len(rows) % size == 0, b.cycle_type
+        centralizer = origami._centralizer(b.cycle_type)
+        for lo in range(0, len(rows), size):
+            coset = {tuple(map(rows[lo].__getitem__, c)) for c in centralizer}
+            assert set(rows[lo : lo + size]) == coset, (b.cycle_type, lo)
     assert sum(len(b.v) for b in batches) == 8572
+
+
+def test_stratum_pairs_raw_sorts_each_batch(monkeypatch):
+    """From _RAW_DEGREE on the raw pairs of each type come in strictly
+    increasing scan rank, and they are the rows of the batch."""
+    import numpy as np
+
+    monkeypatch.setattr(origami, "_RAW_DEGREE", 7)
+    pairs = iter(origami.stratum_pairs_raw(7, (2, 2)))
+    for batch in origami._stratum_batches(7, (2, 2)):
+        h = tuple(batch.h.tolist())
+        got = [next(pairs) for _ in range(len(batch.v))]
+        assert all(pair_h == h for pair_h, _ in got)
+        rows = [v for _, v in got]
+        inverses = np.array([origami.invert_perm(v) for v in rows], dtype=np.int8).reshape(-1, 7)
+        assert (np.diff(origami._scan_rank(inverses.T)) > 0).all(), batch.cycle_type
+        assert sorted(rows) == sorted(map(tuple, batch.v.tolist())), batch.cycle_type
+    assert next(pairs, None) is None
+
+
+def test_empty_batches_build_no_centralizer(monkeypatch):
+    """C(h), up to 10! columns, is built only for the types with rows."""
+    sizes = {b.cycle_type: len(b.v) for b in origami._stratum_batches(8, (3, 1))}
+    assert sizes[(1,) * 8] == 0
+    built = []
+    centralizer_array = origami._centralizer_array
+
+    def counted(parts):
+        built.append(tuple(parts))
+        return centralizer_array(parts)
+
+    monkeypatch.setattr(origami, "_centralizer_array", counted)
+    assert len(list(origami.origamis_in_stratum(8, (3, 1)))) == 4032
+    assert built and all(sizes[parts] for parts in built), built
 
 
 def test_enumeration_degree_budget(monkeypatch):
@@ -496,11 +534,12 @@ def test_enumeration_degree_budget(monkeypatch):
 
 def reference_classes(d, orders):
     """The class loop without the centralizer filter: every connected row of
-    the numpy batches gets a canonical form, in scan order."""
+    the numpy batches gets a canonical form, in scan order.  The rows of
+    each batch are sorted here, so the order does not rest on the kernel."""
     seen = set()
     out = []
     for batch in origami._stratum_batches(d, orders):
-        for v in batch.v.tolist():
+        for v in batch.v[origami._scan_rank(batch.vinv.T).argsort()].tolist():
             o = origami.Origami(d, tuple(batch.h.tolist()), tuple(v))
             if origami.is_connected(o):
                 code = origami.canonical_form(o)
