@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -392,11 +393,13 @@ def cmd_render(args: argparse.Namespace) -> int:
     surf = _valid_surface(_load_input(args.path))
     if surf is None:
         return 1
-    svg = render_svg(surf)
+    try:
+        svg = render_svg(surf)
+    except OverflowError as exc:
+        raise CliError(f"{args.path}: coordinates too large to draw") from exc
     out = args.output
     if out is None:
-        stem = args.path.rsplit(".", 1)[0]
-        out = stem + ".svg"
+        out = os.path.splitext(args.path)[0] + ".svg"
     _write_text(out, svg + "\n")
     print(f"wrote {out}")
     return 0

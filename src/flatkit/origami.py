@@ -747,7 +747,8 @@ def _python_batches(
 _NUMPY_DEGREE = 8  # the numpy kernel scans from this degree on, the Python kernel below it
 _RAW_DEGREE = 9  # stratum_pairs_raw yields raw pairs from this degree on, classes below it
 _MAX_DEGREE = 10  # at degree 11 the d! permutations alone would take about 440 MB
-_BLOCK = 65536  # permutations per numpy block, which bounds the temporaries
+_BLOCK = 65536  # columns per numpy piece in _inverse_columns, _orbit_representatives,
+# the class-order pass of _classes and spin._propagations, which bounds their temporaries
 
 
 def _stratum_orders(d: int, orders: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -824,12 +825,13 @@ def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
     points of t solve h(v(h^-1(s))) = v(s), with no inversion of v.  On the
     columns passing that count, the fixed points of the powers of t pin down
     the multiplicity of every cycle length up to the largest target length.
-    The row v c^-1 has the inverse c v^-1, so _centralizer_array(parts)[vinv]
-    holds the inverses of every row of the passing cosets, one whole coset
-    after another and NOT in scan order: a reader that needs that order
-    sorts by _scan_rank.  Connectivity is NOT checked and isomorphic
-    duplicates are NOT removed.  Every cycle type of h gets a batch,
-    possibly empty; degrees too small to carry the orders give none.
+    The rows v c^-1 of the passing cosets are gathered from the passing
+    representatives through C(h)^-1, paired row by row with their inverses
+    c v^-1 = _centralizer_array(parts)[vinv], one whole coset after another
+    and NOT in scan order: a reader that needs that order sorts by
+    _scan_rank.  Connectivity is NOT checked and isomorphic duplicates are
+    NOT removed.  Every cycle type of h gets a batch, possibly empty;
+    degrees too small to carry the orders give none.
     """
     import numpy as np
 
@@ -849,38 +851,35 @@ def _stratum_batches(d: int, orders: Sequence[int]) -> Iterator[PairBatch]:
     for parts in int_partitions(d):
         h = np.array(_cycle_type_rep(parts), dtype=np.int8)
         hinv = _inverse_columns(h[:, None])[:, 0]
-        hinv_rows = hinv.astype(np.intp)
-        pairs = _coset_pairs(parts)
-        kept = []
-        for lo in range(0, all_perms.shape[1], _BLOCK):
-            v_block = all_perms[:, lo : lo + _BLOCK]
-            v_rep = v_block[:, _coset_columns(v_block, pairs)]
-            g = h[v_rep[hinv_rows]]
-            keep = (g == v_rep).sum(axis=0, dtype=np.int8) == expected_fix[1]
-            vinv = _inverse_columns(np.compress(keep, v_rep, axis=1))
-            conj = vinv.ravel()[_flat_index(np.compress(keep, g, axis=1))]
-            conj_at = _flat_index(conj)
-            mask = np.ones(vinv.shape[1], dtype=bool)
-            power = conj
-            for k in range(2, max_len + 1):
-                if not mask.any():
-                    break
-                power = power.ravel()[conj_at]
-                mask &= (power == squares).sum(axis=0, dtype=np.int8) == expected_fix[k]
-            kept.append(np.compress(mask, vinv, axis=1))
-        vinv = np.concatenate(kept, axis=1)
-        if vinv.size:  # an empty type skips its centralizer, which can hold 10! elements
-            vinv = _centralizer_array(parts)[vinv].reshape(d, -1)
-        yield PairBatch(parts, h, hinv, _inverse_columns(vinv).T, vinv.T)
+        v = all_perms[:, _coset_columns(all_perms, _coset_pairs(parts))]
+        g = h[v[hinv]]
+        keep = (g == v).sum(axis=0, dtype=np.int8) == expected_fix[1]
+        v = np.compress(keep, v, axis=1)
+        vinv = _inverse_columns(v)
+        conj = vinv.ravel()[_flat_index(np.compress(keep, g, axis=1))]
+        conj_at = _flat_index(conj)
+        mask = np.ones(v.shape[1], dtype=bool)
+        power = conj
+        for k in range(2, max_len + 1):
+            if not mask.any():
+                break
+            power = power.ravel()[conj_at]
+            mask &= (power == squares).sum(axis=0, dtype=np.int8) == expected_fix[k]
+        v, vinv = np.compress(mask, v, axis=1), np.compress(mask, vinv, axis=1)
+        if v.size:  # an empty type skips its centralizer, which can hold 10! elements
+            centralizer = _centralizer_array(parts)
+            v = v[_inverse_columns(centralizer)].transpose(0, 2, 1).reshape(d, -1)
+            vinv = centralizer[vinv].reshape(d, -1)
+        yield PairBatch(parts, h, hinv, v.T, vinv.T)
 
 
-def _coset_columns(v_block, pairs):
-    """Indices of the columns of v_block that represent their coset (_coset_pairs)."""
+def _coset_columns(perms, pairs):
+    """Indices of the columns of perms that represent their coset (_coset_pairs)."""
     import numpy as np
 
-    keep = np.ones(v_block.shape[1], dtype=bool)
+    keep = np.ones(perms.shape[1], dtype=bool)
     for i, j in pairs:
-        keep &= v_block[i] < v_block[j]
+        keep &= perms[i] < perms[j]
     return np.flatnonzero(keep)
 
 

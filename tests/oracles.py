@@ -10,6 +10,9 @@ has index m in Z^2 is a primitive n/m-square origami pulled back along one
 of the sigma(m) sublattices of index m, so the origamis of H(2) number
 sum_{m | n} sigma(m) P(n/m).  Their translation automorphisms fix the single
 cone point and therefore are trivial, so the count is the number of classes.
+h2_orbit_sizes splits P(n) into SL(2,Z) orbits (McMullen 2005, Hubert-Lelievre
+2006): one orbit for n = 3 and for even n, and for odd n >= 5 two orbits of
+(3/16) (n - 3) n^2 prod and (3/16) (n - 1) n^2 prod, which add up to P(n).
 
 commutator_counts counts, for h of each cycle type mu, the v whose corner
 permutation [h, v] = h v h^-1 v^-1 has a given cycle type lam.  The pairs
@@ -88,14 +91,28 @@ def divisor_sum(n: int) -> int:
     return sum(m for m in range(1, n + 1) if n % m == 0)
 
 
-def primitive_h2_count(n: int) -> int:
+def _primitive_h2_sizes(n: int) -> list[Fraction]:
     if n < 3:
-        return 0
-    count = Fraction(3, 8) * (n - 2) * n * n
+        return []
+    factor = Fraction(n * n)
     for p in prime_divisors(n):
-        count *= 1 - Fraction(1, p * p)
+        factor *= 1 - Fraction(1, p * p)
+    if n == 3 or n % 2 == 0:
+        return [Fraction(3, 8) * (n - 2) * factor]
+    return [Fraction(3, 16) * (n - 3) * factor, Fraction(3, 16) * (n - 1) * factor]
+
+
+def primitive_h2_count(n: int) -> int:
+    count = sum(_primitive_h2_sizes(n))
     assert count.denominator == 1, n
     return int(count)
+
+
+def h2_orbit_sizes(n: int) -> list[int]:
+    """The SL(2,Z) orbit sizes of the primitive n-square origamis in H(2), ascending."""
+    sizes = sorted(_primitive_h2_sizes(n))
+    assert all(size.denominator == 1 for size in sizes), n
+    return [int(size) for size in sizes]
 
 
 def h2_class_count(n: int) -> int:

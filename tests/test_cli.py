@@ -359,12 +359,39 @@ def test_render_writes_svg(tmp_path, capsys):
     assert "<circle" in blob
 
 
-def test_render_default_output_name(tmp_path, capsys):
+def test_render_default_output_name(tmp_path, capsys, monkeypatch):
+    """The default output drops the file's extension, never a dot elsewhere in the path."""
     src = tmp_path / "torus.json"
     src.write_text((DATA / "torus.json").read_text())
     code, out, _ = run_cli(capsys, "render", str(src))
     assert code == 0
     assert (tmp_path / "torus.svg").exists()
+    (tmp_path / "my.dir").mkdir()
+    (tmp_path / "work").mkdir()
+    for name in ("my.dir/l5", "l5"):
+        (tmp_path / name).write_text((DATA / "l5.origami").read_text())
+    monkeypatch.chdir(tmp_path / "work")
+    for path in ("../my.dir/l5", "../l5"):
+        code, out, _ = run_cli(capsys, "render", path)
+        assert (code, out) == (0, f"wrote {path}.svg\n")
+        assert (tmp_path / "work" / f"{path}.svg").exists()
+    assert sorted(p.name for p in tmp_path.rglob("*.svg")) == ["l5.svg", "l5.svg", "torus.svg"]
+
+
+def test_render_huge_coordinates_is_an_error(tmp_path, capsys):
+    """A valid square too large for floats is analyzed, but not drawn."""
+    side = 10**400
+    path = tmp_path / "huge.json"
+    square = [[0, 0], [side, 0], [side, side], [0, side]]
+    path.write_text(json.dumps({"polygons": [square], "pairings": SQUARE_PAIRS}))
+    assert run_cli(capsys, "analyze", str(path))[0] == 0
+    svg = tmp_path / "huge.svg"
+    code, out, err = run_cli(capsys, "render", str(path), "-o", str(svg))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {path}: coordinates too large to draw"]
+    assert "Traceback" not in err
+    assert not svg.exists()
 
 
 FUZZ_ALPHABET = "09-(),[]{}: x\n"

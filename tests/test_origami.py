@@ -3,7 +3,7 @@
 import logging
 import math
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -760,6 +760,36 @@ def test_h2_counts_match_eskin_masur_schmoll():
     assert [oracles.h2_class_count(n) for n in range(3, 9)] == expected
     for n, count in zip(range(3, 9), expected):
         assert len(list(origami.origamis_in_stratum(n, (2,)))) == count, n
+
+
+_STEP = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
+
+
+def is_primitive(o):
+    """Whether the holonomies of the fundamental cycles span Z^2 (gcd of their 2x2 minors 1)."""
+    holonomies = [
+        tuple(map(sum, zip(*(_STEP[direction] for _, direction in c.steps))))
+        for c in spin.fundamental_cycles(o)
+    ]
+    return math.gcd(*(a * d - b * c for (a, b), (c, d) in combinations(holonomies, 2))) == 1
+
+
+def test_h2_orbits_match_mcmullen_hubert_lelievre():
+    """The primitive classes of H(2) split into the SL(2,Z) orbits of the oracle."""
+    for n in range(3, 10):
+        primitive = {
+            origami.canonical_form(o): o
+            for o in origami.origamis_in_stratum(n, (2,))
+            if is_primitive(o)
+        }
+        sizes = []
+        while primitive:
+            elements = origami.orbit(next(iter(primitive.values()))).elements
+            for code in elements:
+                del primitive[code]
+            sizes.append(len(elements))
+        assert sorted(sizes) == oracles.h2_orbit_sizes(n), n
+        assert sum(sizes) == oracles.primitive_h2_count(n), n
 
 
 @pytest.mark.parametrize("d", sorted(CLASSES_BY_DEGREE))
