@@ -236,6 +236,12 @@ def _parse_matrix(tokens: Sequence[str]) -> gl2.Mat2:
 def cmd_act(args: argparse.Namespace) -> int:
     from . import flatcore, gl2
 
+    if args.path is None:  # `act --matrix a b c d PATH`: --matrix took the path as well
+        *args.matrix, args.path = args.matrix
+        try:
+            _parse_matrix(args.matrix)  # before any file is read
+        except CliError as exc:
+            raise CliError(f"{exc} (with no path before --matrix, its last token is the path)")
     surf = _valid_surface(_load_input(args.path))
     if surf is None:
         return 1
@@ -429,13 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spin)
 
     p = sub.add_parser("act", help="apply a 2x2 rational matrix")
-    p.add_argument("path")
+    p.add_argument("path", nargs="?")
     p.add_argument(
         "--matrix",
         nargs="+",
         required=True,
         metavar="ENTRY",
-        help='four rationals "a b c d"; use one comma-joined token for negatives, e.g. 3/5,-4/5,4/5,3/5',
+        help='four rationals "a b c d", before or after the path; use one comma-joined token '
+        "for negatives, e.g. 3/5,-4/5,4/5,3/5",
     )
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_act)

@@ -17,9 +17,10 @@ degree 8, where importing numpy costs more than the scan, and numpy from
 degree 8 on, with one batch of int8 arrays per cycle type of h.  A class is
 one orbit of the rows under conjugation by C(h).  Below degree 8 the class
 loop marks each orbit at its first row; from degree 8 on one rule keeps one
-connected row per orbit (_orbit_representatives), which the classes code
-once and the involution scan of flatkit.spin tests once.  Enumeration
-stops at degree 10, where the numpy kernel holds all 10! permutations.
+row per orbit (_orbit_representatives), which the classes code once and the
+involution scan of flatkit.spin tests once; each of them drops the
+disconnected kept rows with a test it runs anyway.  Enumeration stops at
+degree 10, where the numpy kernel holds all 10! permutations.
 """
 
 from __future__ import annotations
@@ -989,22 +990,25 @@ def _least_conjugates(parts: Sequence[int], vinv):
 
 
 def _orbit_representatives(batch: PairBatch):
-    """One connected row per orbit of C(h) acting on the batch by conjugation.
+    """One row per orbit of C(h) acting on the connected rows of the batch by
+    conjugation, and some disconnected rows.
 
     Returns the indices, ascending, of the kept rows, then the number of
-    F-canonical rows and of connected ones among them.  F = n..d-1 are the
-    fixed points of h, and C(h) = K x Sym(F) with K = _centralizer_subset.
-    The F-relabeling of v walks, from each square of 0..n-1 in order, the
-    v-chain through F, and labels the F squares n, n+1, ... as met.  A row
-    is F-canonical when that is the identity: each f in F heads a chain
-    (v^-1(f) < n), the heads in the order of the squares they leave, or
-    follows f - 1 in its chain (v^-1(f) = f - 1 in F); when h is the
-    identity (n = 0) the one chain starts at square 0.  A v-cycle inside F
-    breaks the rule and disconnects the pair, so each Sym(F)-orbit of
-    connected rows holds exactly one F-canonical row.  A connected
-    F-canonical row is kept when no K-conjugate of it, F-relabeled, has a
-    lower _scan_rank (_least_conjugates).  So each isomorphism class of the
-    batch is kept once, and a kept row stands for |C(h)| / |Aut| rows.
+    F-canonical rows.  F = n..d-1 are the fixed points of h, and
+    C(h) = K x Sym(F) with K = _centralizer_subset.  The F-relabeling of v
+    walks, from each square of 0..n-1 in order, the v-chain through F, and
+    labels the F squares n, n+1, ... as met.  A row is F-canonical when that
+    is the identity: each f in F heads a chain (v^-1(f) < n), the heads in
+    the order of the squares they leave, or follows f - 1 in its chain
+    (v^-1(f) = f - 1 in F); when h is the identity (n = 0) the one chain
+    starts at square 0.  A v-cycle inside F breaks the rule and disconnects
+    the pair, so each Sym(F)-orbit of connected rows holds exactly one
+    F-canonical row.  An F-canonical row is kept when no K-conjugate of it,
+    F-relabeled, has a lower _scan_rank (_least_conjugates).  So each
+    isomorphism class of the batch is kept once, and a kept connected row
+    stands for |C(h)| / |Aut| rows.  Connectivity is NOT tested: it is the
+    same on a whole orbit, and each consumer drops the disconnected kept
+    rows with a test it runs anyway.
     """
     import numpy as np
 
@@ -1012,7 +1016,7 @@ def _orbit_representatives(batch: PairBatch):
     first = max(n, 1)  # the one chain of h = id starts at square 0
     follow = np.arange(first - 1, len(batch.h) - 1)[:, None]  # f - 1 for f in F
     kept = []
-    f_canonical = connected = 0
+    f_canonical = 0
     for lo in range(0, len(batch.v), _BLOCK):
         # Heads (v^-1(f) < n) in root order, the roots being distinct; other f follow f - 1.
         pred = batch.vinv[lo : lo + _BLOCK, first:].T  # v^-1(f) for f in F
@@ -1020,33 +1024,8 @@ def _orbit_representatives(batch: PairBatch):
         ok = np.where(pred < n, root == np.maximum.accumulate(root, axis=0), pred == follow)
         rows = lo + np.flatnonzero(ok.all(axis=0))
         f_canonical += len(rows)
-        rows = rows[_connected_columns(batch.h, batch.v[rows].T)]
-        connected += len(rows)
         kept.append(rows[_least_conjugates(batch.cycle_type, batch.vinv[rows].T.copy())])
-    return (np.concatenate(kept) if kept else np.arange(0)), f_canonical, connected
-
-
-def _connected_columns(h, v):
-    """Mask of the columns r of the (d, n) array v with (h, v[:, r]) connected.
-
-    Every cycle of h (a run of squares, h being a type representative) takes
-    the least label among its own and those of the cycles its squares go to
-    under v, until no label changes; v is a permutation, so v alone leads
-    around each component.  A pair is connected when every label is 0.
-    """
-    import numpy as np
-
-    cycles = [(c[0], c[0] + len(c)) for c in cycles_of(h.tolist())]
-    cycle_of = np.repeat(np.arange(len(cycles), dtype=np.int8), [b - a for a, b in cycles])
-    label = np.repeat(np.arange(len(cycles), dtype=np.int8)[:, None], v.shape[1], axis=1)
-    at = _flat_index(cycle_of[v])  # where label holds the label of the cycle of v(s)
-    while label.any():
-        reach = label.ravel()[at]
-        least = np.minimum(label, np.stack([reach[a:b].min(axis=0) for a, b in cycles]))
-        if (least == label).all():
-            break
-        label = least
-    return (label == 0).all(axis=0)
+    return (np.concatenate(kept) if kept else np.arange(0)), f_canonical
 
 
 def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
@@ -1061,10 +1040,12 @@ def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
     first unmarked row marks its whole orbit and computes one canonical
     code, None exactly when the orbit is disconnected; numpy is never
     imported there.  From _NUMPY_DEGREE on, each kept row of
-    _orbit_representatives is coded once, in the order of the least scan
-    rank of its orbit, and each cycle type of h logs its funnel at DEBUG on
-    the flatkit.origami logger: raw pairs, F-canonical rows, connected ones
-    and classes.
+    _orbit_representatives is coded once, the rows coded None (the
+    disconnected ones) are dropped, and the classes come in the order of
+    the least scan rank of their orbits; each cycle type of h logs its
+    funnel at DEBUG on the flatkit.origami logger: raw pairs, F-canonical
+    rows, kept rows and classes.  Each class is built from its code with no
+    second check of the permutations.
     """
     if d < _NUMPY_DEGREE:
         orders = _stratum_orders(d, orders)
@@ -1081,7 +1062,7 @@ def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
                 )
                 code = _canonical_code(d, h, v, hinv, invert_perm(v))
                 if code is not None:
-                    yield decode_canonical(code)
+                    yield Origami._trusted(d, code[1 : 1 + d], code[1 + d :])
         return
 
     import logging
@@ -1090,16 +1071,22 @@ def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
 
     log = logging.getLogger(__name__)
     for batch in _stratum_batches(d, orders):
-        kept, f_canonical, connected = _orbit_representatives(batch)
+        kept, f_canonical = _orbit_representatives(batch)
+        h, hinv = batch.h.tolist(), batch.hinv.tolist()
+        codes = [
+            _canonical_code(d, h, v, hinv, vinv)
+            for v, vinv in zip(batch.v[kept].tolist(), batch.vinv[kept].tolist())
+        ]
+        classes = [i for i, code in enumerate(codes) if code is not None]
         log.debug(
-            "origamis_in_stratum d=%d h type %s: %d pairs, %d F-canonical, %d connected, "
-            "%d classes",
-            d, batch.cycle_type, len(batch.v), f_canonical, connected, len(kept),
+            "origamis_in_stratum d=%d h type %s: %d pairs, %d F-canonical, %d kept, %d classes",
+            d, batch.cycle_type, len(batch.v), f_canonical, len(kept), len(classes),
         )
-        if not len(kept):  # no class: skip the centralizer, which can hold 10! elements
+        if not classes:  # skip the centralizer, which can hold 10! elements
             continue
-        # The least scan rank over the C(h)-orbit of each kept row, in pieces
+        # The least scan rank over the C(h)-orbit of each class, in pieces
         # of about _BLOCK conjugates.
+        kept = kept[classes]
         centralizer = _centralizer_array(batch.cycle_type)
         cinv, size = _inverse_columns(centralizer), centralizer.shape[1]
         first = np.empty(len(kept), dtype=np.int32)
@@ -1108,10 +1095,9 @@ def _classes(d: int, orders: Sequence[int]) -> Iterator[Origami]:
             vinv = batch.vinv[kept[lo : lo + step]].T
             conj = centralizer[vinv[cinv], np.arange(size)[:, None]]  # (d, |C(h)|, rows)
             first[lo : lo + step] = _scan_rank(conj.reshape(d, -1)).reshape(size, -1).min(axis=0)
-        kept = kept[np.argsort(first)]
-        h, hinv = batch.h.tolist(), batch.hinv.tolist()
-        for row, row_inv in zip(batch.v[kept].tolist(), batch.vinv[kept].tolist()):
-            yield decode_canonical(_canonical_code(d, h, row, hinv, row_inv))
+        for i in np.argsort(first):
+            code = codes[classes[i]]
+            yield Origami._trusted(d, code[1 : 1 + d], code[1 + d :])
 
 
 def origamis_in_stratum(d: int, orders: Sequence[int]) -> Iterator[Origami]:

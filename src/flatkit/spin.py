@@ -434,12 +434,13 @@ def _propagations(batch: origami_mod.PairBatch, commuting: bool = False) -> np.n
     involution is such a map, so every row with one has a nonzero count.
     The commuting propagation applies sigma(h(s)) = h(sigma(s)) and
     sigma(v(s)) = v(sigma(s)); on a connected row its maps are the
-    automorphisms of the pair, so the count is |Aut|.  Either map sends the
-    h-cycle of 0 to an h-cycle as long, so only such t are tried.  Each
-    round applies both rules to the whole state matrix at once, int8 with -1
-    for an image not known yet.  A row stops when two images of one square
-    clash or when a round adds no image, and counts when it stops with no
-    clash and every image known.
+    automorphisms of the pair, so the count is |Aut| >= 1.  Either rule
+    reaches only the component of square 0, so every disconnected row counts
+    0.  Either map sends the h-cycle of 0 to an h-cycle as long, so only
+    such t are tried.  Each round applies both rules to the whole state
+    matrix at once, int8 with -1 for an image not known yet.  A row stops
+    when two images of one square clash or when a round adds no image, and
+    counts when it stops with no clash and every image known.
     """
     import numpy as np
 
@@ -484,27 +485,24 @@ def _propagations(batch: origami_mod.PairBatch, commuting: bool = False) -> np.n
     return counts
 
 
-def _propagation_survivors(batch: origami_mod.PairBatch) -> np.ndarray:
-    """Mask of the rows of a batch that may have a flat involution (_propagations)."""
-    return _propagations(batch) > 0
-
-
 def _batch_scan(d: int, orders: Sequence[int], per_class: bool = False) -> tuple[int, int]:
     """hyperelliptic_scan over the numpy batches, one row per isomorphism class.
 
     Conjugating (h, v) by an element of C(h) relabels the pair and keeps h,
     so a flat involution exists on every row of a C(h)-orbit or on none.
-    Only the kept rows of origami._orbit_representatives, one connected row
-    per orbit, go to _propagation_survivors, and only the rows that survive
-    it go to _involution_core.  Disconnected rows never have a witness.
-    Returns (rows, rows with a witness), a witness row counting
-    |C(h)| / |Aut| times, |Aut| from the commuting propagation; with
-    per_class, (kept rows, kept rows with a witness), which counts classes.
-    Each cycle type of h logs at DEBUG its funnel (cosets tested, cosets
-    passing the kernel's filters, rows, F-canonical rows, connected ones,
-    kept rows, propagation survivors, witness rows, witnesses) and the
-    seconds spent in the kernel, the orbit filter, the propagation and the
-    per-pair test.
+    Only the kept rows of origami._orbit_representatives, one row per
+    orbit, go to the involution propagation (_propagations), and only the
+    rows with a nonzero count go to _involution_core.  Disconnected rows
+    never have a witness, so no step tests connectivity.  Returns (rows,
+    rows with a witness), a witness row counting |C(h)| / |Aut| times,
+    |Aut| from the commuting propagation; with per_class, (connected kept
+    rows, kept rows with a witness), which counts classes: the commuting
+    propagation is nonzero exactly on the connected rows, where the
+    identity extends to an automorphism.  Each cycle type of h logs at
+    DEBUG its funnel (cosets tested, cosets passing the kernel's filters,
+    rows, F-canonical rows, kept rows, propagation survivors, witness rows,
+    witnesses) and the seconds spent in the kernel, the orbit filter, the
+    propagation and the per-pair test.
     """
     import logging
     import time
@@ -519,10 +517,10 @@ def _batch_scan(d: int, orders: Sequence[int], per_class: bool = False) -> tuple
         if batch is None:
             break
         kernel = time.perf_counter()
-        kept, f_canonical, connected = origami_mod._orbit_representatives(batch)
+        kept, f_canonical = origami_mod._orbit_representatives(batch)
         reps = batch._replace(v=batch.v[kept], vinv=batch.vinv[kept])
         orbit_filter = time.perf_counter()
-        survive = _propagation_survivors(reps).nonzero()[0]
+        survive = _propagations(reps).nonzero()[0]
         propagation = time.perf_counter()
         h, hinv = batch.h.tolist(), batch.hinv.tolist()
         found = [
@@ -532,21 +530,22 @@ def _batch_scan(d: int, orders: Sequence[int], per_class: bool = False) -> tuple
         ]
         order = origami_mod._centralizer_order(batch.cycle_type)
         if per_class:
+            scanned += int((_propagations(reps, commuting=True) > 0).sum())
             witnesses = len(found)
         else:
+            scanned += len(batch.v)
             found_rows = reps._replace(v=reps.v[found], vinv=reps.vinv[found])
             witnesses = int((order // _propagations(found_rows, commuting=True)).sum())
         test = time.perf_counter()
         log.debug(
             "hyperelliptic_scan d=%d h type %s: %d cosets tested, %d pass, %d rows, "
-            "%d F-canonical, %d connected, %d kept, %d survive propagation, "
-            "%d witness rows, %d witnesses; kernel %.3f s, orbit filter %.3f s, "
-            "propagation %.3f s, per-pair test %.3f s",
+            "%d F-canonical, %d kept, %d survive propagation, %d witness rows, "
+            "%d witnesses; kernel %.3f s, orbit filter %.3f s, propagation %.3f s, "
+            "per-pair test %.3f s",
             d, batch.cycle_type, math.factorial(d) // order, len(batch.v) // order, len(batch.v),
-            f_canonical, connected, len(kept), len(survive), len(found), witnesses,
+            f_canonical, len(kept), len(survive), len(found), witnesses,
             kernel - start, orbit_filter - kernel, propagation - orbit_filter, test - propagation,
         )
-        scanned += len(kept) if per_class else len(batch.v)
         hits += witnesses
     return scanned, hits
 
@@ -556,8 +555,9 @@ def hyperelliptic_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
 
     Returns (pairs scanned, pairs admitting an involution).  Below degree 9
     the pairs are one per isomorphism class: below degree 8 those of
-    origami.stratum_pairs_raw, at degree 8 the kept rows of the numpy
-    batches (_batch_scan with per_class), with no canonical form computed.
+    origami.stratum_pairs_raw, at degree 8 the connected kept rows of the
+    numpy batches (_batch_scan with per_class), with no canonical form
+    computed.
     From degree 9 on the scan covers every labeled cycle-type match,
     including non-transitive pairs (_batch_scan): it tests one pair per
     orbit of the centralizer of h acting by conjugation and counts each

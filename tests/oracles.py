@@ -39,6 +39,10 @@ marking: every connected raw pair of the Python kernel, in scan order, gets
 a canonical code, and a seen set drops the codes already met.
 labeled_stratum_pairs_python lists those raw pairs.
 
+connected_columns tests the connectivity of each row of a numpy batch by
+label propagation over the cycles of h, with neither a canonical code nor
+a propagation of flatkit.spin.
+
 connected_pair_count is A_d(orders), the number of connected labeled pairs
 (h, v) in S_d x S_d whose corner permutation has the cycle type of the
 orders.  All labeled pairs, connected or not, number
@@ -398,6 +402,29 @@ def classes_reference(d: int, orders: tuple[int, ...]) -> list[origami.Origami]:
                 seen.add(code)
                 out.append(origami.decode_canonical(code))
     return out
+
+
+def connected_columns(h, v):
+    """Mask of the columns r of the (d, n) int8 array v with (h, v[:, r]) connected.
+
+    Every cycle of h (a run of squares, h being a type representative) takes
+    the least label among its own and those of the cycles its squares go to
+    under v, until no label changes; v is a permutation, so v alone leads
+    around each component.  A pair is connected when every label is 0.
+    """
+    import numpy as np
+
+    cycles = [(c[0], c[0] + len(c)) for c in origami.cycles_of(h.tolist())]
+    cycle_of = np.repeat(np.arange(len(cycles), dtype=np.int8), [b - a for a, b in cycles])
+    label = np.repeat(np.arange(len(cycles), dtype=np.int8)[:, None], v.shape[1], axis=1)
+    at = origami._flat_index(cycle_of[v])  # where label holds the label of the cycle of v(s)
+    while label.any():
+        reach = label.ravel()[at]
+        least = np.minimum(label, np.stack([reach[a:b].min(axis=0) for a, b in cycles]))
+        if (least == label).all():
+            break
+        label = least
+    return (label == 0).all(axis=0)
 
 
 # Where a curve crosses each side of a square, in sixteenths of a turn from the

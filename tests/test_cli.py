@@ -279,6 +279,33 @@ def test_act_comma_matrix_with_negatives(capsys):
     assert flatcore.validate(image).ok
 
 
+def test_act_takes_the_path_after_the_matrix(capsys):
+    """`act --matrix a b c d PATH` reads the last token as the path and gives
+    what every other form gives; a missing path or entry is an error line."""
+    path = str(DATA / "decagon.json")
+    forms = [
+        ["--matrix", "2", "0", "0", "1", path],
+        ["--matrix", "2,0,0,1", path],
+        ["--matrix=2,0,0,1", path],
+        [path, "--matrix", "2", "0", "0", "1"],
+        [path, "--matrix", "2,0,0,1"],
+        [path, "--matrix=2,0,0,1"],
+    ]
+    outputs = set()
+    for form in forms:
+        code, out, err = run_cli(capsys, "act", *form)
+        assert (code, err) == (0, ""), form
+        outputs.add(out)
+    assert len(outputs) == 1
+    code, out, err = run_cli(capsys, "act", "--matrix", "1", "0", "0", "-1", path)
+    assert code == 1
+    assert "orientation-reversing" in err
+    for form in (["2", "0", "0", "1"], ["2,0,0,1"], ["2", "0", "0", "1", "1", path]):
+        code, out, err = run_cli(capsys, "act", "--matrix", *form)
+        assert (code, out) == (1, ""), form
+        assert err.startswith("error: matrix needs 4 entries") and err.count("\n") == 1, form
+
+
 def test_act_rejects_bad_matrix(capsys):
     code, _, err = run_cli(
         capsys, "act", str(DATA / "octagon.json"), "--matrix", "1", "0", "0", "-1"

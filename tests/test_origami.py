@@ -676,29 +676,33 @@ def test_h31_raw_totals_from_characters():
 
 
 def test_orbit_sizes_add_up_to_the_batch():
-    """Each kept row stands for |C(h)| / |Aut| rows, its C(h)-orbit, so the
-    kept rows account for every connected row of the batch."""
+    """Each connected kept row stands for |C(h)| / |Aut| rows, its C(h)-orbit,
+    so the connected kept rows account for every connected row of the batch,
+    and each kept row for at most |K| F-canonical rows."""
     import numpy as np
 
     for d in (7, 8):
         for orders in signatures(d):
             for batch in origami._stratum_batches(d, orders):
-                kept, f_canonical, connected = origami._orbit_representatives(batch)
+                kept, f_canonical = origami._orbit_representatives(batch)
                 reps = batch._replace(v=batch.v[kept], vinv=batch.vinv[kept])
                 automorphisms = spin._propagations(reps, commuting=True)
+                connected = automorphisms > 0
+                assert (connected == oracles.connected_columns(batch.h, reps.v.T)).all()
                 order = origami._centralizer_order(batch.cycle_type)
-                weight = order // automorphisms
-                assert (weight * automorphisms == order).all()
-                rows = origami._connected_columns(batch.h, batch.v.T)
+                weight = order // automorphisms[connected]
+                assert (weight * automorphisms[connected] == order).all()
+                rows = oracles.connected_columns(batch.h, batch.v.T)
                 assert weight.sum() == rows.sum(), (d, orders, batch.cycle_type)
-                assert len(batch.v) >= f_canonical >= connected >= len(kept)
+                k = len(origami._centralizer_subset(batch.cycle_type))
+                assert len(kept) <= f_canonical <= min(len(batch.v), k * len(kept))
                 assert (np.diff(kept) > 0).all()
 
 
 def test_kept_rows_satisfy_the_mass_formula():
-    """The sum of 1/|Aut| over the kept rows is A_d/d!, with |Aut| and A_d
-    from tests/oracles.py, for every signature up to degree 7 and H(3,1) at
-    degree 8."""
+    """The sum of 1/|Aut| over the connected kept rows is A_d/d!, with
+    connectivity, |Aut| and A_d from tests/oracles.py, for every signature up
+    to degree 7 and H(3,1) at degree 8."""
     from fractions import Fraction
 
     cases = [(d, orders) for d in range(1, 8) for orders in signatures(d)] + [(8, (3, 1))]
@@ -706,6 +710,7 @@ def test_kept_rows_satisfy_the_mass_formula():
         sizes = Counter()
         for batch in origami._stratum_batches(d, orders):
             kept = origami._orbit_representatives(batch)[0]
+            kept = kept[oracles.connected_columns(batch.h, batch.v[kept].T)]
             h, hinv = batch.h.tolist(), batch.hinv.tolist()
             for v, vinv in zip(batch.v[kept].tolist(), batch.vinv[kept].tolist()):
                 sizes[oracles.automorphism_count(d, h, v, hinv, vinv)] += 1
@@ -717,12 +722,19 @@ def test_kept_rows_satisfy_the_mass_formula():
 
 
 def test_connected_columns_match_is_connected():
-    for orders in signatures(6):
-        for batch in origami._stratum_batches(6, orders):
-            got = origami._connected_columns(batch.h, batch.v.T)
-            h = tuple(batch.h.tolist())
-            expected = [origami.is_connected(origami.Origami(6, h, tuple(v))) for v in batch.v.tolist()]
-            assert got.tolist() == expected, (orders, batch.cycle_type)
+    """The commuting propagation is nonzero, and the reference connectivity
+    of tests/oracles.py holds, exactly on the connected rows."""
+    for d in (5, 6):
+        for orders in signatures(d):
+            for batch in origami._stratum_batches(d, orders):
+                h = tuple(batch.h.tolist())
+                expected = [
+                    origami.is_connected(origami.Origami(d, h, tuple(v))) for v in batch.v.tolist()
+                ]
+                automorphisms = spin._propagations(batch, commuting=True)
+                assert (automorphisms > 0).tolist() == expected, (d, orders, batch.cycle_type)
+                got = oracles.connected_columns(batch.h, batch.v.T)
+                assert got.tolist() == expected, (d, orders, batch.cycle_type)
 
 
 def test_one_canonical_form_per_class_at_degree_8(monkeypatch):
@@ -746,10 +758,9 @@ def test_class_funnel_adds_up(caplog):
     records = [r for r in caplog.records if r.name == "flatkit.origami"]
     assert [r.args[1] for r in records] == list(strata.int_partitions(8))
     funnels = [r.args[2:] for r in records]
-    for (pairs, f_canonical, connected, classes), record in zip(funnels, records):
-        order = origami._centralizer_order(record.args[1])
-        assert pairs >= f_canonical >= connected >= classes
-        assert classes <= connected <= order * classes
+    for (pairs, f_canonical, kept, classes), record in zip(funnels, records):
+        assert pairs >= f_canonical >= kept >= classes
+        assert f_canonical <= len(origami._centralizer_subset(record.args[1])) * kept
     assert sum(f[0] for f in funnels) == len(numpy_kernel_rows(8, (2,)))
     assert sum(f[3] for f in funnels) == 135
     assert sum(f[1] for f in funnels) < sum(f[0] for f in funnels)
