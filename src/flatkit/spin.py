@@ -5,16 +5,17 @@ they pass perpendicularly at its midpoint.  From a spanning tree of the
 center graph we get d+1 fundamental cycles; their pairwise intersection
 parities, counted against a copy of one curve pushed off by a small
 translation, and their winding indices define a quadratic form on mod-2
-homology whose Arf invariant is the spin parity of the surface.  Each cycle
-reads its chords (entry and exit side per square) once; a 256-entry table
-holds the crossing bit of every pair of chords, and one pass over the
-squares reads it for every pair of cycles that meet there, so the whole
-pairing comes from one walk.  One GF(2) reduction of the pairing yields
-both the symplectic pairs and a basis of the radical.  The cycles of a
-spanning tree are checked by the tree walk that builds them, not again by
-SimpleCycle.  The module also detects the 180-degree flat involution with
-sphere quotient and classifies the connected component of the ambient
-stratum.
+homology whose Arf invariant is the spin parity of the surface.  One walk
+of the tree gives every cycle as squares and direction numbers, and one
+loop over each cycle's steps gives its chords (entry and exit side per
+square) and its turning total; a 256-entry table holds the crossing bit of
+every pair of chords, and one pass over the squares reads it for every
+pair of cycles that meet there, so the whole pairing comes from one walk.
+One GF(2) reduction of the pairing yields both the symplectic pairs and a
+basis of the radical.  The cycles of a spanning tree are checked by the
+tree walk that builds them, not again by SimpleCycle.  The module also
+detects the 180-degree flat involution with sphere quotient and classifies
+the connected component of the ambient stratum.
 """
 
 from __future__ import annotations
@@ -36,10 +37,7 @@ if TYPE_CHECKING:
 
 _DIRS = ("E", "N", "W", "S")
 _IDX = {"E": 0, "N": 1, "W": 2, "S": 3}
-
-
-def _opp(direction: str) -> str:
-    return _DIRS[(_IDX[direction] + 2) % 4]
+_Walk = tuple[tuple[int, ...], tuple[int, ...]]  # a cycle's squares and direction numbers
 
 
 def _moves(o: Origami) -> dict[str, Sequence[int]]:
@@ -51,7 +49,7 @@ def _edge(moves: Mapping[str, Sequence[int]], s: int, direction: str) -> tuple[i
     """The tiling edge a step crosses, named by the square whose E or N side it is."""
     if direction in ("E", "N"):
         return (s, direction)
-    return (moves[direction][s], _opp(direction))
+    return (moves[direction][s], _DIRS[(_IDX[direction] + 2) % 4])
 
 
 @dataclass(frozen=True)
@@ -98,11 +96,12 @@ class SimpleCycle:
         return tuple(_edge(moves, s, d) for s, d in self.steps)
 
     @classmethod
-    def _trusted(cls, origami: Origami, steps: tuple[tuple[int, str], ...]) -> SimpleCycle:
-        """A cycle built from steps that already meet every check of __post_init__,
-        which does not run."""
+    def _trusted(cls, origami: Origami, walk: _Walk) -> SimpleCycle:
+        """A cycle from a walk whose steps already meet every check of
+        __post_init__, which does not run."""
+        squares, ways = walk
         cycle = object.__new__(cls)
-        cycle.__dict__.update(origami=origami, steps=steps)
+        cycle.__dict__.update(origami=origami, steps=tuple(zip(squares, [_DIRS[k] for k in ways])))
         return cycle
 
     @cached_property
@@ -117,6 +116,46 @@ class SimpleCycle:
         return MappingProxyType(chords)
 
 
+def _tree_walks(o: Origami, rng: Optional[random.Random] = None) -> list[_Walk]:
+    """The cycles of fundamental_cycles in its order, with directions numbered
+    as in _DIRS: each tree path climbs by depth from both ends of the
+    closing edge until they meet."""
+    d = o.d
+    moves = (o.h, o.v, invert_perm(o.h), invert_perm(o.v))
+    # per square: its parent, the direction of the step from it, its depth
+    parent, way, depth = [0] * d, [0] * d, [0] + [-1] * (d - 1)
+    tree = set()  # the tree edges, the E side of square s as 2s, its N side as 2s + 1
+    reached = [0]
+    for s in reached:
+        order = [0, 1, 2, 3]
+        if rng is not None:
+            rng.shuffle(order)
+        for k in order:
+            t = moves[k][s]
+            if depth[t] < 0:
+                parent[t], way[t], depth[t] = s, k, depth[s] + 1
+                tree.add(2 * s + k if k < 2 else 2 * t + k - 2)
+                reached.append(t)
+    if len(reached) != d:
+        raise ValueError("not connected: h and v do not act transitively")
+    walks = []
+    for s, k in (divmod(edge, 2) for edge in range(2 * d) if edge not in tree):
+        # steps up from a = moves[k][s] as square, direction; down to s as
+        # direction, square, so that the reversed list reads square, direction
+        a, b, up, down = moves[k][s], s, [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                up += (a, way[a] ^ 2)
+                a = parent[a]
+            else:
+                down += (way[b], parent[b])
+                b = parent[b]
+        steps = up + down[::-1] + [s, k]
+        walks.append((tuple(steps[::2]), tuple(steps[1::2])))
+    assert len(walks) == d + 1
+    return walks
+
+
 def fundamental_cycles(o: Origami, rng: Optional[random.Random] = None) -> list[SimpleCycle]:
     """One cycle per non-tree edge of a spanning tree of the center graph.
 
@@ -129,46 +168,7 @@ def fundamental_cycles(o: Origami, rng: Optional[random.Random] = None) -> list[
     twice and the closing edge is no tree edge, so every cycle meets the
     checks of SimpleCycle, and they are not run again.
     """
-    moves = _moves(o)
-    # square -> (parent, direction from it); the root, square 0, has no link
-    link: dict[int, tuple[int, str]] = {}
-    reached = [0]
-    for s in reached:
-        order = list(_DIRS)
-        if rng is not None:
-            rng.shuffle(order)
-        for direction in order:
-            t = moves[direction][s]
-            if t != 0 and t not in link:
-                link[t] = (s, direction)
-                reached.append(t)
-    if len(reached) != o.d:
-        raise ValueError("not connected: h and v do not act transitively")
-    tree_edges = {_edge(moves, *step) for step in link.values()}
-
-    def to_root(x: int) -> list[int]:
-        path = []
-        while x != 0:
-            path.append(x)
-            x = link[x][0]
-        return path
-
-    def tree_path(a: int, b: int) -> list[tuple[int, str]]:
-        """Steps along the tree from square a to square b."""
-        up, down = to_root(a), to_root(b)
-        while up and down and up[-1] == down[-1]:
-            up.pop()
-            down.pop()
-        return [(x, _opp(link[x][1])) for x in up] + [link[y] for y in reversed(down)]
-
-    cycles = []
-    for s in range(o.d):
-        for letter in ("E", "N"):
-            if (s, letter) not in tree_edges:
-                steps = tree_path(moves[letter][s], s) + [(s, letter)]
-                cycles.append(SimpleCycle._trusted(o, tuple(steps)))
-    assert len(cycles) == o.d + 1
-    return cycles
+    return [SimpleCycle._trusted(o, walk) for walk in _tree_walks(o, rng)]
 
 
 def turning_index(cycle: SimpleCycle) -> int:
@@ -245,31 +245,57 @@ class QuadraticFormData:
     holds (turning index + 1) mod 2 per cycle.  The form descends to mod-2
     homology: the radical of the pairing is exactly the kernel of that
     descent, q vanishes on it (checked), and the symplectic rank is 2g.
-    arf is the spin parity.
+    arf is the spin parity.  cycles and pairing are built on first read,
+    from the tree walks and from the pairing rows as bitmasks.
     """
 
-    cycles: tuple[SimpleCycle, ...]
-    pairing: tuple[tuple[int, ...], ...]
+    _origami: Origami
+    _walks: tuple[_Walk, ...]
+    _rows: tuple[int, ...]
     q_values: tuple[int, ...]
     radical_rank: int
     symplectic_rank: int
     arf: int
 
+    @cached_property
+    def cycles(self) -> tuple[SimpleCycle, ...]:
+        return tuple(SimpleCycle._trusted(self._origami, walk) for walk in self._walks)
+
+    @cached_property
+    def pairing(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple((row >> j) & 1 for j in range(len(self._rows))) for row in self._rows)
+
 
 def build_quadratic_form(o: Origami, rng: Optional[random.Random] = None) -> QuadraticFormData:
+    """The winding quadratic form on the cycles fundamental_cycles(o, rng)
+    gives: cycles, pairing matrix (both built on first read), q values,
+    radical and symplectic ranks and Arf invariant.  One loop over each
+    cycle's steps reads its chords and its turning total, with the checks
+    of turning_index.  Needs all even zero orders."""
     signature = singularity_orders(o)
     if any(m % 2 for m in signature.orders):
         raise ValueError("spin undefined: odd zero order")
     g = signature.genus
-    cycles = tuple(fundamental_cycles(o, rng))
-    m = len(cycles)
+    walks = tuple(_tree_walks(o, rng))
+    m = len(walks)
     # pairing_mod2 for every pair of cycles at once: the chords of each
     # square in cycle order, so the lower index is c1, and bit i of diagonal
-    # is pairing_mod2(cycles[i], cycles[i]).
+    # is pairing_mod2(cycles[i], cycles[i]).  A step in direction k after one
+    # in direction back enters through side back ^ 2 and turns by k - back.
     visits: list[list[tuple[int, int]]] = [[] for _ in range(o.d)]
-    for i, cycle in enumerate(cycles):
-        for square, chord in cycle.chords.items():
-            visits[square].append((i, chord))
+    q_values = []
+    for i, (squares, ways) in enumerate(walks):
+        back, total = ways[-1], 0
+        for s, k in zip(squares, ways):
+            visits[s].append((i, 4 * (back ^ 2) + k))
+            turn = ((k - back + 1) & 3) - 1
+            if turn == 2:
+                raise RuntimeError("cycle reverses direction; not a reduced cycle")
+            total += turn
+            back = k
+        if total % 4 != 0:
+            raise RuntimeError(f"turning total {total} not divisible by 4")
+        q_values.append((total // 4 + 1) % 2)
     rows = [0] * m
     diagonal = 0
     for chords in visits:
@@ -282,7 +308,6 @@ def build_quadratic_form(o: Origami, rng: Optional[random.Random] = None) -> Qua
                     rows[j] ^= 1 << i
     if diagonal:
         raise RuntimeError("self-pairing must vanish")
-    q_values = tuple((turning_index(c) + 1) % 2 for c in cycles)
 
     # One reduction: split off a crossing pair (a, b) and make the rest
     # orthogonal to it, until no two vectors left cross.  The vectors left
@@ -315,13 +340,10 @@ def build_quadratic_form(o: Origami, rng: Optional[random.Random] = None) -> Qua
                 w = add(w, b)
             pool[k] = w
     if symplectic_rank != 2 * g:
-        raise RuntimeError(
-            f"symplectic rank {symplectic_rank} does not match 2g = {2 * g}"
-        )
-    matrix = tuple(
-        tuple((rows[i] >> j) & 1 for j in range(m)) for i in range(m)
+        raise RuntimeError(f"symplectic rank {symplectic_rank} does not match 2g = {2 * g}")
+    return QuadraticFormData(
+        o, walks, tuple(rows), tuple(q_values), radical_rank, symplectic_rank, arf
     )
-    return QuadraticFormData(cycles, matrix, q_values, radical_rank, symplectic_rank, arf)
 
 
 def spin_parity(o: Origami, rng: Optional[random.Random] = None) -> int:
@@ -425,9 +447,11 @@ def hyperelliptic_involution(o: Origami) -> Optional[tuple[int, ...]]:
     return _involution_core(o.d, o.h, o.v, invert_perm(o.h), invert_perm(o.v))
 
 
-def _propagations(batch: origami_mod.PairBatch, commuting: bool = False) -> np.ndarray:
-    """Per row of a batch, the number of squares t from which sigma(0) = t
-    propagates to a map defined on every square without a clash.
+def _propagations(
+    batch: origami_mod.PairBatch, commuting: bool = False, starts: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """Per row of a batch, the number of squares t among starts from which
+    sigma(0) = t propagates to a map defined on every square without a clash.
 
     The involution propagation (commuting False) applies
     sigma(h(s)) = h^-1(sigma(s)) and sigma(v(s)) = v^-1(sigma(s)); a flat
@@ -436,11 +460,13 @@ def _propagations(batch: origami_mod.PairBatch, commuting: bool = False) -> np.n
     sigma(v(s)) = v(sigma(s)); on a connected row its maps are the
     automorphisms of the pair, so the count is |Aut| >= 1.  Either rule
     reaches only the component of square 0, so every disconnected row counts
-    0.  Either map sends the h-cycle of 0 to an h-cycle as long, so only
-    such t are tried.  Each round applies both rules to the whole state
-    matrix at once, int8 with -1 for an image not known yet.  A row stops
-    when two images of one square clash or when a round adds no image, and
-    counts when it stops with no clash and every image known.
+    0.  Either map sends the h-cycle of 0 to an h-cycle as long, so the
+    default starts are the t whose h-cycle is as long as that of 0; from
+    starts (0,) the commuting count is 1 exactly on the connected rows.
+    Each round applies both rules to the whole state matrix at once, int8
+    with -1 for an image not known yet.  A row stops when two images of one
+    square clash or when a round adds no image, and counts when it stops
+    with no clash and every image known.
     """
     import numpy as np
 
@@ -450,17 +476,18 @@ def _propagations(batch: origami_mod.PairBatch, commuting: bool = False) -> np.n
         return np.maximum(state, image), clash
 
     n, d = batch.v.shape
-    length = [0] * d
-    for cycle in cycles_of(batch.h.tolist()):
-        for s in cycle:
-            length[s] = len(cycle)
-    candidates = [t for t in range(d) if length[t] == length[0]]
+    if starts is None:
+        length = [0] * d
+        for cycle in cycles_of(batch.h.tolist()):
+            for s in cycle:
+                length[s] = len(cycle)
+        starts = [t for t in range(d) if length[t] == length[0]]
     hinv_rows = batch.hinv.astype(np.intp)
     h_images = np.append(batch.h if commuting else batch.hinv, np.int8(-1))  # index -1 stays -1
     v_images = batch.v if commuting else batch.vinv
     counts = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, origami_mod._BLOCK):
-        for t in candidates:
+        for t in starts:
             # One column per row of the batch: state[s] holds sigma(s), and
             # image has a last row of -1, which index -1 wraps to.
             alive = np.arange(lo, min(lo + origami_mod._BLOCK, n))
@@ -497,8 +524,8 @@ def _batch_scan(d: int, orders: Sequence[int], per_class: bool = False) -> tuple
     rows with a witness), a witness row counting |C(h)| / |Aut| times,
     |Aut| from the commuting propagation; with per_class, (connected kept
     rows, kept rows with a witness), which counts classes: the commuting
-    propagation is nonzero exactly on the connected rows, where the
-    identity extends to an automorphism.  Each cycle type of h logs at
+    propagation from sigma(0) = 0 alone is 1 exactly on the connected rows,
+    where the identity extends to an automorphism.  Each cycle type of h logs at
     DEBUG its funnel (cosets tested, cosets passing the kernel's filters,
     rows, F-canonical rows, kept rows, propagation survivors, witness rows,
     witnesses) and the seconds spent in the kernel, the orbit filter, the
@@ -530,7 +557,7 @@ def _batch_scan(d: int, orders: Sequence[int], per_class: bool = False) -> tuple
         ]
         order = origami_mod._centralizer_order(batch.cycle_type)
         if per_class:
-            scanned += int((_propagations(reps, commuting=True) > 0).sum())
+            scanned += int(_propagations(reps, commuting=True, starts=(0,)).sum())
             witnesses = len(found)
         else:
             scanned += len(batch.v)

@@ -722,8 +722,9 @@ def test_kept_rows_satisfy_the_mass_formula():
 
 
 def test_connected_columns_match_is_connected():
-    """The commuting propagation is nonzero, and the reference connectivity
-    of tests/oracles.py holds, exactly on the connected rows."""
+    """The commuting propagation is nonzero, from the default starts and
+    from sigma(0) = 0 alone, and the reference connectivity of
+    tests/oracles.py holds, exactly on the connected rows."""
     for d in (5, 6):
         for orders in signatures(d):
             for batch in origami._stratum_batches(d, orders):
@@ -733,6 +734,8 @@ def test_connected_columns_match_is_connected():
                 ]
                 automorphisms = spin._propagations(batch, commuting=True)
                 assert (automorphisms > 0).tolist() == expected, (d, orders, batch.cycle_type)
+                identity = spin._propagations(batch, commuting=True, starts=(0,))
+                assert identity.tolist() == expected, (d, orders, batch.cycle_type)  # 1 or 0
                 got = oracles.connected_columns(batch.h, batch.v.T)
                 assert got.tolist() == expected, (d, orders, batch.cycle_type)
 

@@ -192,6 +192,19 @@ def test_fundamental_cycles_pass_the_public_checks():
                 assert spin.SimpleCycle(o, cycle.steps).steps == cycle.steps
 
 
+def test_form_matches_the_public_reference():
+    """build_quadratic_form reads chords and turning totals in one loop over
+    each cycle's steps; its q values are those of turning_index, and its
+    cycles are those of fundamental_cycles on the same tree."""
+    for o, salts in form_cases():
+        for salt in salts:
+            form = spin.build_quadratic_form(o, tree(salt))
+            q_values = tuple((spin.turning_index(c) + 1) % 2 for c in form.cycles)
+            assert form.q_values == q_values, (o, salt)
+            steps = [c.steps for c in spin.fundamental_cycles(o, tree(salt))]
+            assert [c.steps for c in form.cycles] == steps, (o, salt)
+
+
 def test_pairing_needs_one_origami(l3, l5):
     with pytest.raises(ValueError, match="different origamis"):
         spin.pairing_mod2(spin.fundamental_cycles(l3)[0], spin.fundamental_cycles(l5)[0])
