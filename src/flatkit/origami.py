@@ -4,6 +4,10 @@ An origami of degree d is d unit squares with the right edge of square s
 glued to the left edge of square h(s) and the top edge of s glued to the
 bottom edge of v(s); the pair must act transitively so the surface is
 connected.  Squares are 0-based internally; the text format is 1-based.
+Each Origami derives h^-1, v^-1 and the cycles of its corner permutation
+once, on first read, in private cached properties (_hinv, _vinv,
+_corner_cycles, and _signature from them), and every reader here and in
+flatkit.spin takes them from there; ==, hash and repr see d, h and v only.
 
 Provides conversion to a polygon surface, stratum computation from the
 corner permutation (the source of truth; the tests check it against the
@@ -30,6 +34,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -79,12 +84,29 @@ class Origami:
         o.__dict__.update(d=d, h=h, v=v)
         return o
 
+    @cached_property
+    def _hinv(self) -> Perm:
+        return invert_perm(self.h)
+
+    @cached_property
+    def _vinv(self) -> Perm:
+        return invert_perm(self.v)
+
+    @cached_property
+    def _corner_cycles(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, cycles_of(commutator(self))))
+
+    @cached_property
+    def _signature(self) -> StratumSignature:
+        orders = sorted((len(c) - 1 for c in self._corner_cycles if len(c) > 1), reverse=True)
+        return StratumSignature(sum(orders) // 2 + 1, tuple(orders))
+
 
 def is_connected(o: Origami) -> bool:
     seen = [False] * o.d
     seen[0] = True
     stack = [0]
-    hinv, vinv = invert_perm(o.h), invert_perm(o.v)
+    hinv, vinv = o._hinv, o._vinv
     while stack:
         s = stack.pop()
         for t in (o.h[s], hinv[s], o.v[s], vinv[s]):
@@ -284,14 +306,8 @@ def commutator(o: Origami) -> Perm:
     Its cycles are the vertices of the tiling; a cycle of length k is a cone
     point of angle 2*pi*k.
     """
-    hinv, vinv = invert_perm(o.h), invert_perm(o.v)
+    hinv, vinv = o._hinv, o._vinv
     return tuple(o.h[o.v[hinv[vinv[s]]]] for s in range(o.d))
-
-
-def _orders_from_commutator(o: Origami) -> tuple[int, ...]:
-    return tuple(
-        sorted((len(c) - 1 for c in cycles_of(commutator(o)) if len(c) > 1), reverse=True)
-    )
 
 
 def singularity_orders(o: Origami) -> StratumSignature:
@@ -300,10 +316,9 @@ def singularity_orders(o: Origami) -> StratumSignature:
     A cycle of length k is a zero of order k - 1, and the orders sum to
     2g - 2.  This count is the source of truth for origami strata; the tests
     check it against the stratum of the polygon model on every class up to
-    degree 6 and on random origamis.
+    degree 6 and on random origamis.  Each origami computes it once.
     """
-    orders = _orders_from_commutator(o)
-    return StratumSignature(sum(orders) // 2 + 1, orders)
+    return o._signature
 
 
 def genus(o: Origami) -> int:
@@ -334,7 +349,7 @@ def canonical_form(o: Origami) -> CanonicalForm:
     is dropped at the first entry of h' larger than in the best code so
     far, and is compared no further once an entry is smaller.
     """
-    code = _canonical_code(o.d, o.h, o.v, invert_perm(o.h), invert_perm(o.v))
+    code = _canonical_code(o.d, o.h, o.v, o._hinv, o._vinv)
     if code is None:
         raise ValueError("not connected: h and v do not act transitively")
     return code
@@ -438,7 +453,7 @@ def act_T(o: Origami) -> Origami:
     After shearing, climbing out of square s lands one square further left in
     the row above, which composes the old climb with one step of h^-1.
     """
-    hinv = invert_perm(o.h)
+    hinv = o._hinv
     return Origami._trusted(o.d, o.h, tuple(hinv[o.v[s]] for s in range(o.d)))
 
 
@@ -448,7 +463,7 @@ def act_T_inverse(o: Origami) -> Origami:
 
 def act_S(o: Origami) -> Origami:
     """Quarter turn: rows become columns; (h, v) -> (v, h^-1).  S^4 = id."""
-    return Origami._trusted(o.d, o.v, invert_perm(o.h))
+    return Origami._trusted(o.d, o.v, o._hinv)
 
 
 @dataclass(frozen=True)
@@ -546,7 +561,7 @@ def cylinders(o: Origami) -> CylinderDecomposition:
     top-left corner of s is the vertex of v(s); the top-right corner of s is
     the top-left corner of h(s), in the same row.
     """
-    singular = {s for cyc in cycles_of(commutator(o)) if len(cyc) > 1 for s in cyc}
+    singular = {s for cyc in o._corner_cycles if len(cyc) > 1 for s in cyc}
     rows = cycles_of(o.h)
     row_of = {}
     for r, row in enumerate(rows):

@@ -11,11 +11,13 @@ loop over each cycle's steps gives its chords (entry and exit side per
 square) and its turning total; a 256-entry table holds the crossing bit of
 every pair of chords, and one pass over the squares reads it for every
 pair of cycles that meet there, so the whole pairing comes from one walk.
-One GF(2) reduction of the pairing yields both the symplectic pairs and a
-basis of the radical.  The cycles of a spanning tree are checked by the
-tree walk that builds them, not again by SimpleCycle.  The module also
-detects the 180-degree flat involution with sphere quotient and classifies
-the connected component of the ambient stratum.
+One GF(2) reduction of the pairing, on (combination, row, q) triples of
+ints, yields both the symplectic pairs and a basis of the radical.  The
+cycles of a spanning tree are checked by the tree walk that builds them,
+not again by SimpleCycle.  The module also detects the 180-degree flat
+involution with sphere quotient and classifies the connected component of
+the ambient stratum.  h^-1, v^-1, the corner cycles and the stratum come
+from the origami's own cache (see flatkit.origami), once per origami.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import origami as origami_mod
 from . import strata
-from .origami import Origami, commutator, cycles_of, invert_perm, singularity_orders
+from .origami import Origami, cycles_of, invert_perm, singularity_orders
 from .strata import ComponentLabel
 
 if TYPE_CHECKING:
@@ -42,7 +44,7 @@ _Walk = tuple[tuple[int, ...], tuple[int, ...]]  # a cycle's squares and directi
 
 def _moves(o: Origami) -> dict[str, Sequence[int]]:
     """The square a step in each direction lands on, per starting square."""
-    return {"E": o.h, "N": o.v, "W": invert_perm(o.h), "S": invert_perm(o.v)}
+    return {"E": o.h, "N": o.v, "W": o._hinv, "S": o._vinv}
 
 
 def _edge(moves: Mapping[str, Sequence[int]], s: int, direction: str) -> tuple[int, str]:
@@ -121,7 +123,7 @@ def _tree_walks(o: Origami, rng: Optional[random.Random] = None) -> list[_Walk]:
     as in _DIRS: each tree path climbs by depth from both ends of the
     closing edge until they meet."""
     d = o.d
-    moves = (o.h, o.v, invert_perm(o.h), invert_perm(o.v))
+    moves = (o.h, o.v, o._hinv, o._vinv)
     # per square: its parent, the direction of the step from it, its depth
     parent, way, depth = [0] * d, [0] * d, [0] + [-1] * (d - 1)
     tree = set()  # the tree edges, the E side of square s as 2s, its N side as 2s + 1
@@ -312,33 +314,30 @@ def build_quadratic_form(o: Origami, rng: Optional[random.Random] = None) -> Qua
     # One reduction: split off a crossing pair (a, b) and make the rest
     # orthogonal to it, until no two vectors left cross.  The vectors left
     # without a partner cross nothing, so they are a basis of the radical.
-    # A vector is (combination of cycles, its pairing row, its q value), and
+    # A vector is (combination of cycles c, its pairing row r, its q value),
+    # so <x, y> is the parity of x's r & y's c, and
     # q(x + y) = q(x) + q(y) + <x, y> keeps q up to date.
-    def crosses(x: tuple[int, int, int], y: tuple[int, int, int]) -> int:
-        return (x[1] & y[0]).bit_count() & 1
-
-    def add(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
-        return (x[0] ^ y[0], x[1] ^ y[1], x[2] ^ y[2] ^ crosses(x, y))
-
     pool = [(1 << i, rows[i], q_values[i]) for i in range(m)]
     radical_rank = symplectic_rank = arf = 0
     while pool:
-        a = pool.pop()
-        k = next((k for k, w in enumerate(pool) if crosses(a, w)), None)
-        if k is None:
-            if a[2]:
+        ca, ra, qa = pool.pop()
+        for k, (cb, rb, qb) in enumerate(pool):
+            if (ra & cb).bit_count() & 1:
+                break
+        else:
+            if qa:
                 raise ValueError("radical q nonzero: intersection pairing is inconsistent")
             radical_rank += 1
             continue
-        b = pool.pop(k)
+        del pool[k]
         symplectic_rank += 2
-        arf ^= a[2] & b[2]
-        for k, w in enumerate(pool):
-            if crosses(w, b):
-                w = add(w, a)
-            if crosses(w, a):
-                w = add(w, b)
-            pool[k] = w
+        arf ^= qa & qb
+        for k, (c, r, q) in enumerate(pool):
+            if (r & cb).bit_count() & 1:
+                c, r, q = c ^ ca, r ^ ra, q ^ qa ^ ((r & ca).bit_count() & 1)
+            if (r & ca).bit_count() & 1:
+                c, r, q = c ^ cb, r ^ rb, q ^ qb ^ ((r & cb).bit_count() & 1)
+            pool[k] = (c, r, q)
     if symplectic_rank != 2 * g:
         raise RuntimeError(f"symplectic rank {symplectic_rank} does not match 2g = {2 * g}")
     return QuadraticFormData(
@@ -444,7 +443,7 @@ def hyperelliptic_involution(o: Origami) -> Optional[tuple[int, ...]]:
     truth for origami strata, which the tests check against the polygon
     model.
     """
-    return _involution_core(o.d, o.h, o.v, invert_perm(o.h), invert_perm(o.v))
+    return _involution_core(o.d, o.h, o.v, o._hinv, o._vinv)
 
 
 def _propagations(
@@ -607,7 +606,7 @@ def hyperelliptic_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
 
 def _involution_swaps_singular_vertices(o: Origami, sigma: Sequence[int]) -> bool:
     """Whether the involution exchanges the two cone points (when there are two)."""
-    comm_cycles = cycles_of(commutator(o))
+    comm_cycles = o._corner_cycles
     cycle_id = {}
     for idx, cyc in enumerate(comm_cycles):
         for s in cyc:

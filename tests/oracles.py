@@ -64,6 +64,14 @@ read from its steps as (entry side, exit side), and in each square both
 cycles visit, the bit is whether exactly one end of c2's chord, pushed off
 to the sixteenths PUSHED, lies strictly between c1's ends at the sixteenths
 MIDPOINT (counterclockwise from the midpoint of the E side).
+
+quadratic_form_reference builds the winding form of an origami one cycle at
+a time: the genus from a corner permutation of fresh inverses, the cycles
+of spin.fundamental_cycles, the pairing bit by bit from spin.pairing_mod2
+and the q values from spin.turning_index.  reduction_reference is the
+GF(2) reduction of build_quadratic_form in the same pivot order, written
+with each vector a (combination, pairing row, q value) tuple and with the
+pairing and the sum taken by closures.
 """
 
 import math
@@ -73,7 +81,7 @@ from functools import lru_cache
 from itertools import combinations, groupby
 from typing import Optional, Sequence
 
-from flatkit import flatcore, origami
+from flatkit import flatcore, origami, spin
 from flatkit.flatcore import PlanarVec
 
 
@@ -453,3 +461,54 @@ def pairing_reference(c1, c2) -> int:
         span = (MIDPOINT[exit_] - start) % 16
         total += sum(0 < (PUSHED[side] - start) % 16 < span for side in other)
     return total % 2
+
+
+def reduction_reference(rows: Sequence[int], q_values: Sequence[int], genus: int):
+    """(radical rank, symplectic rank, Arf invariant) of the form with
+    pairing rows as bitmasks; raises as spin.build_quadratic_form does."""
+
+    def crosses(x: tuple[int, int, int], y: tuple[int, int, int]) -> int:
+        return (x[1] & y[0]).bit_count() & 1
+
+    def add(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+        return (x[0] ^ y[0], x[1] ^ y[1], x[2] ^ y[2] ^ crosses(x, y))
+
+    pool = [(1 << i, row, q) for i, (row, q) in enumerate(zip(rows, q_values))]
+    radical_rank = symplectic_rank = arf = 0
+    while pool:
+        a = pool.pop()
+        k = next((k for k, w in enumerate(pool) if crosses(a, w)), None)
+        if k is None:
+            if a[2]:
+                raise ValueError("radical q nonzero: intersection pairing is inconsistent")
+            radical_rank += 1
+            continue
+        b = pool.pop(k)
+        symplectic_rank += 2
+        arf ^= a[2] & b[2]
+        for k, w in enumerate(pool):
+            if crosses(w, b):
+                w = add(w, a)
+            if crosses(w, a):
+                w = add(w, b)
+            pool[k] = w
+    if symplectic_rank != 2 * genus:
+        raise RuntimeError(f"symplectic rank {symplectic_rank} does not match 2g = {2 * genus}")
+    return radical_rank, symplectic_rank, arf
+
+
+def quadratic_form_reference(o: origami.Origami, rng=None):
+    """(pairing, q values, radical rank, symplectic rank, Arf invariant) of
+    spin.build_quadratic_form(o, rng), on the same spanning tree."""
+    hinv, vinv = origami.invert_perm(o.h), origami.invert_perm(o.v)
+    corner = [o.h[o.v[hinv[vinv[s]]]] for s in range(o.d)]
+    orders = [len(c) - 1 for c in origami.cycles_of(corner) if len(c) > 1]
+    if any(m % 2 for m in orders):
+        raise ValueError("spin undefined: odd zero order")
+    cycles = spin.fundamental_cycles(o, rng)
+    q_values = tuple((spin.turning_index(c) + 1) % 2 for c in cycles)
+    pairing = tuple(tuple(spin.pairing_mod2(a, b) for b in cycles) for a in cycles)
+    if any(row[i] for i, row in enumerate(pairing)):
+        raise RuntimeError("self-pairing must vanish")
+    rows = [sum(bit << j for j, bit in enumerate(row)) for row in pairing]
+    return (pairing, q_values, *reduction_reference(rows, q_values, sum(orders) // 2 + 1))

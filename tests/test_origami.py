@@ -166,6 +166,50 @@ def test_moves_preserve_stratum(l5, rng):
         assert origami.Origami(image.d, image.h, image.v) == image
 
 
+def fresh_derived(o):
+    """h^-1, v^-1, the corner permutation and the stratum of o from
+    invert_perm and a product taken here, with no cached property read."""
+    hinv, vinv = origami.invert_perm(o.h), origami.invert_perm(o.v)
+    corner = tuple(o.h[o.v[hinv[vinv[s]]]] for s in range(o.d))
+    orders = sorted((len(c) - 1 for c in origami.cycles_of(corner) if len(c) > 1), reverse=True)
+    return hinv, vinv, corner, flatcore.StratumSignature(sum(orders) // 2 + 1, tuple(orders))
+
+
+def test_derived_data_is_cached_per_origami(l5, rng):
+    """The cached h^-1, v^-1 and stratum equal fresh results; filling the
+    cache changes neither ==, hash nor repr; and no origami that a move, a
+    relabeling or a decoding builds carries another origami's cache."""
+    cached = {"_hinv", "_vinv", "_corner_cycles", "_signature"}
+    cases = [l5] + [origami.random_origami(d, rng) for d in range(1, 10) for _ in range(3)]
+    for o in cases:
+        twin = origami.Origami(o.d, o.h, o.v)
+        assert set(vars(twin)) == {"d", "h", "v"}
+        before = (hash(o), repr(o))
+        hinv, vinv, corner, signature = fresh_derived(o)
+        assert origami.singularity_orders(o) == signature
+        assert (o._hinv, o._vinv, origami.commutator(o)) == (hinv, vinv, corner)
+        assert o._corner_cycles == tuple(map(tuple, origami.cycles_of(corner)))
+        for read in (origami.canonical_form, origami.cylinders, spin.hyperelliptic_involution):
+            read(o)
+        assert cached <= set(vars(o))
+        assert (hash(o), repr(o)) == before == (hash(twin), repr(twin))
+        assert o == twin and twin == o and len({o, twin}) == 1
+        images = (
+            origami.relabel(o, rng.sample(range(o.d), o.d)),
+            origami.relabel(o, range(o.d)),
+            origami.act_S(o),
+            origami.act_T(o),
+            origami.act_T_inverse(o),
+            origami.decode_canonical(origami.canonical_form(o)),
+            origami.Origami._trusted(o.d, o.h, o.v),
+        )
+        for image in images:
+            assert set(vars(image)) == {"d", "h", "v"}, image
+            hinv, vinv, corner, signature = fresh_derived(image)
+            assert origami.singularity_orders(image) == signature
+            assert (image._hinv, image._vinv, origami.commutator(image)) == (hinv, vinv, corner)
+
+
 def test_orbit_l3(l3):
     data = origami.orbit(l3)
     assert len(data.elements) == 3

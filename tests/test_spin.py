@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatkit
-from flatkit import origami, spin, strata
-from flatkit.origami import make
+from flatkit import hyperell, origami, spin, strata
+from flatkit.flatcore import StratumSignature
+from flatkit.origami import make, singularity_orders
 from flatkit.strata import ComponentLabel
 
 import oracles
@@ -203,6 +204,89 @@ def test_form_matches_the_public_reference():
             assert form.q_values == q_values, (o, salt)
             steps = [c.steps for c in spin.fundamental_cycles(o, tree(salt))]
             assert [c.steps for c in form.cycles] == steps, (o, salt)
+
+
+@functools.cache
+def reduction_cases():
+    """(origami, tree salt) pairs: the H(4) classes with d <= 7, each
+    relabeled at random, on the default tree; the H(2,2) classes with d <= 7
+    on a random tree; and random origamis of degree 3 to 9 on random trees,
+    a third of them with an odd zero order, where both raise."""
+    rng = make_rng(salt=2100)
+    cases = []
+    for o, salts in form_cases():
+        if singularity_orders(o).orders == (4,):
+            cases.append((origami.relabel(o, rng.sample(range(o.d), o.d)), None))
+        else:
+            cases.append((o, salts[1]))
+    cases += [(origami.random_origami(d, rng), 40 * d + k) for d in range(3, 10) for k in range(30)]
+    return cases
+
+
+def form_or_error(build, o, salt):
+    try:
+        form = build(o, tree(salt))
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(form, spin.QuadraticFormData):
+        return form.pairing, form.q_values, form.radical_rank, form.symplectic_rank, form.arf
+    return form
+
+
+def test_form_matches_the_closure_reduction():
+    """build_quadratic_form reduces the pairing on unpacked ints; its pairing,
+    q values, ranks and Arf invariant, or its error, are those of the
+    cycle-by-cycle reference with the closure-based reduction."""
+    refused = 0
+    for o, salt in reduction_cases():
+        got = form_or_error(spin.build_quadratic_form, o, salt)
+        assert got == form_or_error(oracles.quadratic_form_reference, o, salt), (o, salt)
+        refused += got[0] is ValueError
+    assert 0 < refused < len(reduction_cases()) - len(form_cases())
+
+
+def test_reduction_raise_paths(monkeypatch, torus_origami):
+    """A pairing that vanishes leaves the torus's cycles, whose q values are
+    1, in the radical; a genus that is too large leaves the symplectic rank
+    short.  Both the form and the reference refuse."""
+    assert oracles.reduction_reference([2, 1], [1, 1], 1) == (0, 2, 1)
+    with pytest.raises(ValueError, match="radical q nonzero"):
+        oracles.reduction_reference([0, 0], [1, 1], 1)
+    with pytest.raises(RuntimeError, match="does not match 2g = 4"):
+        oracles.reduction_reference([2, 1], [1, 1], 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(spin, "_CROSS", bytes(256))
+        for build in (spin.build_quadratic_form, oracles.quadratic_form_reference):
+            with pytest.raises(ValueError, match="radical q nonzero"):
+                build(torus_origami)
+    monkeypatch.setattr(spin, "singularity_orders", lambda o: StratumSignature(2, (2,)))
+    with pytest.raises(RuntimeError, match="symplectic rank 2 does not match 2g = 4"):
+        spin.build_quadratic_form(torus_origami)
+
+
+def test_hyperelliptic_components_have_the_kontsevich_zorich_parity():
+    """On H^hyp(2g - 2), and on H^hyp(g - 1, g - 1) for odd g, the spin
+    parity is floor((g + 1) / 2) mod 2 (Kontsevich-Zorich 2003): odd on H(2),
+    whose every class is hyperelliptic although classify_component calls the
+    stratum connected, and even on the hyperelliptic classes of H(4), H(2,2)
+    and H(6)."""
+    for g in range(2, 6):
+        assert hyperell.hyperelliptic_component_parity(g) == (g + 1) // 2 % 2
+    checked = Counter()
+    classes = [o for d in range(3, 6) for o in origami.origamis_in_stratum(d, (2,))]
+    assert len(classes) == sum(oracles.h2_class_count(d) for d in range(3, 6))
+    for o in classes:
+        assert spin.classify_component(o) == ComponentLabel.CONNECTED
+    classes += [o for o, _ in form_cases()]
+    h6 = origami.origamis_in_stratum(7, (6,))
+    classes += [o for o in h6 if spin.hyperelliptic_involution(o) is not None]
+    for o in classes:
+        orders = singularity_orders(o).orders
+        if orders == (2,) or spin.classify_component(o) == ComponentLabel.HYPERELLIPTIC:
+            g = singularity_orders(o).genus
+            assert spin.spin_parity(o) == (g + 1) // 2 % 2, o
+            checked[orders] += 1
+    assert checked == {(2,): 39, (4,): 343, (2, 2): 273, (6,): 143}
 
 
 def test_pairing_needs_one_origami(l3, l5):
