@@ -9,6 +9,8 @@ sweep decide their predicates on integers: each surface keeps its vertices times
 the common denominator of all its coordinates.  Scaling by one positive integer
 keeps every sign of a cross product or coordinate difference and every equality
 of vertices or edge vectors, so each answer is that of the rational coordinates.
+Surfaces built from integers (linear images, square tilings) start with that
+view and divide once per coordinate; the period vectors are read from it.
 
 The main operations are structural validation, the cone-point (singularity)
 sweep, genus and stratum computation, the rank of the relative period lattice,
@@ -119,10 +121,32 @@ class TranslationSurface:
         pairing = {EdgeRef(*k): EdgeRef(*v) for k, v in dict(self.pairing).items()}
         object.__setattr__(self, "pairing", MappingProxyType(pairing))
 
+    @classmethod
+    def _from_scaled(
+        cls, points: Sequence[Sequence[Point]], scale: int, pairing: Mapping
+    ) -> "TranslationSurface":
+        """The surface with vertices points / scale, built with its integer view: over
+        the gcd of the points and the scale, that is the view _scaled would compute."""
+        g = gcd(scale, *(c for pts in points for pt in pts for c in pt))
+        scale, scaled = scale // g, tuple(tuple((x // g, y // g) for x, y in pts) for pts in points)
+        polys = tuple(
+            PolygonChain(tuple(PlanarVec(Fraction(x, scale), Fraction(y, scale)) for x, y in pts))
+            for pts in scaled
+        )
+        surf = cls(polys, pairing)
+        surf.__dict__.update(_scale=scale, _scaled=scaled)
+        return surf
+
+    @cached_property
+    def _scale(self) -> int:
+        """The common denominator of all coordinates."""
+        return lcm(*(c.denominator for p in self.polygons for v in p.vertices for c in (v.x, v.y)))
+
     @cached_property
     def _scaled(self) -> tuple[tuple[Point, ...], ...]:
-        """Each polygon's vertices times the common denominator of all coordinates."""
-        scale = lcm(*(c.denominator for p in self.polygons for v in p.vertices for c in (v.x, v.y)))
+        """Each polygon's vertices times _scale; the coordinates and _scale have gcd 1.
+        A surface built by _from_scaled starts with it, the others lift their Fractions."""
+        scale = self._scale
 
         def lift(c: Fraction) -> int:
             return c.numerator * (scale // c.denominator)
@@ -547,7 +571,8 @@ def periods(surf: TranslationSurface) -> PeriodData:
             pair_index[e] = len(pair_list)
             pair_index[partner] = len(pair_list)
             pair_list.append((e, partner))
-    vectors = tuple(surf.edge_vector(rep) for rep, _ in pair_list)
+    edges, scale = (_edge(surf._scaled[p], i) for (p, i), _ in pair_list), surf._scale
+    vectors = tuple(PlanarVec(Fraction(dx, scale), Fraction(dy, scale)) for dx, dy in edges)
     n_pairs = len(pair_list)
 
     # Boundary relation of each polygon, written over the pair generators.
@@ -593,9 +618,11 @@ def periods(surf: TranslationSurface) -> PeriodData:
 
 
 def is_integral(surf: TranslationSurface) -> bool:
-    """True iff every edge vector has integer coordinates."""
+    """True iff every edge vector has integer coordinates: _scale divides each edge of _scaled."""
     _require_valid(surf)
-    return all(surf.edge_vector(e).is_integral for e in surf.edge_refs())
+    return all(
+        c % surf._scale == 0 for pts in surf._scaled for i in range(len(pts)) for c in _edge(pts, i)
+    )
 
 
 # --- JSON interchange ------------------------------------------------------

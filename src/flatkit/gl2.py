@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import flatcore
-from .flatcore import PlanarVec, PolygonChain, Rational, TranslationSurface, _as_fraction
+from .flatcore import PlanarVec, Rational, TranslationSurface, _as_fraction
 
 
 @dataclass(frozen=True)
@@ -66,16 +67,22 @@ def rotation(cos_value: Rational, sin_value: Rational) -> Mat2:
 def apply(surf: TranslationSurface, m: Mat2) -> TranslationSurface:
     """Image surface with every vertex mapped by m; the pairing is reused.
 
+    The map runs on integers: m over one denominator den maps the source's
+    integer view, whose image over den times the source's scale seeds the
+    image's view, one division per coordinate.  The image equals the map_vec
+    image exactly and is validated here.
+
     Raises for det <= 0: an orientation-reversing map would flip the polygons
     to clockwise order and does not act on these surfaces.
     """
     if m.det <= 0:
         raise ValueError(f"orientation-reversing or singular matrix (det = {m.det})")
     flatcore._require_valid(surf)
-    polys = tuple(
-        PolygonChain(tuple(m.map_vec(p) for p in poly.vertices)) for poly in surf.polygons
-    )
-    image = TranslationSurface(polys, surf.pairing)
+    entries = (m.a, m.b, m.c, m.d)
+    den = lcm(*(e.denominator for e in entries))
+    a, b, c, d = (e.numerator * (den // e.denominator) for e in entries)
+    points = tuple(tuple((a * x + b * y, c * x + d * y) for x, y in pts) for pts in surf._scaled)
+    image = TranslationSurface._from_scaled(points, den * surf._scale, surf.pairing)
     image_report = flatcore.validate(image)
     if not image_report.ok:
         raise RuntimeError(

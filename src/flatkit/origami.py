@@ -33,12 +33,11 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .flatcore import EdgeRef, PlanarVec, PolygonChain, StratumSignature, TranslationSurface, _roots
+from .flatcore import EdgeRef, StratumSignature, TranslationSurface, _roots
 from .strata import _integers, int_partitions, normalize_orders
 
 if TYPE_CHECKING:
@@ -275,20 +274,10 @@ def to_polygons(o: Origami) -> TranslationSurface:
 
     Square s sits at horizontal offset 5s/4 (the 1/4 gap keeps renderings
     readable); edge order is bottom, right, top, left, counterclockwise.
+    The squares are built as integer points over the scale 4, which seeds
+    the surface's integer view.
     """
-    polys = []
-    for s in range(o.d):
-        x0 = Fraction(5 * s, 4)
-        polys.append(
-            PolygonChain(
-                (
-                    PlanarVec(x0, Fraction(0)),
-                    PlanarVec(x0 + 1, Fraction(0)),
-                    PlanarVec(x0 + 1, Fraction(1)),
-                    PlanarVec(x0, Fraction(1)),
-                )
-            )
-        )
+    squares = tuple(((5 * s, 0), (5 * s + 4, 0), (5 * s + 4, 4), (5 * s, 4)) for s in range(o.d))
     pairing: dict[EdgeRef, EdgeRef] = {}
     for s in range(o.d):
         right, left_of_h = EdgeRef(s, 1), EdgeRef(o.h[s], 3)
@@ -297,7 +286,7 @@ def to_polygons(o: Origami) -> TranslationSurface:
         pairing[left_of_h] = right
         pairing[top] = bottom_of_v
         pairing[bottom_of_v] = top
-    return TranslationSurface(tuple(polys), pairing)
+    return TranslationSurface._from_scaled(squares, 4, pairing)
 
 
 def commutator(o: Origami) -> Perm:

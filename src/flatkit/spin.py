@@ -365,21 +365,7 @@ def _involution_core(
     propagation must reach every square, so feeding a non-transitive pair
     just returns None.
     """
-    comm = [h[v[hinv[vinv[s]]]] for s in range(d)]
-    cycle_id = [-1] * d
-    cycle_reps = []
-    for s in range(d):
-        if cycle_id[s] >= 0:
-            continue
-        idx = len(cycle_reps)
-        cycle_reps.append(s)
-        u = s
-        while cycle_id[u] < 0:
-            cycle_id[u] = idx
-            u = comm[u]
-    g = (d - len(cycle_reps)) // 2 + 1
-    target = 2 * g + 2
-
+    cycle_id: list[int] = []  # the corner cycles, built once a candidate passes
     squares = range(d)
     for t in squares:
         sigma = [-1] * d
@@ -413,6 +399,21 @@ def _involution_core(
             continue
         if any(sigma[h[s]] != hinv[sigma[s]] or sigma[v[s]] != vinv[sigma[s]] for s in squares):
             continue
+        if not cycle_id:
+            comm = [h[v[hinv[vinv[s]]]] for s in squares]
+            cycle_id = [-1] * d
+            cycle_reps = []
+            for s in squares:
+                if cycle_id[s] >= 0:
+                    continue
+                idx = len(cycle_reps)
+                cycle_reps.append(s)
+                u = s
+                while cycle_id[u] < 0:
+                    cycle_id[u] = idx
+                    u = comm[u]
+            g = (d - len(cycle_reps)) // 2 + 1
+            target = 2 * g + 2
         fixed = sum(1 for s in squares if sigma[s] == s)
         fixed += sum(1 for s in squares if sigma[s] == h[s])
         fixed += sum(1 for s in squares if sigma[s] == v[s])

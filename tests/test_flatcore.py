@@ -326,6 +326,22 @@ def test_gl2_images_match_fraction_reference():
             assert_matches_reference(gl2.apply(source, random_matrix(rng)), k)
 
 
+def test_is_integral_matches_the_edge_vector_rule():
+    rng = make_rng(22)
+    names = ("octagon.json", "decagon.json", "torus.json")
+    sources = [flatcore.load_surface(str(DATA / name)) for name in names]
+    sources += [build_2ngon(n) for n in range(3, 13)] + [build_step_octagon()]
+    shears = (gl2.mat2(1, 1, 0, 1), gl2.mat2(2, "1/2", 0, "1/2"), gl2.mat2("1/3", 0, 0, 3))
+    surfaces = sources + [gl2.apply(s, m) for s in sources for m in shears]
+    surfaces += [gl2.apply(s, random_matrix(rng)) for s in sources]
+    seen = set()
+    for surf in surfaces:
+        expected = all(surf.edge_vector(e).is_integral for e in surf.edge_refs())
+        assert flatcore.is_integral(surf) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_integer_view_has_one_scale_per_surface():
     # Scaled per polygon, (1/2, 0) and (-1/3, 0) would both become unit vectors.
     halves = [(0, 0), ("1/2", 0), (0, "1/2")]

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flatkit import flatcore, gl2
+from flatkit import flatcore, gl2, origami
 
-from conftest import DATA, build_step_octagon, make_rng
+from conftest import DATA, build_2ngon, build_step_octagon, make_rng
 
 FIXTURES = tuple(
     flatcore.load_surface(str(DATA / name)) for name in ("octagon.json", "decagon.json", "torus.json")
@@ -19,6 +19,27 @@ entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
 positive_matrices = st.builds(gl2.mat2, entries, entries, entries, entries).filter(
     lambda m: m.det > 0
 )
+
+
+# Entries over pairwise different denominators: the common one is 210.
+MIXED_DENOMINATORS = (
+    gl2.mat2("1/2", "2/3", "-3/5", "5/7"),
+    gl2.mat2("5/7", "-1/2", "3/5", "2/3"),
+    gl2.mat2("3/5", "5/7", "-2/3", "1/2"),
+)
+
+
+def polygon_sources(rng: random.Random) -> list[flatcore.TranslationSurface]:
+    """The fixtures, the 2n-gons of test_2ngon_family and square-tiled surfaces."""
+    sources = list(FIXTURES) + [build_2ngon(n) for n in range(3, 9)]
+    return sources + [origami.to_polygons(origami.random_origami(d, rng)) for d in range(1, 10)]
+
+
+def assert_seeded_view_is_fresh(surf: flatcore.TranslationSurface) -> None:
+    """The view a surface was built with equals the one its Fractions give."""
+    assert {"_scale", "_scaled"} <= surf.__dict__.keys()
+    fresh = flatcore.TranslationSurface(surf.polygons, surf.pairing)
+    assert (surf._scale, surf._scaled) == (fresh._scale, fresh._scaled)
 
 
 def random_positive_matrix(rng: random.Random) -> gl2.Mat2:
@@ -137,3 +158,33 @@ def test_apply_validates_source_and_image_once(validation_calls):
     flatcore.stratum(image)
     flatcore.periods(image)
     assert validation_calls == [source, image]
+
+
+def test_apply_equals_the_map_vec_image(rng):
+    for source in polygon_sources(rng):
+        for m in MIXED_DENOMINATORS + (gl2.IDENTITY, random_positive_matrix(rng)):
+            image = gl2.apply(source, m)
+            assert image.polygons == tuple(
+                flatcore.PolygonChain(tuple(m.map_vec(p) for p in poly.vertices))
+                for poly in source.polygons
+            )
+            assert image.pairing == source.pairing
+            assert_seeded_view_is_fresh(image)
+
+
+def test_square_tiled_surfaces_seed_their_integer_view(rng):
+    one_square = origami.to_polygons(origami.make(1, "", ""))
+    assert one_square._scale == 1  # the gcd takes the scale 4 down to 1
+    assert one_square._scaled == (((0, 0), (1, 0), (1, 1), (0, 1)),)
+    assert_seeded_view_is_fresh(one_square)
+    for d in range(2, 10):
+        surf = origami.to_polygons(origami.random_origami(d, rng))
+        assert surf._scale == 4
+        assert_seeded_view_is_fresh(surf)
+
+
+def test_periods_equal_the_edge_vectors(rng):
+    sources = polygon_sources(rng) + [build_step_octagon()]
+    for surf in sources + [gl2.apply(s, MIXED_DENOMINATORS[0]) for s in sources]:
+        data = flatcore.periods(surf)
+        assert data.vectors == tuple(surf.edge_vector(rep) for rep, _ in data.pairs)
