@@ -162,11 +162,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             component = spin.classify_component(value)
         else:
             component = strata.components(signature.orders)[0]
-        # A spin component is named by the parity classify_component computed.
-        spin_parities = {strata.ComponentLabel.ODD_SPIN: 1, strata.ComponentLabel.EVEN_SPIN: 0}
-        if component in spin_parities:
-            report.spin_parity = spin_parities[component]
-        elif all(m % 2 == 0 for m in signature.orders):
+        if all(m % 2 == 0 for m in signature.orders):
             report.spin_parity = spin.spin_parity(value)
         else:
             report.messages.append("spin parity undefined (odd zero order)")

@@ -7,7 +7,8 @@ connected.  Squares are 0-based internally; the text format is 1-based.
 Each Origami derives h^-1, v^-1 and the cycles of its corner permutation
 once, on first read, in private cached properties (_hinv, _vinv,
 _corner_cycles, and _signature from them), and every reader here and in
-flatkit.spin takes them from there; ==, hash and repr see d, h and v only.
+flatkit.spin takes them from there (flatkit.spin also stores its _arf and
+_involution there); ==, hash and repr see d, h and v only.
 
 Provides conversion to a polygon surface, stratum computation from the
 corner permutation (the source of truth; the tests check it against the
@@ -16,9 +17,10 @@ actions with orbit enumeration, horizontal cylinder decompositions, and
 exhaustive enumeration by stratum.  Enumeration fixes h to the
 representative of its cycle type; a kernel tests one v per right coset
 v C(h) of the centralizer of h (the rows of a coset share their corner
-permutation) and expands the passing cosets.  It is pure Python below
-degree 8, where importing numpy costs more than the scan, and numpy from
-degree 8 on, with one batch of int8 arrays per cycle type of h.  A class is
+permutation), counting fixed points before the full cycle type, and
+expands the passing cosets.  It is pure Python below degree 8, where
+importing numpy costs more than the scan, and numpy from degree 8 on, with
+one batch of int8 arrays per cycle type of h.  A class is
 one orbit of the rows under conjugation by C(h).  Below degree 8 the class
 loop marks each orbit at its first row; from degree 8 on one rule keeps one
 row per orbit (_orbit_representatives), which the classes code once and the
@@ -731,9 +733,13 @@ def _python_batches(
     The corner cycle type is tested once per right coset v C(h), on its
     representative (_coset_representatives), and a passing coset gives all
     its rows v c, sorted into the order of itertools.permutations: the rows
-    a test of all d! permutations would pass, in that order.
+    a test of all d! permutations would pass, in that order.  As in the
+    numpy kernel, a representative is dropped uninverted when the conjugate
+    t = v^-1 h v h^-1 of the corner permutation has the wrong number of
+    fixed points, the s with h(v(h^-1(s))) = v(s).
     """
     target = list(_target_type(d, orders))
+    fixed = target.count(1)
     squares = range(d)
     for parts in int_partitions(d):
         h = _cycle_type_rep(parts)
@@ -741,6 +747,8 @@ def _python_batches(
         centralizer = _centralizer(parts)
         rows = []
         for v in _coset_representatives(parts):
+            if sum([h[v[hinv[s]]] == v[s] for s in squares]) != fixed:
+                continue
             vinv = invert_perm(v)
             comm = [h[v[hinv[vinv[s]]]] for s in squares]
             if sorted(map(len, cycles_of(comm)), reverse=True) == target:

@@ -17,7 +17,8 @@ cycles of a spanning tree are checked by the tree walk that builds them,
 not again by SimpleCycle.  The module also detects the 180-degree flat
 involution with sphere quotient and classifies the connected component of
 the ambient stratum.  h^-1, v^-1, the corner cycles and the stratum come
-from the origami's own cache (see flatkit.origami), once per origami.
+from the origami's own cache (see flatkit.origami), once per origami, and
+spin_parity and hyperelliptic_involution store their answers there too.
 """
 
 from __future__ import annotations
@@ -346,8 +347,14 @@ def build_quadratic_form(o: Origami, rng: Optional[random.Random] = None) -> Qua
 
 
 def spin_parity(o: Origami, rng: Optional[random.Random] = None) -> int:
-    """Arf invariant of the winding quadratic form; needs all even zero orders."""
-    return build_quadratic_form(o, rng).arf
+    """Arf invariant of the winding quadratic form; needs all even zero orders.
+    On the default tree it is computed once per origami and stored as _arf;
+    with an rng each call builds a form on that random tree, storing nothing."""
+    if rng is not None:
+        return build_quadratic_form(o, rng).arf
+    if "_arf" not in vars(o):
+        vars(o)["_arf"] = build_quadratic_form(o).arf
+    return vars(o)["_arf"]
 
 
 # --- flat involution ---------------------------------------------------------
@@ -442,9 +449,12 @@ def hyperelliptic_involution(o: Origami) -> Optional[tuple[int, ...]]:
     This works at the permutation level throughout so that exhaustive scans
     stay fast.  The genus comes from the corner permutation, the source of
     truth for origami strata, which the tests check against the polygon
-    model.
+    model.  The search runs once per origami and its answer, None included,
+    is stored as _involution; the scans call _involution_core directly.
     """
-    return _involution_core(o.d, o.h, o.v, o._hinv, o._vinv)
+    if "_involution" not in vars(o):
+        vars(o)["_involution"] = _involution_core(o.d, o.h, o.v, o._hinv, o._vinv)
+    return vars(o)["_involution"]
 
 
 def _propagations(
@@ -630,7 +640,8 @@ def classify_component(o: Origami) -> ComponentLabel:
     exists the flat involution decides it (in the two-equal-zeros strata it
     must additionally swap the zeros); otherwise the label is
     non-hyperelliptic where that component exists and the spin parity
-    everywhere else.
+    everywhere else.  The witness and the parity are the answers stored on
+    the origami by hyperelliptic_involution and spin_parity.
     """
     signature = singularity_orders(o)
     g, orders = signature.genus, signature.orders

@@ -39,6 +39,9 @@ marking: every connected raw pair of the Python kernel, in scan order, gets
 a canonical code, and a seen set drops the codes already met.
 labeled_stratum_pairs_python lists those raw pairs.
 
+python_batches_reference is the Python kernel without its fixed-point
+count: the full corner cycle-type test runs on every coset representative.
+
 connected_columns tests the connectivity of each row of a numpy batch by
 label propagation over the cycles of h, with neither a canonical code nor
 a propagation of flatkit.spin.
@@ -81,7 +84,7 @@ from functools import lru_cache
 from itertools import combinations, groupby
 from typing import Optional, Sequence
 
-from flatkit import flatcore, origami, spin
+from flatkit import flatcore, origami, spin, strata
 from flatkit.flatcore import PlanarVec
 
 
@@ -393,6 +396,26 @@ def labeled_stratum_pairs_python(d: int, orders: tuple[int, ...]):
     for h, hinv, _, rows in origami._python_batches(d, orders):
         for v in rows:
             yield h, v, hinv, origami.invert_perm(v)
+
+
+def python_batches_reference(d: int, orders: tuple[int, ...]) -> list[tuple[tuple, list]]:
+    """(h, rows) per cycle type of h as origami._python_batches yields them,
+    with the full cycle-type test on every coset representative and no
+    fixed-point count before it."""
+    target = list(origami._target_type(d, orders))
+    out = []
+    for parts in strata.int_partitions(d):
+        h = origami._cycle_type_rep(parts)
+        hinv = origami.invert_perm(h)
+        centralizer = origami._centralizer(parts)
+        rows = []
+        for v in origami._coset_representatives(parts):
+            vinv = origami.invert_perm(v)
+            corner = [h[v[hinv[vinv[s]]]] for s in range(d)]
+            if sorted(map(len, origami.cycles_of(corner)), reverse=True) == target:
+                rows.extend(tuple(v[i] for i in c) for c in centralizer)
+        out.append((h, sorted(rows)))
+    return out
 
 
 def classes_reference(d: int, orders: tuple[int, ...]) -> list[origami.Origami]:

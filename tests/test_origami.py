@@ -177,10 +177,11 @@ def fresh_derived(o):
 
 def test_derived_data_is_cached_per_origami(l5, rng):
     """The cached h^-1, v^-1 and stratum equal fresh results; filling the
-    cache changes neither ==, hash nor repr; and no origami that a move, a
+    cache, spin.py's stored spin parity and involution witness included,
+    changes neither ==, hash nor repr; and no origami that a move, a
     relabeling or a decoding builds carries another origami's cache."""
-    cached = {"_hinv", "_vinv", "_corner_cycles", "_signature"}
     cases = [l5] + [origami.random_origami(d, rng) for d in range(1, 10) for _ in range(3)]
+    odd = 0
     for o in cases:
         twin = origami.Origami(o.d, o.h, o.v)
         assert set(vars(twin)) == {"d", "h", "v"}
@@ -191,7 +192,15 @@ def test_derived_data_is_cached_per_origami(l5, rng):
         assert o._corner_cycles == tuple(map(tuple, origami.cycles_of(corner)))
         for read in (origami.canonical_form, origami.cylinders, spin.hyperelliptic_involution):
             read(o)
-        assert cached <= set(vars(o))
+        cached = {"_hinv", "_vinv", "_corner_cycles", "_signature", "_involution"}
+        if any(m % 2 for m in signature.orders):
+            odd += 1
+            with pytest.raises(ValueError, match="spin undefined"):
+                spin.spin_parity(o)
+        else:
+            spin.spin_parity(o)
+            cached.add("_arf")
+        assert set(vars(o)) == {"d", "h", "v"} | cached
         assert (hash(o), repr(o)) == before == (hash(twin), repr(twin))
         assert o == twin and twin == o and len({o, twin}) == 1
         images = (
@@ -208,6 +217,7 @@ def test_derived_data_is_cached_per_origami(l5, rng):
             hinv, vinv, corner, signature = fresh_derived(image)
             assert origami.singularity_orders(image) == signature
             assert (image._hinv, image._vinv, origami.commutator(image)) == (hinv, vinv, corner)
+    assert 0 < odd < len(cases)
 
 
 def test_orbit_l3(l3):
@@ -677,6 +687,24 @@ def test_coset_representatives_are_generated_in_scan_order():
             reps = origami._coset_representatives(parts)
             assert reps == expected, parts
             assert len(reps) == math.factorial(d) // origami._centralizer_order(parts), parts
+
+
+def test_fixed_point_count_drops_only_failing_cosets(monkeypatch):
+    """The Python kernel counts the fixed points of a conjugate of the corner
+    permutation before its full cycle-type test, and yields, type by type
+    and in order, the rows of the reference that runs the full test on
+    every coset representative.  For H(4) at degree 7 the count leaves
+    1080 of the 5040 representatives to the full test."""
+    for d in range(1, 8):
+        for orders in signatures(d):
+            batches = origami._python_batches(d, strata.normalize_orders(orders))
+            got = [(h, rows) for h, _, _, rows in batches]
+            assert got == oracles.python_batches_reference(d, orders), (d, orders)
+    tested = []
+    cycles_of = origami.cycles_of
+    monkeypatch.setattr(origami, "cycles_of", lambda p: tested.append(p) or cycles_of(p))
+    assert sum(len(rows) for *_, rows in origami._python_batches(7, (4,))) > 0
+    assert len(tested) == 1080
 
 
 def test_one_code_per_centralizer_orbit_below_degree_8(monkeypatch):

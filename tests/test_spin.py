@@ -341,6 +341,112 @@ def test_spin_undefined_for_odd_orders():
         spin.build_quadratic_form(H11_EXAMPLE)
 
 
+@pytest.fixture
+def searches(monkeypatch) -> dict:
+    """The argument tuples of build_quadratic_form ("form") and of
+    _involution_core ("involution"), in call order."""
+    calls = {"form": [], "involution": []}
+    build, core = spin.build_quadratic_form, spin._involution_core
+
+    def counted_build(o, rng=None):
+        calls["form"].append((o, rng))
+        return build(o, rng)
+
+    def counted_core(*args):
+        calls["involution"].append(args)
+        return core(*args)
+
+    monkeypatch.setattr(spin, "build_quadratic_form", counted_build)
+    monkeypatch.setattr(spin, "_involution_core", counted_core)
+    return calls
+
+
+def h4_odd_d5():
+    """A fresh degree-5 H(4) origami of odd spin, with no flat involution."""
+    return make(5, "(1,2,4,5,3)", "(2,4)(3,5)")
+
+
+def test_answers_are_computed_once_per_origami(searches):
+    """Whatever the order of the reads, spin_parity, hyperelliptic_involution
+    and classify_component on one origami build one form and run one
+    involution search, and the stored answers, None included, are theirs."""
+    reads = (
+        lambda o: spin.spin_parity(o) == 1,
+        lambda o: spin.hyperelliptic_involution(o) is None,
+        lambda o: spin.classify_component(o) == ComponentLabel.ODD_SPIN,
+    )
+    for order in itertools.permutations(reads):
+        o = h4_odd_d5()
+        for _ in range(2):
+            assert all(read(o) for read in order)
+        assert [o] == [args[0] for args in searches["form"]]
+        assert [(o.d, o.h, o.v)] == [args[:3] for args in searches["involution"]]
+        assert (vars(o)["_arf"], vars(o)["_involution"]) == (1, None)
+        searches["form"].clear()
+        searches["involution"].clear()
+
+
+def test_a_random_tree_builds_a_fresh_form(searches):
+    """spin_parity with an rng builds a form on that tree on every call, and
+    neither writes nor reads the stored parity."""
+    o = h4_odd_d5()
+    for salt in range(3):
+        assert spin.spin_parity(o, tree(salt)) == 1
+    assert len(searches["form"]) == 3 and "_arf" not in vars(o)
+    assert spin.spin_parity(o) == spin.spin_parity(o) == 1
+    assert len(searches["form"]) == 4
+    vars(o)["_arf"] = 0  # planted: only the default tree may return it
+    for salt in range(3):
+        assert spin.spin_parity(o, tree(salt)) == 1
+    assert spin.spin_parity(o) == 0
+    assert len(searches["form"]) == 7
+    assert [rng is None for _, rng in searches["form"]] == [False] * 3 + [True] + [False] * 3
+
+
+def test_a_raise_stores_nothing(searches, monkeypatch):
+    """An odd zero order raises on every spin_parity call, each building its
+    form again; a search that raises leaves no witness behind."""
+    o = origami.Origami(H11_EXAMPLE.d, H11_EXAMPLE.h, H11_EXAMPLE.v)
+    for calls in range(1, 4):
+        with pytest.raises(ValueError, match="spin undefined"):
+            spin.spin_parity(o)
+        assert len(searches["form"]) == calls and "_arf" not in vars(o)
+
+    def bookkeeping_bug(*args):
+        raise RuntimeError("fixed-point count 1 incompatible with genus 2 (bookkeeping bug)")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spin, "_involution_core", bookkeeping_bug)
+        with pytest.raises(RuntimeError, match="bookkeeping bug"):
+            spin.hyperelliptic_involution(o)
+    assert "_involution" not in vars(o)
+    assert spin.hyperelliptic_involution(o) == spin.hyperelliptic_involution(H11_EXAMPLE)
+
+
+def test_stored_answers_equal_a_fresh_twins():
+    """On every H(4) class with d <= 7, relabeled at random, the parity, the
+    involution witness and the component read in the h4_classify order equal
+    those of an unread twin read in the opposite order, and the twin's equal
+    a form and a search run with no stored answer."""
+    rng = make_rng(salt=2300)
+    classes = [o for d in range(5, 8) for o in origami.origamis_in_stratum(d, (4,))]
+    assert len(classes) == 1040
+    for o in classes:
+        moved = origami.relabel(o, rng.sample(range(o.d), o.d))
+        twin = origami.Origami(moved.d, moved.h, moved.v)
+        read = (
+            spin.spin_parity(moved),
+            spin.hyperelliptic_involution(moved),
+            spin.classify_component(moved),
+        )
+        component = spin.classify_component(twin)
+        witness = spin.hyperelliptic_involution(twin)
+        assert read == (spin.spin_parity(twin), witness, component), moved
+        hinv, vinv = origami.invert_perm(twin.h), origami.invert_perm(twin.v)
+        search = spin._involution_core(twin.d, twin.h, twin.v, hinv, vinv)
+        assert (spin.build_quadratic_form(twin).arf, search) == read[:2], moved
+
+
 def test_involution_values(l5, l3, torus_origami):
     assert spin.hyperelliptic_involution(l5) == (0, 3, 2, 1, 4)
     assert spin.hyperelliptic_involution(l3) == (0, 1, 2)
