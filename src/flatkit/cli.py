@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -22,28 +21,28 @@ if TYPE_CHECKING:
     from .origami import Origami
 
 
-@dataclass
 class Report:
-    """Analysis record for one input; keys serialize in field order, unset ones omitted."""
+    """Analysis record for one input, a plain mutable class (see README, "Start-up"); keys
+    serialize in the order __init__ sets them, and unset (None) ones are omitted."""
 
-    source: str
-    kind: str
-    degree: Optional[int] = None
-    genus: Optional[int] = None
-    stratum_orders: Optional[tuple[int, ...]] = None
-    cone_angle_turns: Optional[tuple[int, ...]] = None
-    period_rank: Optional[int] = None
-    integral: Optional[bool] = None
-    spin_parity: Optional[int] = None
-    component: Optional[str] = None
-    messages: list[str] = field(default_factory=list)
+    def __init__(self, source: str, kind: str) -> None:
+        self.source = source
+        self.kind = kind
+        self.degree: Optional[int] = None
+        self.genus: Optional[int] = None
+        self.stratum_orders: Optional[tuple[int, ...]] = None
+        self.cone_angle_turns: Optional[tuple[int, ...]] = None
+        self.period_rank: Optional[int] = None
+        self.integral: Optional[bool] = None
+        self.spin_parity: Optional[int] = None
+        self.component: Optional[str] = None
+        self.messages: list[str] = []
 
     def to_dict(self) -> dict:
         out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in vars(self).items():
             if value is not None:
-                out[f.name] = list(value) if isinstance(value, (tuple, list)) else value
+                out[name] = list(value) if isinstance(value, (tuple, list)) else value
         return out
 
     def to_text(self) -> str:

@@ -15,16 +15,20 @@ view and divide once per coordinate; the period vectors are read from it.
 The main operations are structural validation, the cone-point (singularity)
 sweep, genus and stratum computation, the rank of the relative period lattice,
 and JSON serialization of surfaces.
+
+flatkit's records (PlanarVec, Origami, Mat2 and the rest) are plain classes on
+the private base _Record here, not dataclasses: importing dataclasses and
+building the classes cost each CLI process 13-18 ms (see README, "Start-up").
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from math import gcd, lcm
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -40,16 +44,47 @@ def _as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"not a rational value: {value!r}")
 
 
-@dataclass(frozen=True)
-class PlanarVec:
+class _Record:
+    """Base of flatkit's immutable records: the frozen dataclass semantics
+    without importing dataclasses.  A subclass declares its fields as class
+    annotations, in positional order; its __init__ stores them, checked, in
+    the instance __dict__, where cached properties also live.  Equality holds
+    within one class on the field tuple, the hash is the field tuple's, the
+    repr is Class(field=value, ...), and assignment or deletion raises
+    AttributeError."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = getattr(cls, "_fields", ()) + tuple(vars(cls).get("__annotations__", ()))
+        get = attrgetter(*cls._fields)  # of one name it returns the bare value, not a 1-tuple
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PlanarVec(_Record):
     """A point or translation vector in the plane with rational coordinates."""
 
     x: Fraction
     y: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _as_fraction(self.x))
-        object.__setattr__(self, "y", _as_fraction(self.y))
+    def __init__(self, x: Rational, y: Rational) -> None:
+        self.__dict__.update(x=_as_fraction(x), y=_as_fraction(y))
 
     def __add__(self, other: "PlanarVec") -> "PlanarVec":
         return PlanarVec(self.x + other.x, self.y + other.y)
@@ -78,8 +113,7 @@ class EdgeRef(NamedTuple):
     edge: int
 
 
-@dataclass(frozen=True)
-class PolygonChain:
+class PolygonChain(_Record):
     """A polygon given by its cyclic vertex list, counterclockwise.
 
     Edge i runs from vertices[i] to vertices[(i+1) % n].  Collinear
@@ -90,8 +124,8 @@ class PolygonChain:
 
     vertices: tuple[PlanarVec, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+    def __init__(self, vertices: Iterable[PlanarVec]) -> None:
+        self.__dict__["vertices"] = tuple(vertices)
 
     @property
     def n(self) -> int:
@@ -109,32 +143,35 @@ def polygon(points: Iterable[Sequence[Rational]]) -> PolygonChain:
     return PolygonChain(tuple(PlanarVec(_as_fraction(x), _as_fraction(y)) for x, y in points))
 
 
-@dataclass(frozen=True, eq=False)
-class TranslationSurface:
-    """Immutable polygons plus a pairing (involution) on their directed boundary edges."""
+class TranslationSurface(_Record):
+    """Immutable polygons plus a pairing (involution) on their directed boundary edges,
+    equal only to itself."""
 
     polygons: tuple[PolygonChain, ...]
     pairing: Mapping[EdgeRef, EdgeRef]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "polygons", tuple(self.polygons))
-        pairing = {EdgeRef(*k): EdgeRef(*v) for k, v in dict(self.pairing).items()}
-        object.__setattr__(self, "pairing", MappingProxyType(pairing))
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, polygons: Iterable[PolygonChain], pairing: Mapping) -> None:
+        pairing = {EdgeRef(*k): EdgeRef(*v) for k, v in dict(pairing).items()}
+        self.__dict__.update(polygons=tuple(polygons), pairing=MappingProxyType(pairing))
 
     @classmethod
     def _from_scaled(
-        cls, points: Sequence[Sequence[Point]], scale: int, pairing: Mapping
+        cls, points: Sequence[Sequence[Point]], scale: int, pairing: Mapping[EdgeRef, EdgeRef]
     ) -> "TranslationSurface":
         """The surface with vertices points / scale, built with its integer view: over
-        the gcd of the points and the scale, that is the view _scaled would compute."""
+        the gcd of the points and the scale, that is the view _scaled would compute.
+        pairing is stored as given: a read-only map from EdgeRef to EdgeRef."""
         g = gcd(scale, *(c for pts in points for pt in pts for c in pt))
         scale, scaled = scale // g, tuple(tuple((x // g, y // g) for x, y in pts) for pts in points)
         polys = tuple(
             PolygonChain(tuple(PlanarVec(Fraction(x, scale), Fraction(y, scale)) for x, y in pts))
             for pts in scaled
         )
-        surf = cls(polys, pairing)
-        surf.__dict__.update(_scale=scale, _scaled=scaled)
+        surf = object.__new__(cls)
+        surf.__dict__.update(polygons=polys, pairing=pairing, _scale=scale, _scaled=scaled)
         return surf
 
     @cached_property
@@ -190,9 +227,11 @@ def surface(
     return TranslationSurface(tuple(polygon(ps) for ps in polygons), pairing)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     violations: tuple[str, ...]
+
+    def __init__(self, violations: tuple[str, ...]) -> None:
+        self.__dict__["violations"] = violations
 
     @property
     def ok(self) -> bool:
@@ -354,8 +393,7 @@ def _require_valid(surf: TranslationSurface) -> None:
 # --- singularities ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConePoint:
+class ConePoint(_Record):
     """One identified vertex of the surface.
 
     corners lists the (polygon, vertex) corners in the orbit; the total cone
@@ -365,6 +403,9 @@ class ConePoint:
 
     corners: tuple[tuple[int, int], ...]
     angle_turns: int
+
+    def __init__(self, corners: tuple[tuple[int, int], ...], angle_turns: int) -> None:
+        self.__dict__.update(corners=corners, angle_turns=angle_turns)
 
     @property
     def zero_order(self) -> int:
@@ -496,12 +537,14 @@ def genus(surf: TranslationSurface) -> int:
     return surf._swept[1]
 
 
-@dataclass(frozen=True)
-class StratumSignature:
+class StratumSignature(_Record):
     """Genus plus the descending list of positive zero orders."""
 
     genus: int
     orders: tuple[int, ...]
+
+    def __init__(self, genus: int, orders: tuple[int, ...]) -> None:
+        self.__dict__.update(genus=genus, orders=orders)
 
     def __str__(self) -> str:
         return "H(" + ",".join(str(m) for m in self.orders) + ")"
@@ -517,8 +560,7 @@ def stratum(surf: TranslationSurface) -> StratumSignature:
 # --- periods ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodData:
+class PeriodData(_Record):
     """One translation vector per edge pair and the rank they span.
 
     rank is the dimension over the rationals of the span of the edge-pair
@@ -530,6 +572,11 @@ class PeriodData:
     pairs: tuple[tuple[EdgeRef, EdgeRef], ...]
     vectors: tuple[PlanarVec, ...]
     rank: int
+
+    def __init__(
+        self, pairs: tuple[tuple[EdgeRef, EdgeRef], ...], vectors: tuple[PlanarVec, ...], rank: int
+    ) -> None:
+        self.__dict__.update(pairs=pairs, vectors=vectors, rank=rank)
 
 
 def _integer_rank(rows: list[list[int]]) -> int:

@@ -8,17 +8,15 @@ the period vectors are carried along exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from . import flatcore
-from .flatcore import PlanarVec, Rational, TranslationSurface, _as_fraction
+from .flatcore import PlanarVec, Rational, TranslationSurface, _as_fraction, _Record
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(_Record):
     """Rational 2x2 matrix [[a, b], [c, d]]."""
 
     a: Fraction
@@ -26,9 +24,9 @@ class Mat2:
     c: Fraction
     d: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
+    def __init__(self, a: Rational, b: Rational, c: Rational, d: Rational) -> None:
+        a, b, c, d = map(_as_fraction, (a, b, c, d))
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @property
     def det(self) -> Fraction:

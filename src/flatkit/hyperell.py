@@ -14,26 +14,24 @@ hyperelliptic locus in each genus.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .flatcore import Rational, _as_fraction
+from .flatcore import Rational, _as_fraction, _Record
 
 
-@dataclass(frozen=True)
-class BranchSet:
+class BranchSet(_Record):
     """The 2g+2 distinct rational branch values of a hyperelliptic curve."""
 
     points: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        pts = tuple(_as_fraction(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
+    def __init__(self, points: Iterable[Rational]) -> None:
+        pts = tuple(_as_fraction(p) for p in points)
         if len(pts) < 4 or len(pts) % 2 != 0:
             raise ValueError(f"need an even number >= 4 of branch points, got {len(pts)}")
         if len(set(pts)) != len(pts):
             raise ValueError("branch points must be pairwise distinct")
+        self.__dict__["points"] = pts
 
     @property
     def genus(self) -> int:
@@ -44,18 +42,15 @@ def branch_set(points: Iterable[Rational]) -> BranchSet:
     return BranchSet(tuple(points))
 
 
-@dataclass(frozen=True)
-class FactoredForm:
+class FactoredForm(_Record):
     """The one-form c * prod (z - b_j)^{k_j} dz / x, roots given exactly."""
 
     constant: Fraction
     factors: tuple[tuple[Fraction, int], ...]
 
-    def __post_init__(self) -> None:
-        c = _as_fraction(self.constant)
-        facs = tuple((_as_fraction(b), int(k)) for b, k in self.factors)
-        object.__setattr__(self, "constant", c)
-        object.__setattr__(self, "factors", facs)
+    def __init__(self, constant: Rational, factors: Iterable[tuple[Rational, int]]) -> None:
+        c = _as_fraction(constant)
+        facs = tuple((_as_fraction(b), int(k)) for b, k in factors)
         if c == 0:
             raise ValueError("constant factor must be nonzero")
         roots = [b for b, _ in facs]
@@ -63,6 +58,7 @@ class FactoredForm:
             raise ValueError("roots must be distinct; combine repeated factors")
         if any(k < 1 for _, k in facs):
             raise ValueError("multiplicities must be >= 1")
+        self.__dict__.update(constant=c, factors=facs)
 
     @property
     def degree(self) -> int:
@@ -140,18 +136,19 @@ def parse_form(text: str) -> FactoredForm:
 # --- places and divisors ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeierstrassPlace:
+class WeierstrassPlace(_Record):
     """The single point over a branch value a (fixed by the involution)."""
 
     branch: Fraction
+
+    def __init__(self, branch: Fraction) -> None:
+        self.__dict__["branch"] = branch
 
     def __str__(self) -> str:
         return f"W({self.branch})"
 
 
-@dataclass(frozen=True)
-class ConjugatePairPlace:
+class ConjugatePairPlace(_Record):
     """The two involution-swapped points over a non-branch value b.
 
     The recorded order holds at each of the two points, so this place
@@ -160,15 +157,20 @@ class ConjugatePairPlace:
 
     root: Fraction
 
+    def __init__(self, root: Fraction) -> None:
+        self.__dict__["root"] = root
+
     def __str__(self) -> str:
         return f"pair({self.root})"
 
 
-@dataclass(frozen=True)
-class InfinityPlace:
+class InfinityPlace(_Record):
     """One of the two points over z = infinity, labeled +1 / -1."""
 
     sign: int
+
+    def __init__(self, sign: int) -> None:
+        self.__dict__["sign"] = sign
 
     def __str__(self) -> str:
         return "inf+" if self.sign > 0 else "inf-"
@@ -177,11 +179,13 @@ class InfinityPlace:
 Place = Union[WeierstrassPlace, ConjugatePairPlace, InfinityPlace]
 
 
-@dataclass(frozen=True)
-class DivisorOnCurve:
+class DivisorOnCurve(_Record):
     """Order table of a form; zero-order places are omitted."""
 
     entries: tuple[tuple[Place, int], ...]
+
+    def __init__(self, entries: tuple[tuple[Place, int], ...]) -> None:
+        self.__dict__["entries"] = entries
 
     def order_at(self, place: Place) -> int:
         for p, order in self.entries:
@@ -236,12 +240,14 @@ def is_holomorphic(branches: BranchSet, form: FactoredForm) -> bool:
     return divisor_of_form(branches, form).is_effective
 
 
-@dataclass(frozen=True)
-class BasisReport:
+class BasisReport(_Record):
     """Holomorphy of z^k dz/x for k = 0..g: the first g must hold, k = g not."""
 
     genus: int
     holomorphic: tuple[bool, ...]
+
+    def __init__(self, genus: int, holomorphic: tuple[bool, ...]) -> None:
+        self.__dict__.update(genus=genus, holomorphic=holomorphic)
 
     @property
     def ok(self) -> bool:

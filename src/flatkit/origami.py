@@ -34,12 +34,12 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .flatcore import EdgeRef, StratumSignature, TranslationSurface, _roots
+from .flatcore import EdgeRef, StratumSignature, TranslationSurface, _Record, _roots
 from .strata import _integers, int_partitions, normalize_orders
 
 if TYPE_CHECKING:
@@ -63,24 +63,22 @@ def _check_perm(p: Sequence[int], d: int, name: str) -> Perm:
     return p
 
 
-@dataclass(frozen=True)
-class Origami:
+class Origami(_Record):
     """Degree plus the right-neighbor and top-neighbor permutations (0-based)."""
 
     d: int
     h: Perm
     v: Perm
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"degree must be positive, got {self.d}")
-        object.__setattr__(self, "h", _check_perm(self.h, self.d, "h"))
-        object.__setattr__(self, "v", _check_perm(self.v, self.d, "v"))
+    def __init__(self, d: int, h: Sequence[int], v: Sequence[int]) -> None:
+        if d < 1:
+            raise ValueError(f"degree must be positive, got {d}")
+        self.__dict__.update(d=d, h=_check_perm(h, d, "h"), v=_check_perm(v, d, "v"))
 
     @classmethod
     def _trusted(cls, d: int, h: Perm, v: Perm) -> Origami:
         """An origami from two permutation tuples of 0..d-1 that the caller
-        already knows to be valid; __post_init__ does not run."""
+        already knows to be valid; __init__ does not run."""
         o = object.__new__(cls)
         o.__dict__.update(d=d, h=h, v=v)
         return o
@@ -288,7 +286,7 @@ def to_polygons(o: Origami) -> TranslationSurface:
         pairing[left_of_h] = right
         pairing[top] = bottom_of_v
         pairing[bottom_of_v] = top
-    return TranslationSurface._from_scaled(squares, 4, pairing)
+    return TranslationSurface._from_scaled(squares, 4, MappingProxyType(pairing))
 
 
 def commutator(o: Origami) -> Perm:
@@ -457,8 +455,7 @@ def act_S(o: Origami) -> Origami:
     return Origami._trusted(o.d, o.v, o._hinv)
 
 
-@dataclass(frozen=True)
-class OrbitData:
+class OrbitData(_Record):
     """Closure of one origami under the shear and quarter-turn moves.
 
     elements are canonical forms in sorted order; cusp_widths are the sizes
@@ -470,6 +467,12 @@ class OrbitData:
     elements: tuple[CanonicalForm, ...]
     cusp_widths: tuple[int, ...]
     edges: tuple[tuple[int, str, int], ...]
+
+    def __init__(
+        self, elements: tuple[CanonicalForm, ...], cusp_widths: tuple[int, ...],
+        edges: tuple[tuple[int, str, int], ...],
+    ) -> None:
+        self.__dict__.update(elements=elements, cusp_widths=cusp_widths, edges=edges)
 
 
 def orbit(o: Origami, max_elements: int = 10000) -> OrbitData:
@@ -531,15 +534,19 @@ def orbit(o: Origami, max_elements: int = 10000) -> OrbitData:
 # --- horizontal cylinders ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Record):
     width: int
     height: int
 
+    def __init__(self, width: int, height: int) -> None:
+        self.__dict__.update(width=width, height=height)
 
-@dataclass(frozen=True)
-class CylinderDecomposition:
+
+class CylinderDecomposition(_Record):
     cylinders: tuple[Cylinder, ...]
+
+    def __init__(self, cylinders: tuple[Cylinder, ...]) -> None:
+        self.__dict__["cylinders"] = cylinders
 
 
 def cylinders(o: Origami) -> CylinderDecomposition:

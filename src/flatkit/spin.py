@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import origami as origami_mod
 from . import strata
+from .flatcore import _Record
 from .origami import Origami, cycles_of, invert_perm, singularity_orders
 from .strata import ComponentLabel
 
@@ -55,8 +55,7 @@ def _edge(moves: Mapping[str, Sequence[int]], s: int, direction: str) -> tuple[i
     return (moves[direction][s], _DIRS[(_IDX[direction] + 2) % 4])
 
 
-@dataclass(frozen=True)
-class SimpleCycle:
+class SimpleCycle(_Record):
     """A closed, reduced, vertex-simple path through square centers.
 
     Each step (square, direction) moves to the neighboring square; the drawn
@@ -69,22 +68,20 @@ class SimpleCycle:
     origami: Origami
     steps: tuple[tuple[int, str], ...]
 
-    def __post_init__(self) -> None:
-        o = self.origami
-        steps = tuple(self.steps)
+    def __init__(self, origami: Origami, steps: Sequence[tuple[int, str]]) -> None:
+        steps = tuple(steps)
         if not steps:
             raise ValueError("cycle must have at least one step")
         squares = strata._integers([s for s, _ in steps], "square")
         directions = [direction for _, direction in steps]
-        if not all(0 <= s < o.d for s in squares):
-            raise ValueError(f"squares must lie in 0..{o.d - 1}, got {squares}")
+        if not all(0 <= s < origami.d for s in squares):
+            raise ValueError(f"squares must lie in 0..{origami.d - 1}, got {squares}")
         if not all(direction in _DIRS for direction in directions):
             raise ValueError(f"directions must be among {_DIRS}, got {directions}")
         steps = tuple(zip(squares, map(str, directions)))
-        object.__setattr__(self, "steps", steps)
         if len(set(squares)) != len(squares):
             raise ValueError("cycle visits a square twice")
-        moves = _moves(o)
+        moves = _moves(origami)
         for i, (s, direction) in enumerate(steps):
             target = moves[direction][s]
             nxt = squares[(i + 1) % len(steps)]
@@ -93,6 +90,7 @@ class SimpleCycle:
         edges = [_edge(moves, s, direction) for s, direction in steps]
         if len(set(edges)) != len(edges):
             raise ValueError("cycle crosses an edge twice")
+        self.__dict__.update(origami=origami, steps=steps)
 
     def edges(self) -> tuple[tuple[int, str], ...]:
         moves = _moves(self.origami)
@@ -101,7 +99,7 @@ class SimpleCycle:
     @classmethod
     def _trusted(cls, origami: Origami, walk: _Walk) -> SimpleCycle:
         """A cycle from a walk whose steps already meet every check of
-        __post_init__, which does not run."""
+        __init__, which does not run."""
         squares, ways = walk
         cycle = object.__new__(cls)
         cycle.__dict__.update(origami=origami, steps=tuple(zip(squares, [_DIRS[k] for k in ways])))
@@ -240,8 +238,7 @@ def pairing_mod2(c1: SimpleCycle, c2: SimpleCycle) -> int:
 # --- quadratic form and Arf invariant ----------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticFormData:
+class QuadraticFormData(_Record):
     """Intersection pairing and winding parities on the fundamental cycles.
 
     pairing is the symmetric bit matrix of mod-2 crossing numbers; q_values
@@ -259,6 +256,15 @@ class QuadraticFormData:
     radical_rank: int
     symplectic_rank: int
     arf: int
+
+    def __init__(
+        self, _origami: Origami, _walks: tuple[_Walk, ...], _rows: tuple[int, ...],
+        q_values: tuple[int, ...], radical_rank: int, symplectic_rank: int, arf: int,
+    ) -> None:
+        self.__dict__.update(
+            _origami=_origami, _walks=_walks, _rows=_rows, q_values=q_values,
+            radical_rank=radical_rank, symplectic_rank=symplectic_rank, arf=arf,
+        )
 
     @cached_property
     def cycles(self) -> tuple[SimpleCycle, ...]:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatkit import flatcore, gl2, origami
+from flatkit import flatcore, gl2, hyperell, origami, spin
 from flatkit.flatcore import PlanarVec
 
 import oracles
@@ -416,3 +416,171 @@ def test_data_files_are_valid():
     for name in ("octagon.json", "decagon.json", "torus.json"):
         surf = flatcore.load_surface(str(DATA / name))
         assert flatcore.validate(surf).ok, name
+
+
+# One sample per record type: its keyword fields, and the repr and hash read
+# from the frozen dataclasses these records replaced (None where the hash
+# depends on PYTHONHASHSEED through a str field, or is by identity).
+_TORUS = origami.Origami(1, (0,), (0,))
+_CHAIN = flatcore.PolygonChain((PlanarVec(0, 0), PlanarVec(1, 0), PlanarVec(0, 1)))
+RECORD_SAMPLES = [
+    (PlanarVec, dict(x=1, y="1/2"), "(1, 1/2)", 3180726016069507864),
+    (
+        flatcore.PolygonChain,
+        dict(vertices=[PlanarVec(0, 0), PlanarVec(1, 0), PlanarVec(0, 1)]),
+        "PolygonChain(vertices=((0, 0), (1, 0), (0, 1)))",
+        -4625737809571893643,
+    ),
+    (
+        flatcore.TranslationSurface,
+        dict(polygons=[_CHAIN], pairing={(0, 0): (0, 1), (0, 1): (0, 0)}),
+        "TranslationSurface(polygons=(PolygonChain(vertices=((0, 0), (1, 0), (0, 1))),), "
+        "pairing=mappingproxy({EdgeRef(polygon=0, edge=0): EdgeRef(polygon=0, edge=1), "
+        "EdgeRef(polygon=0, edge=1): EdgeRef(polygon=0, edge=0)}))",
+        None,
+    ),
+    (
+        flatcore.ValidationReport,
+        dict(violations=()),
+        "ValidationReport(violations=())",
+        -5486347211504344842,
+    ),
+    (
+        flatcore.ConePoint,
+        dict(corners=((0, 0), (0, 2)), angle_turns=3),
+        "ConePoint(corners=((0, 0), (0, 2)), angle_turns=3)",
+        -703931410063077651,
+    ),
+    (
+        flatcore.StratumSignature,
+        dict(genus=2, orders=(2,)),
+        "StratumSignature(genus=2, orders=(2,))",
+        3150163551385470573,
+    ),
+    (
+        flatcore.PeriodData,
+        dict(pairs=((flatcore.EdgeRef(0, 0), flatcore.EdgeRef(0, 4)),), vectors=(PlanarVec(1, 0),),
+             rank=4),
+        "PeriodData(pairs=((EdgeRef(polygon=0, edge=0), EdgeRef(polygon=0, edge=4)),), "
+        "vectors=((1, 0),), rank=4)",
+        -4512914273109570111,
+    ),
+    (
+        gl2.Mat2,
+        dict(a=1, b="1/2", c=0, d=2),
+        "Mat2(a=Fraction(1, 1), b=Fraction(1, 2), c=Fraction(0, 1), d=Fraction(2, 1))",
+        -3447118018142938253,
+    ),
+    (
+        hyperell.BranchSet,
+        dict(points=(0, 1, 2, "3/2")),
+        "BranchSet(points=(Fraction(0, 1), Fraction(1, 1), Fraction(2, 1), Fraction(3, 2)))",
+        -629577862828673685,
+    ),
+    (
+        hyperell.FactoredForm,
+        dict(constant=3, factors=[(1, 2)]),
+        "FactoredForm(constant=Fraction(3, 1), factors=((Fraction(1, 1), 2),))",
+        337788703002954847,
+    ),
+    (
+        hyperell.WeierstrassPlace,
+        dict(branch=Fraction(1)),
+        "WeierstrassPlace(branch=Fraction(1, 1))",
+        -6644214454873602895,
+    ),
+    (
+        hyperell.ConjugatePairPlace,
+        dict(root=Fraction(1)),
+        "ConjugatePairPlace(root=Fraction(1, 1))",
+        -6644214454873602895,
+    ),
+    (hyperell.InfinityPlace, dict(sign=1), "InfinityPlace(sign=1)", -6644214454873602895),
+    (
+        hyperell.DivisorOnCurve,
+        dict(entries=((hyperell.WeierstrassPlace(Fraction(1)), 2),)),
+        "DivisorOnCurve(entries=((WeierstrassPlace(branch=Fraction(1, 1)), 2),))",
+        902348366228228030,
+    ),
+    (
+        hyperell.BasisReport,
+        dict(genus=2, holomorphic=(True, True, False)),
+        "BasisReport(genus=2, holomorphic=(True, True, False))",
+        4968609506961868998,
+    ),
+    (
+        origami.Origami,
+        dict(d=3, h=[1, 2, 0], v=(0, 2, 1)),
+        "Origami(d=3, h=(1, 2, 0), v=(0, 2, 1))",
+        -2191325850733006959,
+    ),
+    (
+        origami.OrbitData,
+        dict(elements=((1, 0, 0),), cusp_widths=(1,), edges=((0, "S", 0),)),
+        "OrbitData(elements=((1, 0, 0),), cusp_widths=(1,), edges=((0, 'S', 0),))",
+        None,
+    ),
+    (origami.Cylinder, dict(width=3, height=1), "Cylinder(width=3, height=1)", 8756109708711196808),
+    (
+        origami.CylinderDecomposition,
+        dict(cylinders=(origami.Cylinder(3, 1),)),
+        "CylinderDecomposition(cylinders=(Cylinder(width=3, height=1),))",
+        -3108017069101550676,
+    ),
+    (
+        spin.SimpleCycle,
+        dict(origami=_TORUS, steps=[(0, "E")]),
+        "SimpleCycle(origami=Origami(d=1, h=(0,), v=(0,)), steps=((0, 'E'),))",
+        None,
+    ),
+    (
+        spin.QuadraticFormData,
+        dict(_origami=_TORUS, _walks=(((0,), (0,)), ((0,), (1,))), _rows=(2, 1), q_values=(1, 1),
+             radical_rank=0, symplectic_rank=2, arf=1),
+        "QuadraticFormData(_origami=Origami(d=1, h=(0,), v=(0,)), "
+        "_walks=(((0,), (0,)), ((0,), (1,))), _rows=(2, 1), q_values=(1, 1), "
+        "radical_rank=0, symplectic_rank=2, arf=1)",
+        4081610830348526978,
+    ),
+]
+
+
+def test_every_record_type_has_a_sample():
+    assert {cls for cls, *_ in RECORD_SAMPLES} == set(flatcore._Record.__subclasses__())
+
+
+@pytest.mark.parametrize(
+    "cls, fields, expected_repr, expected_hash",
+    RECORD_SAMPLES,
+    ids=[sample[0].__name__ for sample in RECORD_SAMPLES],
+)
+def test_record_semantics(cls, fields, expected_repr, expected_hash):
+    """Each record keeps the frozen dataclass semantics: positional and keyword
+    construction, field-tuple equality and hash within one class, repr, and
+    no assignment or deletion; a TranslationSurface equals only itself."""
+    record = cls(**fields)
+    values = tuple(getattr(record, name) for name in fields)
+    same = cls(*fields.values())
+    assert repr(record) == expected_repr
+    assert record == record
+    # the same values in a subclass, and in every other record type of as many fields
+    twins = [(type(cls.__name__, (cls,), {}), fields)]
+    twins += [(c, f) for c, f, *_ in RECORD_SAMPLES if c is not cls and len(f) == len(fields)]
+    for other_cls, other_fields in twins:
+        twin = object.__new__(other_cls)
+        twin.__dict__.update(zip(other_fields, values))
+        assert record != twin and twin != record, other_cls
+    if cls is flatcore.TranslationSurface:
+        assert record != same and hash(record) == object.__hash__(record)
+    else:
+        assert record == same and not record != same
+        assert hash(record) == hash(same) == hash(values)
+        if expected_hash is not None:
+            assert hash(record) == expected_hash
+    for name in (next(iter(fields)), "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in fields) == values
+

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,10 +37,14 @@ def polygon_sources(rng: random.Random) -> list[flatcore.TranslationSurface]:
 
 
 def assert_seeded_view_is_fresh(surf: flatcore.TranslationSurface) -> None:
-    """The view a surface was built with equals the one its Fractions give."""
+    """The view a surface was built with equals the one its Fractions give, and
+    its pairing, stored as given, is the read-only EdgeRef map the public
+    constructor builds."""
     assert {"_scale", "_scaled"} <= surf.__dict__.keys()
     fresh = flatcore.TranslationSurface(surf.polygons, surf.pairing)
     assert (surf._scale, surf._scaled) == (fresh._scale, fresh._scaled)
+    assert isinstance(surf.pairing, MappingProxyType) and surf.pairing == fresh.pairing
+    assert all(type(ref) is flatcore.EdgeRef for pair in surf.pairing.items() for ref in pair)
 
 
 def random_positive_matrix(rng: random.Random) -> gl2.Mat2:
@@ -168,7 +173,7 @@ def test_apply_equals_the_map_vec_image(rng):
                 flatcore.PolygonChain(tuple(m.map_vec(p) for p in poly.vertices))
                 for poly in source.polygons
             )
-            assert image.pairing == source.pairing
+            assert image.pairing is source.pairing  # shared, not rebuilt
             assert_seeded_view_is_fresh(image)
 
 

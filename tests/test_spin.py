@@ -553,14 +553,15 @@ def test_class_scan_matches_the_python_path(monkeypatch):
 
 
 def test_small_degrees_import_neither_numpy_nor_logging():
-    """Below degree 8 enumeration and scans stay in pure Python."""
+    """Below degree 8 enumeration and scans stay in pure Python, and no flatkit
+    module pulls in dataclasses or inspect (see README, "Start-up")."""
     code = (
         "import sys\n"
         "import flatkit.cli\n"
-        "from flatkit import origami, spin\n"
+        "from flatkit import flatcore, gl2, hyperell, origami, spin, strata\n"
         "assert len(list(origami.origamis_in_stratum(6, (4,)))) == 225\n"
         "assert spin.hyperelliptic_scan(6, (3, 1)) == (128, 0)\n"
-        "print(sorted({'numpy', 'logging'} & set(sys.modules)))\n"
+        "print(sorted({'numpy', 'logging', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(flatkit.__file__).parents[1]))
     out = subprocess.run(
