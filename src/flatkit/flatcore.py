@@ -9,8 +9,9 @@ sweep decide their predicates on integers: each surface keeps its vertices times
 the common denominator of all its coordinates.  Scaling by one positive integer
 keeps every sign of a cross product or coordinate difference and every equality
 of vertices or edge vectors, so each answer is that of the rational coordinates.
-Surfaces built from integers (linear images, square tilings) start with that
-view and divide once per coordinate; the period vectors are read from it.
+Surfaces built from integers (linear images, square tilings) store only that
+view and build their Fraction vertices on first read; every reader here works on
+the view and its one list of edge vectors.
 
 The main operations are structural validation, the cone-point (singularity)
 sweep, genus and stratum computation, the rank of the relative period lattice,
@@ -161,18 +162,23 @@ class TranslationSurface(_Record):
     def _from_scaled(
         cls, points: Sequence[Sequence[Point]], scale: int, pairing: Mapping[EdgeRef, EdgeRef]
     ) -> "TranslationSurface":
-        """The surface with vertices points / scale, built with its integer view: over
-        the gcd of the points and the scale, that is the view _scaled would compute.
-        pairing is stored as given: a read-only map from EdgeRef to EdgeRef."""
+        """The surface with vertices points / scale, stored as its integer view alone (over
+        the gcd of points and scale, the view _scaled would compute); polygons are built
+        on first read.  pairing is stored as given: a read-only EdgeRef to EdgeRef map."""
         g = gcd(scale, *(c for pts in points for pt in pts for c in pt))
         scale, scaled = scale // g, tuple(tuple((x // g, y // g) for x, y in pts) for pts in points)
-        polys = tuple(
-            PolygonChain(tuple(PlanarVec(Fraction(x, scale), Fraction(y, scale)) for x, y in pts))
-            for pts in scaled
-        )
         surf = object.__new__(cls)
-        surf.__dict__.update(polygons=polys, pairing=pairing, _scale=scale, _scaled=scaled)
+        surf.__dict__.update(pairing=pairing, _scale=scale, _scaled=scaled)
         return surf
+
+    @cached_property
+    def polygons(self) -> tuple[PolygonChain, ...]:
+        """Read only on a surface built by _from_scaled: __init__ stores the polygons."""
+        scale = self._scale
+        return tuple(
+            PolygonChain(tuple(PlanarVec(Fraction(x, scale), Fraction(y, scale)) for x, y in pts))
+            for pts in self._scaled
+        )
 
     @cached_property
     def _scale(self) -> int:
@@ -182,13 +188,22 @@ class TranslationSurface(_Record):
     @cached_property
     def _scaled(self) -> tuple[tuple[Point, ...], ...]:
         """Each polygon's vertices times _scale; the coordinates and _scale have gcd 1.
-        A surface built by _from_scaled starts with it, the others lift their Fractions."""
+        A surface built by _from_scaled stores it, the others lift their Fractions."""
         scale = self._scale
 
         def lift(c: Fraction) -> int:
             return c.numerator * (scale // c.denominator)
 
         return tuple(tuple((lift(v.x), lift(v.y)) for v in p.vertices) for p in self.polygons)
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[Point, ...], ...]:
+        """Each polygon's edge vectors (vertex i to i + 1) on the integer view: the one
+        source of edges for validation, the sweep, periods and is_integral."""
+        return tuple(
+            tuple((x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+            for pts in self._scaled
+        )
 
     @cached_property
     def _report(self) -> "ValidationReport":
@@ -200,8 +215,8 @@ class TranslationSurface(_Record):
         return _sweep(self)
 
     def edge_refs(self) -> Iterator[EdgeRef]:
-        for p, poly in enumerate(self.polygons):
-            for e in range(poly.n):
+        for p, pts in enumerate(self._scaled):
+            for e in range(len(pts)):
                 yield EdgeRef(p, e)
 
     def edge_vector(self, ref: EdgeRef) -> PlanarVec:
@@ -238,11 +253,6 @@ class ValidationReport(_Record):
         return not self.violations
 
 
-def _edge(pts: Sequence[Point], i: int) -> Point:
-    (x0, y0), (x1, y1) = pts[i % len(pts)], pts[(i + 1) % len(pts)]
-    return (x1 - x0, y1 - y0)
-
-
 def _cross(u: Point, v: Point) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
@@ -275,15 +285,12 @@ def _segments_touch(a: Point, b: Point, c: Point, d: Point) -> bool:
     )
 
 
-def _polygon_violations(index: int, pts: Sequence[Point]) -> list[str]:
-    out: list[str] = []
+def _polygon_violations(index: int, pts: Sequence[Point], edges: Sequence[Point]) -> list[str]:
     n = len(pts)
     if n < 3:
-        out.append(f"polygon {index}: fewer than 3 vertices")
-        return out
-    for i in range(n):
-        if pts[i] == pts[(i + 1) % n]:
-            out.append(f"polygon {index}: zero-length edge at vertex {i}")
+        return [f"polygon {index}: fewer than 3 vertices"]
+    out = [f"polygon {index}: zero-length edge at vertex {i}"
+           for i, v in enumerate(edges) if v == (0, 0)]
     if out:
         return out
     area2 = sum(_cross(pts[i - 1], pts[i]) for i in range(n))
@@ -292,27 +299,19 @@ def _polygon_violations(index: int, pts: Sequence[Point]) -> list[str]:
     elif area2 < 0:
         out.append(f"polygon {index}: vertices are clockwise (negative signed area)")
 
-    # Simplicity: edges may meet only where consecutive edges share a vertex.
+    # Simplicity: edges may meet only where consecutive edges share a vertex.  Two
+    # consecutive edges, neither of zero length, meet beyond it (one folds back over
+    # the other) exactly when their vectors are antiparallel.
     for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
+        a, b, (ux, uy) = pts[i], pts[(i + 1) % n], edges[i]
         for j in range(i + 1, n):
-            c, d = pts[j], pts[(j + 1) % n]
             if j == i + 1 or (i == 0 and j == n - 1):
-                # Adjacent edges: the shared endpoint is fine, anything more
-                # (a fold-back or overlap) is not.
-                shared = b if j == i + 1 else a
-                p_other = a if j == i + 1 else b
-                q_other = d if j == i + 1 else c
-                bad = (
-                    _on_segment(p_other, c, d)
-                    or _on_segment(q_other, a, b)
-                    or (p_other != shared and q_other != shared and p_other == q_other)
-                )
-                if bad:
+                vx, vy = edges[j]
+                if ux * vy == uy * vx and ux * vx + uy * vy < 0:
                     out.append(
                         f"polygon {index}: edges {i} and {j} overlap beyond their shared vertex"
                     )
-            elif _segments_touch(a, b, c, d):
+            elif _segments_touch(a, b, pts[j], pts[(j + 1) % n]):
                 out.append(f"polygon {index}: edges {i} and {j} intersect")
     return out
 
@@ -334,11 +333,11 @@ def _roots(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
 
 def _validate(surf: TranslationSurface) -> ValidationReport:
     out: list[str] = []
-    if not surf.polygons:
+    scaled, edges = surf._scaled, surf._edges
+    if not scaled:
         return ValidationReport(("no polygons",))
-    scaled = surf._scaled
     for i, pts in enumerate(scaled):
-        out.extend(_polygon_violations(i, pts))
+        out.extend(_polygon_violations(i, pts, edges[i]))
 
     all_edges = set(surf.edge_refs())
     keys = set(surf.pairing.keys())
@@ -366,14 +365,14 @@ def _validate(surf: TranslationSurface) -> ValidationReport:
         for e in sorted(surf.pairing.keys()):
             partner = surf.pairing[e]
             if e < partner:
-                x, y = _edge(scaled[e.polygon], e.edge)
-                if _edge(scaled[partner.polygon], partner.edge) != (-x, -y):
+                x, y = edges[e.polygon][e.edge]
+                if edges[partner.polygon][partner.edge] != (-x, -y):
                     out.append(
                         f"paired edge vectors not opposite: {tuple(e)} and {tuple(partner)}"
                     )
         # Gluing graph on polygons must be connected.
         links = ((e.polygon, partner.polygon) for e, partner in surf.pairing.items())
-        if len(set(_roots(len(surf.polygons), links))) > 1:
+        if len(set(_roots(len(scaled), links))) > 1:
             out.append("not connected: gluing graph has multiple components")
 
     return ValidationReport(tuple(out))
@@ -422,9 +421,9 @@ def _rational_directions() -> Iterator[Fraction]:
                 yield Fraction(num, den)
 
 
-def _reference_direction(scaled: Sequence[Sequence[Point]]) -> Point:
-    """A direction (q, p) of slope p/q not parallel to any edge, used to count angle sweeps."""
-    edge_vecs = [_edge(pts, i) for pts in scaled for i in range(len(pts))]
+def _reference_direction(edges: Sequence[Sequence[Point]]) -> Point:
+    """A direction (q, p) of slope p/q parallel to no vector of edges, to count angle sweeps."""
+    edge_vecs = {v for vs in edges for v in vs}
     for slope in _rational_directions():
         ref = (slope.denominator, slope.numerator)
         if all(_cross(ref, v) != 0 for v in edge_vecs):
@@ -457,8 +456,8 @@ def _corner_orbits(surf: TranslationSurface) -> list[list[tuple[int, int]]]:
     surface until the walk closes up.
     """
     next_corner: dict[tuple[int, int], tuple[int, int]] = {}
-    for p, poly in enumerate(surf.polygons):
-        n = poly.n
+    for p, pts in enumerate(surf._scaled):
+        n = len(pts)
         for i in range(n):
             partner = surf.pairing[EdgeRef(p, (i - 1) % n)]
             next_corner[(p, i)] = (partner.polygon, partner.edge)
@@ -490,15 +489,15 @@ def _sweep(surf: TranslationSurface) -> tuple[tuple[ConePoint, ...], int]:
     full turns.  The genus comes from the Euler characteristic of the induced
     cell structure.
     """
-    scaled = surf._scaled
-    ref = _reference_direction(scaled)
+    edges = surf._edges
+    ref = _reference_direction(edges)
     points: list[ConePoint] = []
     total_turns = 0
     for orbit in _corner_orbits(surf):
         turns = 0
         for p, i in orbit:
-            x, y = _edge(scaled[p], i - 1)
-            if _sector_contains(ref, _edge(scaled[p], i), (-x, -y)):
+            x, y = edges[p][i - 1]
+            if _sector_contains(ref, edges[p][i], (-x, -y)):
                 turns += 1
         if turns < 1:
             raise RuntimeError(f"empty angle sweep at corner orbit {orbit[0]}")
@@ -506,7 +505,7 @@ def _sweep(surf: TranslationSurface) -> tuple[tuple[ConePoint, ...], int]:
         points.append(ConePoint(tuple(sorted(orbit)), turns))
     # Total interior angle of each n-gon is (n-2)*pi, so the turn counts
     # must add up to half the sum of (n-2) over the polygons.
-    expected_double = sum(poly.n - 2 for poly in surf.polygons)
+    expected_double = sum(len(vs) - 2 for vs in edges)
     if 2 * total_turns != expected_double:
         raise RuntimeError(
             f"angle sweep mismatch: counted {total_turns} turns, "
@@ -514,8 +513,8 @@ def _sweep(surf: TranslationSurface) -> tuple[tuple[ConePoint, ...], int]:
         )
     points.sort(key=lambda cp: cp.corners[0])
 
-    n_edges = sum(poly.n for poly in surf.polygons) // 2
-    chi = len(points) - n_edges + len(surf.polygons)
+    n_edges = sum(len(vs) for vs in edges) // 2
+    chi = len(points) - n_edges + len(edges)
     if chi % 2 != 0:
         raise RuntimeError(f"odd Euler characteristic {chi}")
     g = (2 - chi) // 2
@@ -618,15 +617,16 @@ def periods(surf: TranslationSurface) -> PeriodData:
             pair_index[e] = len(pair_list)
             pair_index[partner] = len(pair_list)
             pair_list.append((e, partner))
-    edges, scale = (_edge(surf._scaled[p], i) for (p, i), _ in pair_list), surf._scale
-    vectors = tuple(PlanarVec(Fraction(dx, scale), Fraction(dy, scale)) for dx, dy in edges)
+    edges, scale = surf._edges, surf._scale
+    pair_edges = (edges[p][i] for (p, i), _ in pair_list)
+    vectors = tuple(PlanarVec(Fraction(dx, scale), Fraction(dy, scale)) for dx, dy in pair_edges)
     n_pairs = len(pair_list)
 
     # Boundary relation of each polygon, written over the pair generators.
     boundary_rows: list[list[int]] = []
-    for p, poly in enumerate(surf.polygons):
+    for p, vs in enumerate(edges):
         row = [0] * n_pairs
-        for i in range(poly.n):
+        for i in range(len(vs)):
             e = EdgeRef(p, i)
             rep = pair_list[pair_index[e]][0]
             row[pair_index[e]] += 1 if e == rep else -1
@@ -647,7 +647,7 @@ def periods(surf: TranslationSurface) -> PeriodData:
     endpoint_rows = [[0] * n_pairs for _ in unmarked]
     for k, (rep, _) in enumerate(pair_list):
         p, i = rep
-        n = surf.polygons[p].n
+        n = len(edges[p])
         tail = orbit_of[(p, i)]
         head = orbit_of[(p, (i + 1) % n)]
         if tail in row_of_orbit:
@@ -665,11 +665,10 @@ def periods(surf: TranslationSurface) -> PeriodData:
 
 
 def is_integral(surf: TranslationSurface) -> bool:
-    """True iff every edge vector has integer coordinates: _scale divides each edge of _scaled."""
+    """True iff every edge vector has integer coordinates: _scale divides each of _edges."""
     _require_valid(surf)
-    return all(
-        c % surf._scale == 0 for pts in surf._scaled for i in range(len(pts)) for c in _edge(pts, i)
-    )
+    scale = surf._scale
+    return all(c % scale == 0 for vs in surf._edges for v in vs for c in v)
 
 
 # --- JSON interchange ------------------------------------------------------

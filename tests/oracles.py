@@ -29,6 +29,12 @@ predicates directly on the Fraction coordinates, without the integer view
 of the surface: the violation strings in order, and the turn count of each
 corner orbit.
 
+validation_reference is flatcore's validation as it was written before each
+surface kept one list of edge vectors: on the integer view, with each edge
+vector recomputed from its two vertices, and adjacent edges tested for a
+fold-back by whether either far endpoint lies on the other edge or the two
+far endpoints coincide.
+
 canonical_code_reference is the canonical code of an origami by its
 definition: the least breadth-first relabeling over every start square,
 each one built in full before it is compared, with no start skipped and no
@@ -313,6 +319,88 @@ def reference_violations(surf: flatcore.TranslationSurface) -> tuple[str, ...]:
                 out.append(f"paired edge vectors not opposite: {tuple(e)} and {tuple(partner)}")
         links = ((e.polygon, partner.polygon) for e, partner in surf.pairing.items())
         if len(set(flatcore._roots(len(surf.polygons), links))) > 1:
+            out.append("not connected: gluing graph has multiple components")
+    return tuple(out)
+
+
+def _scaled_edge(pts, i):
+    (x0, y0), (x1, y1) = pts[i % len(pts)], pts[(i + 1) % len(pts)]
+    return (x1 - x0, y1 - y0)
+
+
+def _scaled_polygon_violations(index: int, pts) -> list[str]:
+    on_segment, touch = flatcore._on_segment, flatcore._segments_touch
+    out: list[str] = []
+    n = len(pts)
+    if n < 3:
+        return [f"polygon {index}: fewer than 3 vertices"]
+    for i in range(n):
+        if pts[i] == pts[(i + 1) % n]:
+            out.append(f"polygon {index}: zero-length edge at vertex {i}")
+    if out:
+        return out
+    area2 = sum(flatcore._cross(pts[i - 1], pts[i]) for i in range(n))
+    if area2 == 0:
+        out.append(f"polygon {index}: degenerate (zero signed area)")
+    elif area2 < 0:
+        out.append(f"polygon {index}: vertices are clockwise (negative signed area)")
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        for j in range(i + 1, n):
+            c, d = pts[j], pts[(j + 1) % n]
+            if j == i + 1 or (i == 0 and j == n - 1):
+                shared = b if j == i + 1 else a
+                p_other = a if j == i + 1 else b
+                q_other = d if j == i + 1 else c
+                if (
+                    on_segment(p_other, c, d)
+                    or on_segment(q_other, a, b)
+                    or (p_other != shared and q_other != shared and p_other == q_other)
+                ):
+                    out.append(
+                        f"polygon {index}: edges {i} and {j} overlap beyond their shared vertex"
+                    )
+            elif touch(a, b, c, d):
+                out.append(f"polygon {index}: edges {i} and {j} intersect")
+    return out
+
+
+def validation_reference(surf: flatcore.TranslationSurface) -> tuple[str, ...]:
+    """flatcore.validate's violations by the earlier integer-view body (see above)."""
+    scaled = surf._scaled
+    if not scaled:
+        return ("no polygons",)
+    out = [v for i, pts in enumerate(scaled) for v in _scaled_polygon_violations(i, pts)]
+    all_edges = {(p, e) for p, pts in enumerate(scaled) for e in range(len(pts))}
+    keys = set(surf.pairing)
+    refs = dict.fromkeys(ref for pair in surf.pairing.items() for ref in pair)
+    unknown = [ref for ref in refs if ref not in all_edges]
+    out += [f"pairing refers to nonexistent edge {tuple(e)}" for e in unknown]
+    structural_ok = not unknown
+    if structural_ok:
+        missing = all_edges - keys
+        out += [f"edge {tuple(e)} is unpaired" for e in sorted(missing)]
+        for e in sorted(keys):
+            partner = surf.pairing[e]
+            if partner == e:
+                out.append(f"edge {tuple(e)} is paired with itself")
+                structural_ok = False
+            elif surf.pairing.get(partner) != e:
+                out.append(f"pairing is not an involution at edge {tuple(e)}")
+                structural_ok = False
+        if missing:
+            structural_ok = False
+    if structural_ok and not any("polygon" in v for v in out):
+        for e in sorted(surf.pairing):
+            partner = surf.pairing[e]
+            if e < partner:
+                x, y = _scaled_edge(scaled[e.polygon], e.edge)
+                if _scaled_edge(scaled[partner.polygon], partner.edge) != (-x, -y):
+                    out.append(
+                        f"paired edge vectors not opposite: {tuple(e)} and {tuple(partner)}"
+                    )
+        links = ((e.polygon, partner.polygon) for e, partner in surf.pairing.items())
+        if len(set(flatcore._roots(len(scaled), links))) > 1:
             out.append("not connected: gluing graph has multiple components")
     return tuple(out)
 

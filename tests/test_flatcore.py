@@ -1,5 +1,6 @@
 """Polygon model: validation, cone points, genus, strata, periods, JSON."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -349,6 +350,160 @@ def test_integer_view_has_one_scale_per_surface():
     surf = flatcore.surface([halves, thirds], {(0, i): (1, i) for i in range(3)})
     violations = assert_matches_reference(surf, "halves and thirds")
     assert "paired edge vectors not opposite: (0, 0) and (1, 0)" in violations
+
+
+# --- validation against its earlier integer-view body -----------------------
+
+
+def polygon_soup(rng) -> flatcore.TranslationSurface:
+    """Up to three polygons with coordinates in [-3, 3] over one denominator, each a
+    random vertex list, a counterclockwise triangle or a rectangle, and a pairing that
+    is either a random matching or one broken by an unknown edge, a self-pairing, an
+    unpaired edge or a non-involution."""
+    q = rng.choice((1, 1, 2, 3))
+
+    def coord():
+        return Fraction(rng.randint(-3 * q, 3 * q), q)
+
+    polys, glued = [], {}
+    for p in range(0 if rng.random() < 0.01 else rng.randint(1, 3)):
+        shape = rng.random()
+        if shape < 0.25:
+            pts = [(coord(), coord()) for _ in range(3)]
+            if oracles._orient(*(PlanarVec(*pt) for pt in pts)) < 0:
+                pts.reverse()
+        elif shape < 0.5:
+            (x0, x1), (y0, y1) = sorted((coord(), coord())), sorted((coord(), coord()))
+            pts = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+            if rng.random() < 0.5:  # opposite sides glued: a torus of its own
+                glued.update({(p, 0): (p, 2), (p, 2): (p, 0), (p, 1): (p, 3), (p, 3): (p, 1)})
+        else:
+            pts = [(coord(), coord()) for _ in range(rng.choice((1, 2, 3, 4, 4, 5, 6, 7)))]
+            if len(pts) > 1 and rng.random() < 0.1:
+                k = rng.randrange(len(pts))
+                pts.insert(k, pts[k])
+        polys.append(pts)
+    edges = [(p, e) for p, pts in enumerate(polys) for e in range(len(pts)) if (p, e) not in glued]
+    rng.shuffle(edges)
+    pairing = dict(glued)
+    for a, b in zip(edges[::2], edges[1::2]):
+        pairing[a], pairing[b] = b, a
+    keys = sorted(pairing)
+    broken = rng.randrange(5)
+    if broken == 0:
+        p = rng.randrange(len(polys) + 1)
+        bad = (p, len(polys[p]) if p < len(polys) else 0)
+        pairing[bad if rng.random() < 0.5 else rng.choice(keys or [bad])] = bad
+    elif keys and broken == 1:
+        e = rng.choice(keys)
+        pairing[e] = e
+    elif keys and broken == 2:
+        del pairing[rng.choice(keys)]
+    elif len(keys) > 2 and broken == 3:
+        a, c = rng.sample(keys, 2)
+        pairing[a] = c
+    return flatcore.TranslationSurface([flatcore.polygon(pts) for pts in polys], pairing)
+
+
+def test_validation_equals_the_earlier_body():
+    rng = make_rng(25)
+    names = ("octagon.json", "decagon.json", "torus.json")
+    sources = [flatcore.load_surface(str(DATA / name)) for name in names]
+    sources += [origami.to_polygons(origami.load_origami(str(DATA / f"{name}.origami")))
+                for name in ("l3", "l5")]
+    sources += [build_2ngon(n) for n in range(3, 13)]
+    square_tiled = [origami.to_polygons(origami.random_origami(d, rng)) for d in range(1, 17)]
+    images = [gl2.apply(s, random_matrix(rng)) for s in square_tiled for _ in range(2)]
+    soups = [polygon_soup(rng) for _ in range(3000)]
+    kinds = set()
+    for k, surf in enumerate(sources + square_tiled + images + soups):
+        violations = flatcore.validate(surf).violations
+        assert violations == oracles.validation_reference(surf), k
+        kinds.update(re.sub(r"-?\d+", "#", v) for v in violations)
+    assert all(flatcore.validate(s).ok for s in sources + square_tiled + images)
+    assert sum(not flatcore.validate(s).ok for s in soups) > 2500
+    assert kinds == {
+        "no polygons",
+        "polygon #: fewer than # vertices",
+        "polygon #: zero-length edge at vertex #",
+        "polygon #: degenerate (zero signed area)",
+        "polygon #: vertices are clockwise (negative signed area)",
+        "polygon #: edges # and # overlap beyond their shared vertex",
+        "polygon #: edges # and # intersect",
+        "pairing refers to nonexistent edge (#, #)",
+        "edge (#, #) is unpaired",
+        "edge (#, #) is paired with itself",
+        "pairing is not an involution at edge (#, #)",
+        "paired edge vectors not opposite: (#, #) and (#, #)",
+        "not connected: gluing graph has multiple components",
+    }
+
+
+# Consecutive edges overlap beyond their shared vertex exactly when their vectors
+# are antiparallel: a spike, however long its return edge, and the pair (0, n - 1).
+FOLD_BACKS = {
+    "return shorter than the spike": (
+        [(0, 0), (4, 0), (4, 2), (7, 2), (5, 2), (4, 4), (0, 4)],
+        ("edges 2 and 3 overlap beyond their shared vertex", "edges 2 and 4 intersect"),
+    ),
+    "return as long as the spike": (
+        [(0, 0), (4, 0), (4, 2), (7, 2), (4, 2), (4, 4), (0, 4)],
+        (
+            "edges 1 and 3 intersect",
+            "edges 1 and 4 intersect",
+            "edges 2 and 3 overlap beyond their shared vertex",
+            "edges 2 and 4 intersect",
+        ),
+    ),
+    "return longer than the spike": (
+        [(0, 0), (4, 0), (4, 2), (7, 2), (3, 2), (4, 4), (0, 4)],
+        ("edges 1 and 3 intersect", "edges 2 and 3 overlap beyond their shared vertex"),
+    ),
+    "spike from the first vertex": (
+        [(0, 0), (4, 0), (2, 0), (2, 3)],
+        ("edges 0 and 1 overlap beyond their shared vertex", "edges 0 and 2 intersect"),
+    ),
+    "wrap-around pair": (
+        [(0, 0), (4, 0), (4, 4), (0, 4), (2, 0)],
+        ("edges 0 and 3 intersect", "edges 0 and 4 overlap beyond their shared vertex"),
+    ),
+    "triangle folded at its second vertex": (
+        [(0, 0), (4, 0), (2, 0)],
+        (
+            "degenerate (zero signed area)",
+            "edges 0 and 1 overlap beyond their shared vertex",
+            "edges 0 and 2 overlap beyond their shared vertex",
+        ),
+    ),
+    "triangle folded at its first vertex": (
+        [(0, 0), (4, 0), (6, 0)],
+        (
+            "degenerate (zero signed area)",
+            "edges 0 and 2 overlap beyond their shared vertex",
+            "edges 1 and 2 overlap beyond their shared vertex",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_BACKS))
+def test_fold_backs_overlap_beyond_the_shared_vertex(name):
+    points, expected = FOLD_BACKS[name]
+    surf = flatcore.surface([points], {})
+    violations = flatcore.validate(surf).violations
+    assert tuple(v for v in violations if v.startswith("polygon 0: ")) == tuple(
+        "polygon 0: " + v for v in expected
+    )
+    assert violations == oracles.validation_reference(surf) == oracles.reference_violations(surf)
+
+
+def test_a_straight_vertex_is_no_fold_back():
+    # The unit edges of a 2 x 2 square split at their midpoints continue straight on.
+    points = [(0, 0), (1, 0), (2, 0), (2, 2), (1, 2), (0, 2)]
+    surf = flatcore.surface([points], {(0, 0): (0, 4), (0, 1): (0, 3), (0, 2): (0, 5)})
+    assert flatcore.validate(surf).violations == ()
+    assert flatcore.stratum(surf) == flatcore.StratumSignature(1, ())
+    assert [cp.angle_turns for cp in flatcore.singularities(surf)] == [1, 1]
 
 
 

@@ -165,6 +165,20 @@ def test_apply_validates_source_and_image_once(validation_calls):
     assert validation_calls == [source, image]
 
 
+def test_apply_refuses_an_image_that_fails_its_own_validation(monkeypatch):
+    # The image is validated by itself: no verdict is carried over from the source.
+    source = build_step_octagon()
+    assert flatcore.validate(source).ok
+    body = flatcore._validate
+
+    def fail_images(surf):
+        return body(surf) if surf is source else flatcore.ValidationReport(("forced",))
+
+    monkeypatch.setattr(flatcore, "_validate", fail_images)
+    with pytest.raises(RuntimeError, match="^matrix image failed validation: forced$"):
+        gl2.apply(source, gl2.mat2(1, 1, 0, 1))
+
+
 def test_apply_equals_the_map_vec_image(rng):
     for source in polygon_sources(rng):
         for m in MIXED_DENOMINATORS + (gl2.IDENTITY, random_positive_matrix(rng)):
@@ -193,3 +207,38 @@ def test_periods_equal_the_edge_vectors(rng):
     for surf in sources + [gl2.apply(s, MIXED_DENOMINATORS[0]) for s in sources]:
         data = flatcore.periods(surf)
         assert data.vectors == tuple(surf.edge_vector(rep) for rep, _ in data.pairs)
+
+
+def test_images_and_square_tilings_build_their_polygons_on_first_read(rng):
+    """Every reader works on the integer view; polygons appear only when read."""
+    for d in range(1, 10):
+        square_tiled = origami.to_polygons(origami.random_origami(d, rng))
+        sources = (square_tiled, build_2ngon(d + 2))
+        matrices = [random_positive_matrix(rng) for _ in sources]
+        images = [gl2.apply(source, m) for source, m in zip(sources, matrices)]
+        for surf in [square_tiled] + images:
+            assert flatcore.validate(surf).ok
+            flatcore.singularities(surf)
+            flatcore.stratum(surf)
+            flatcore.genus(surf)
+            flatcore.periods(surf)
+            flatcore.is_integral(surf)
+            assert "polygons" not in surf.__dict__
+        assert square_tiled.polygons == tuple(  # unit squares 5/4 apart
+            flatcore.polygon([(x, 0), (x + 1, 0), (x + 1, 1), (x, 1)])
+            for x in (Fraction(5 * s, 4) for s in range(d))
+        )
+        for source, m, image in zip(sources, matrices, images):
+            expected = tuple(
+                flatcore.PolygonChain(tuple(m.map_vec(p) for p in poly.vertices))
+                for poly in source.polygons
+            )
+            assert image.polygons == expected and image.polygons is image.polygons
+            assert repr(image) == (
+                f"TranslationSurface(polygons={expected!r}, pairing={source.pairing!r})"
+            )
+            twin = gl2.apply(source, m)
+            assert image == image and image != twin and twin.polygons == expected
+            assert hash(image) == object.__hash__(image)
+            assert_seeded_view_is_fresh(image)
+        assert_seeded_view_is_fresh(square_tiled)
