@@ -206,6 +206,13 @@ class TranslationSurface(_Record):
         )
 
     @cached_property
+    def _pairs(self) -> tuple[tuple[EdgeRef, EdgeRef], ...]:
+        """Each edge pair once as (e, partner) with e < partner, sorted: the one source of
+        pairs for validation's edge-vector test, periods, surface_to_json and rendering."""
+        pairing = self.pairing
+        return tuple((e, pairing[e]) for e in sorted(pairing) if e < pairing[e])
+
+    @cached_property
     def _report(self) -> "ValidationReport":
         return _validate(self)
 
@@ -362,16 +369,13 @@ def _validate(surf: TranslationSurface) -> ValidationReport:
             structural_ok = False
 
     if structural_ok and not any("polygon" in v for v in out):
-        for e in sorted(surf.pairing.keys()):
-            partner = surf.pairing[e]
-            if e < partner:
-                x, y = edges[e.polygon][e.edge]
-                if edges[partner.polygon][partner.edge] != (-x, -y):
-                    out.append(
-                        f"paired edge vectors not opposite: {tuple(e)} and {tuple(partner)}"
-                    )
+        # The pairing is an involution without fixed points: _pairs holds each pair once.
+        for e, partner in surf._pairs:
+            x, y = edges[e.polygon][e.edge]
+            if edges[partner.polygon][partner.edge] != (-x, -y):
+                out.append(f"paired edge vectors not opposite: {tuple(e)} and {tuple(partner)}")
         # Gluing graph on polygons must be connected.
-        links = ((e.polygon, partner.polygon) for e, partner in surf.pairing.items())
+        links = ((e.polygon, partner.polygon) for e, partner in surf._pairs)
         if len(set(_roots(len(scaled), links))) > 1:
             out.append("not connected: gluing graph has multiple components")
 
@@ -564,8 +568,9 @@ class PeriodData(_Record):
 
     rank is the dimension over the rationals of the span of the edge-pair
     generators modulo the polygon boundary relations, relative to the set of
-    actual zeros (for the torus a single marked point is kept).  It always
-    equals 2g + n - 1 for n marked points.
+    actual zeros (for the torus a single marked point is kept).  Both kinds of
+    relation are rows of incidence matrices, so periods counts the rank from
+    connected components; it always equals 2g + n - 1 for n marked points.
     """
 
     pairs: tuple[tuple[EdgeRef, EdgeRef], ...]
@@ -578,90 +583,41 @@ class PeriodData(_Record):
         self.__dict__.update(pairs=pairs, vectors=vectors, rank=rank)
 
 
-def _integer_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals of integer rows, by fraction-free elimination.
-
-    Each pass takes one nonzero row as pivot and clears its first nonzero
-    column from the others by integer cross-multiplication; dividing every
-    row by the gcd of its entries keeps them small.
-    """
-    rows = [row for row in rows if any(row)]
-    rank = 0
-    while rows:
-        pivot_row = rows.pop()
-        col = next(c for c, x in enumerate(pivot_row) if x)
-        p = pivot_row[col]
-        rank += 1
-        rest = []
-        for row in rows:
-            f = row[col]
-            if f:
-                row = [p * x - f * y for x, y in zip(row, pivot_row)]
-                g = gcd(*row)
-                if g == 0:
-                    continue  # a multiple of the pivot row
-                row = [x // g for x in row]
-            rest.append(row)
-        rows = rest
-    return rank
-
-
 def periods(surf: TranslationSurface) -> PeriodData:
-    """Edge-pair period vectors and the relative period rank, checked to be 2g + n - 1."""
+    """Edge-pair period vectors and the relative period rank, checked to be 2g + n - 1.
+
+    The rank is the number of edge pairs less the ranks of two sets of relations.  Each
+    set is made of rows of an incidence matrix, whose rows are dependent only through
+    their sum over a connected component, so each rank is a count of components:
+    - the boundary of each polygon: the incidence matrix of the dual graph (polygons
+      joined by edge pairs), of rank F minus its number of components;
+    - the endpoints at each unmarked vertex, since a relative cycle may have boundary
+      only on marked points: the unmarked rows of the incidence matrix of the
+      1-skeleton (cone points joined by edge pairs), of rank V - m minus the number
+      of components with no marked vertex.
+    """
     points, g = surf._swept
-    pair_list: list[tuple[EdgeRef, EdgeRef]] = []
-    pair_index: dict[EdgeRef, int] = {}
-    for e in sorted(surf.pairing.keys()):
-        partner = surf.pairing[e]
-        if e < partner:
-            pair_index[e] = len(pair_list)
-            pair_index[partner] = len(pair_list)
-            pair_list.append((e, partner))
-    edges, scale = surf._edges, surf._scale
-    pair_edges = (edges[p][i] for (p, i), _ in pair_list)
+    pairs, edges, scale = surf._pairs, surf._edges, surf._scale
+    pair_edges = (edges[p][i] for (p, i), _ in pairs)
     vectors = tuple(PlanarVec(Fraction(dx, scale), Fraction(dy, scale)) for dx, dy in pair_edges)
-    n_pairs = len(pair_list)
 
-    # Boundary relation of each polygon, written over the pair generators.
-    boundary_rows: list[list[int]] = []
-    for p, vs in enumerate(edges):
-        row = [0] * n_pairs
-        for i in range(len(vs)):
-            e = EdgeRef(p, i)
-            rep = pair_list[pair_index[e]][0]
-            row[pair_index[e]] += 1 if e == rep else -1
-        boundary_rows.append(row)
+    faces = _roots(len(edges), ((e.polygon, partner.polygon) for e, partner in pairs))
+    boundary_rank = len(edges) - len(set(faces))
 
-    orbit_of: dict[tuple[int, int], int] = {}
-    for idx, cp in enumerate(points):
-        for corner in cp.corners:
-            orbit_of[corner] = idx
-    marked = {idx for idx, cp in enumerate(points) if cp.zero_order > 0}
-    if not marked:
-        marked = {0}
+    vertex_of = {corner: k for k, cp in enumerate(points) for corner in cp.corners}
+    marked = {k for k, cp in enumerate(points) if cp.zero_order > 0} or {0}
+    links = ((vertex_of[p, i], vertex_of[p, (i + 1) % len(edges[p])]) for (p, i), _ in pairs)
+    skeleton = _roots(len(points), links)
+    unmarked_components = set(skeleton) - {skeleton[k] for k in marked}
+    endpoint_rank = len(points) - len(marked) - len(unmarked_components)
 
-    # Endpoint relations for the unmarked vertices: a relative cycle must
-    # have boundary supported on the marked set only.
-    unmarked = [idx for idx in range(len(points)) if idx not in marked]
-    row_of_orbit = {orbit: r for r, orbit in enumerate(unmarked)}
-    endpoint_rows = [[0] * n_pairs for _ in unmarked]
-    for k, (rep, _) in enumerate(pair_list):
-        p, i = rep
-        n = len(edges[p])
-        tail = orbit_of[(p, i)]
-        head = orbit_of[(p, (i + 1) % n)]
-        if tail in row_of_orbit:
-            endpoint_rows[row_of_orbit[tail]][k] -= 1
-        if head in row_of_orbit:
-            endpoint_rows[row_of_orbit[head]][k] += 1
-
-    rank = n_pairs - _integer_rank(endpoint_rows) - _integer_rank(boundary_rows)
+    rank = len(pairs) - endpoint_rank - boundary_rank
     expected = 2 * g + len(marked) - 1
     if rank != expected:
         raise RuntimeError(
             f"period rank {rank} does not match 2g+n-1 = {expected}; broken representation"
         )
-    return PeriodData(tuple(pair_list), vectors, rank)
+    return PeriodData(pairs, vectors, rank)
 
 
 def is_integral(surf: TranslationSurface) -> bool:
@@ -714,11 +670,7 @@ def surface_to_json(surf: TranslationSurface) -> dict:
         [[_coord_to_json(p.x), _coord_to_json(p.y)] for p in poly.vertices]
         for poly in surf.polygons
     ]
-    pairs = []
-    for e in sorted(surf.pairing.keys()):
-        partner = surf.pairing[e]
-        if e < partner:
-            pairs.append([[e.polygon, e.edge], [partner.polygon, partner.edge]])
+    pairs = [[list(e), list(partner)] for e, partner in surf._pairs]
     return {"polygons": polys, "pairings": pairs}
 
 

@@ -35,6 +35,11 @@ vector recomputed from its two vertices, and adjacent edges tested for a
 fold-back by whether either far endpoint lies on the other edge or the two
 far endpoints coincide.
 
+period_rank_reference is flatcore.periods' rank as it was computed before
+periods counted connected components: the boundary relation of each polygon
+and the endpoint relation at each unmarked cone point, written as dense
+integer rows over the edge pairs and ranked by fraction-free elimination.
+
 canonical_code_reference is the canonical code of an origami by its
 definition: the least breadth-first relabeling over every start square,
 each one built in full before it is compared, with no start skipped and no
@@ -403,6 +408,69 @@ def validation_reference(surf: flatcore.TranslationSurface) -> tuple[str, ...]:
         if len(set(flatcore._roots(len(scaled), links))) > 1:
             out.append("not connected: gluing graph has multiple components")
     return tuple(out)
+
+
+def _integer_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals of integer rows, by fraction-free elimination.
+
+    Each pass takes one nonzero row as pivot and clears its first nonzero
+    column from the others by integer cross-multiplication; dividing every
+    row by the gcd of its entries keeps them small.
+    """
+    rows = [row for row in rows if any(row)]
+    rank = 0
+    while rows:
+        pivot_row = rows.pop()
+        col = next(c for c, x in enumerate(pivot_row) if x)
+        p = pivot_row[col]
+        rank += 1
+        rest = []
+        for row in rows:
+            f = row[col]
+            if f:
+                row = [p * x - f * y for x, y in zip(row, pivot_row)]
+                g = math.gcd(*row)
+                if g == 0:
+                    continue  # a multiple of the pivot row
+                row = [x // g for x in row]
+            rest.append(row)
+        rows = rest
+    return rank
+
+
+def period_rank_reference(surf: flatcore.TranslationSurface) -> int:
+    """The relative period rank of a valid surface from dense relation rows (see above)."""
+    points = flatcore.singularities(surf)
+    pair_list = [(e, partner) for e, partner in sorted(surf.pairing.items()) if e < partner]
+    pair_index = {ref: k for k, pair in enumerate(pair_list) for ref in pair}
+    n_pairs = len(pair_list)
+
+    # Boundary relation of each polygon, written over the pair generators.
+    boundary_rows = []
+    for p, poly in enumerate(surf.polygons):
+        row = [0] * n_pairs
+        for i in range(poly.n):
+            e = flatcore.EdgeRef(p, i)
+            row[pair_index[e]] += 1 if e == pair_list[pair_index[e]][0] else -1
+        boundary_rows.append(row)
+
+    orbit_of = {corner: idx for idx, cp in enumerate(points) for corner in cp.corners}
+    marked = {idx for idx, cp in enumerate(points) if cp.zero_order > 0} or {0}
+
+    # Endpoint relations for the unmarked vertices: a relative cycle must
+    # have boundary supported on the marked set only.
+    unmarked = [idx for idx in range(len(points)) if idx not in marked]
+    row_of_orbit = {orbit: r for r, orbit in enumerate(unmarked)}
+    endpoint_rows = [[0] * n_pairs for _ in row_of_orbit]
+    for k, ((p, i), _) in enumerate(pair_list):
+        tail = orbit_of[(p, i)]
+        head = orbit_of[(p, (i + 1) % surf.polygons[p].n)]
+        if tail in row_of_orbit:
+            endpoint_rows[row_of_orbit[tail]][k] -= 1
+        if head in row_of_orbit:
+            endpoint_rows[row_of_orbit[head]][k] += 1
+
+    return n_pairs - _integer_rank(endpoint_rows) - _integer_rank(boundary_rows)
 
 
 def _sector_contains(ref: PlanarVec, start: PlanarVec, end: PlanarVec) -> bool:

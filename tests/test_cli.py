@@ -12,7 +12,7 @@ import pytest
 
 from flatkit import cli, flatcore, spin
 
-from conftest import DATA, build_bad_square
+from conftest import DATA, build_2ngon, build_bad_square
 
 
 def test_strata_loads_neither_origami_nor_spin():
@@ -340,6 +340,24 @@ def test_strata_budget(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error: budget exceeded")
+
+
+def test_polygon_budget(tmp_path, validation_calls, capsys):
+    n = cli.MAX_POLYGON_EDGES // 2 + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(flatcore.surface_to_json(build_2ngon(n))))
+    for argv in (["analyze", str(path)], ["act", str(path), "--matrix", "1 0 0 1"],
+                 ["render", str(path)]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: budget exceeded: polygon 0 has {2 * n} edges, "
+            f"more than {cli.MAX_POLYGON_EDGES}\n"
+        )
+    assert validation_calls == []
 
 
 def test_divisor_command(capsys):

@@ -1,5 +1,6 @@
 """Polygon model: validation, cone points, genus, strata, periods, JSON."""
 
+import functools
 import re
 from fractions import Fraction
 
@@ -405,7 +406,10 @@ def polygon_soup(rng) -> flatcore.TranslationSurface:
     return flatcore.TranslationSurface([flatcore.polygon(pts) for pts in polys], pairing)
 
 
-def test_validation_equals_the_earlier_body():
+@functools.cache
+def validation_sets() -> tuple[list, list, list, list]:
+    """Fixtures and 2n-gons, random square-tiled surfaces, their linear images and
+    3000 polygon soups; built once, as surfaces are immutable."""
     rng = make_rng(25)
     names = ("octagon.json", "decagon.json", "torus.json")
     sources = [flatcore.load_surface(str(DATA / name)) for name in names]
@@ -415,6 +419,11 @@ def test_validation_equals_the_earlier_body():
     square_tiled = [origami.to_polygons(origami.random_origami(d, rng)) for d in range(1, 17)]
     images = [gl2.apply(s, random_matrix(rng)) for s in square_tiled for _ in range(2)]
     soups = [polygon_soup(rng) for _ in range(3000)]
+    return sources, square_tiled, images, soups
+
+
+def test_validation_equals_the_earlier_body():
+    sources, square_tiled, images, soups = validation_sets()
     kinds = set()
     for k, surf in enumerate(sources + square_tiled + images + soups):
         violations = flatcore.validate(surf).violations
@@ -497,15 +506,37 @@ def test_fold_backs_overlap_beyond_the_shared_vertex(name):
     assert violations == oracles.validation_reference(surf) == oracles.reference_violations(surf)
 
 
-def test_a_straight_vertex_is_no_fold_back():
+def straight_vertex_square() -> flatcore.TranslationSurface:
     # The unit edges of a 2 x 2 square split at their midpoints continue straight on.
     points = [(0, 0), (1, 0), (2, 0), (2, 2), (1, 2), (0, 2)]
-    surf = flatcore.surface([points], {(0, 0): (0, 4), (0, 1): (0, 3), (0, 2): (0, 5)})
+    return flatcore.surface([points], {(0, 0): (0, 4), (0, 1): (0, 3), (0, 2): (0, 5)})
+
+
+def test_a_straight_vertex_is_no_fold_back():
+    surf = straight_vertex_square()
     assert flatcore.validate(surf).violations == ()
     assert flatcore.stratum(surf) == flatcore.StratumSignature(1, ())
     assert [cp.angle_turns for cp in flatcore.singularities(surf)] == [1, 1]
 
 
+# --- period rank against dense elimination ------------------------------------
+
+
+def test_period_rank_equals_the_dense_elimination(torus_surface):
+    rng = make_rng(26)
+    surfaces = [s for group in validation_sets() for s in group if flatcore.validate(s).ok]
+    surfaces += [straight_vertex_square(), torus_surface]  # no zeros: one cone point kept marked
+    surfaces += [origami.to_polygons(origami.random_origami(d, rng)) for d in (50, 100, 200, 300)]
+    for k, surf in enumerate(surfaces):
+        assert flatcore.periods(surf).rank == oracles.period_rank_reference(surf), k
+
+
+def test_period_rank_is_checked_against_the_genus():
+    surf = build_2ngon(4)  # H(2): genus 2, one zero, rank 4
+    points, g = surf._swept
+    surf.__dict__["_swept"] = (points, g + 1)
+    with pytest.raises(RuntimeError, match=r"period rank 4 does not match 2g\+n-1 = 6"):
+        flatcore.periods(surf)
 
 
 def test_json_roundtrip(octagon):
