@@ -133,10 +133,10 @@ def _valid_surface(loaded: tuple[str, object]) -> Optional[flatcore.TranslationS
 
         surf = origami.to_polygons(surf)  # unit squares: within the budget
     else:
-        for i, poly in enumerate(surf.polygons):
-            if poly.n > MAX_POLYGON_EDGES:
+        for i, pts in enumerate(surf._scaled):
+            if len(pts) > MAX_POLYGON_EDGES:
                 raise CliError(
-                    f"budget exceeded: polygon {i} has {poly.n} edges, "
+                    f"budget exceeded: polygon {i} has {len(pts)} edges, "
                     f"more than {MAX_POLYGON_EDGES}"
                 )
     violations = flatcore.validate(surf).violations
@@ -472,10 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

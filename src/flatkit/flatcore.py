@@ -9,9 +9,8 @@ sweep decide their predicates on integers: each surface keeps its vertices times
 the common denominator of all its coordinates.  Scaling by one positive integer
 keeps every sign of a cross product or coordinate difference and every equality
 of vertices or edge vectors, so each answer is that of the rational coordinates.
-Surfaces built from integers (linear images, square tilings) store only that
-view and build their Fraction vertices on first read; every reader here works on
-the view and its one list of edge vectors.
+Every surface stores only that view and builds its Fraction vertices on first
+read; every reader here works on the view and its one list of edge vectors.
 
 The main operations are structural validation, the cone-point (singularity)
 sweep, genus and stratum computation, the rank of the relative period lattice,
@@ -155,16 +154,23 @@ class TranslationSurface(_Record):
     __hash__ = object.__hash__
 
     def __init__(self, polygons: Iterable[PolygonChain], pairing: Mapping) -> None:
+        polygons = tuple(polygons)  # stored as the integer view alone, as by _from_scaled
+        scale = lcm(*(c.denominator for p in polygons for v in p.vertices for c in (v.x, v.y)))
+
+        def lift(c: Fraction) -> int:  # over the lcm of reduced denominators: gcd 1 already
+            return c.numerator * (scale // c.denominator)
+
+        scaled = tuple(tuple((lift(v.x), lift(v.y)) for v in p.vertices) for p in polygons)
         pairing = {EdgeRef(*k): EdgeRef(*v) for k, v in dict(pairing).items()}
-        self.__dict__.update(polygons=tuple(polygons), pairing=MappingProxyType(pairing))
+        self.__dict__.update(pairing=MappingProxyType(pairing), _scale=scale, _scaled=scaled)
 
     @classmethod
     def _from_scaled(
         cls, points: Sequence[Sequence[Point]], scale: int, pairing: Mapping[EdgeRef, EdgeRef]
     ) -> "TranslationSurface":
         """The surface with vertices points / scale, stored as its integer view alone (over
-        the gcd of points and scale, the view _scaled would compute); polygons are built
-        on first read.  pairing is stored as given: a read-only EdgeRef to EdgeRef map."""
+        the gcd of points and scale); polygons are built on first read.  pairing is stored
+        as given: a read-only EdgeRef to EdgeRef map."""
         g = gcd(scale, *(c for pts in points for pt in pts for c in pt))
         scale, scaled = scale // g, tuple(tuple((x // g, y // g) for x, y in pts) for pts in points)
         surf = object.__new__(cls)
@@ -173,28 +179,12 @@ class TranslationSurface(_Record):
 
     @cached_property
     def polygons(self) -> tuple[PolygonChain, ...]:
-        """Read only on a surface built by _from_scaled: __init__ stores the polygons."""
+        """The Fraction polygons, built from the integer view on first read."""
         scale = self._scale
         return tuple(
             PolygonChain(tuple(PlanarVec(Fraction(x, scale), Fraction(y, scale)) for x, y in pts))
             for pts in self._scaled
         )
-
-    @cached_property
-    def _scale(self) -> int:
-        """The common denominator of all coordinates."""
-        return lcm(*(c.denominator for p in self.polygons for v in p.vertices for c in (v.x, v.y)))
-
-    @cached_property
-    def _scaled(self) -> tuple[tuple[Point, ...], ...]:
-        """Each polygon's vertices times _scale; the coordinates and _scale have gcd 1.
-        A surface built by _from_scaled stores it, the others lift their Fractions."""
-        scale = self._scale
-
-        def lift(c: Fraction) -> int:
-            return c.numerator * (scale // c.denominator)
-
-        return tuple(tuple((lift(v.x), lift(v.y)) for v in p.vertices) for p in self.polygons)
 
     @cached_property
     def _edges(self) -> tuple[tuple[Point, ...], ...]:
@@ -590,7 +580,7 @@ def periods(surf: TranslationSurface) -> PeriodData:
     set is made of rows of an incidence matrix, whose rows are dependent only through
     their sum over a connected component, so each rank is a count of components:
     - the boundary of each polygon: the incidence matrix of the dual graph (polygons
-      joined by edge pairs), of rank F minus its number of components;
+      joined by edge pairs), of rank F - 1, since validation found it connected;
     - the endpoints at each unmarked vertex, since a relative cycle may have boundary
       only on marked points: the unmarked rows of the incidence matrix of the
       1-skeleton (cone points joined by edge pairs), of rank V - m minus the number
@@ -600,9 +590,7 @@ def periods(surf: TranslationSurface) -> PeriodData:
     pairs, edges, scale = surf._pairs, surf._edges, surf._scale
     pair_edges = (edges[p][i] for (p, i), _ in pairs)
     vectors = tuple(PlanarVec(Fraction(dx, scale), Fraction(dy, scale)) for dx, dy in pair_edges)
-
-    faces = _roots(len(edges), ((e.polygon, partner.polygon) for e, partner in pairs))
-    boundary_rank = len(edges) - len(set(faces))
+    boundary_rank = len(edges) - 1
 
     vertex_of = {corner: k for k, cp in enumerate(points) for corner in cp.corners}
     marked = {k for k, cp in enumerate(points) if cp.zero_order > 0} or {0}

@@ -16,27 +16,23 @@ ints, yields both the symplectic pairs and a basis of the radical.  The
 cycles of a spanning tree are checked by the tree walk that builds them,
 not again by SimpleCycle.  The module also detects the 180-degree flat
 involution with sphere quotient and classifies the connected component of
-the ambient stratum.  h^-1, v^-1, the corner cycles and the stratum come
-from the origami's own cache (see flatkit.origami), once per origami, and
-spin_parity and hyperelliptic_involution store their answers there too.
+the ambient stratum; hyperelliptic_scan runs the scan of flatkit.census.
+h^-1, v^-1, the corner cycles and the stratum come from the origami's own
+cache (see flatkit.origami), once per origami, and spin_parity and
+hyperelliptic_involution store their answers there too.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from . import origami as origami_mod
 from . import strata
 from .flatcore import _Record
-from .origami import Origami, cycles_of, invert_perm, singularity_orders
+from .origami import Origami, singularity_orders
 from .strata import ComponentLabel
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _DIRS = ("E", "N", "W", "S")
 _IDX = {"E": 0, "N": 1, "W": 2, "S": 3}
@@ -463,142 +459,12 @@ def hyperelliptic_involution(o: Origami) -> Optional[tuple[int, ...]]:
     return vars(o)["_involution"]
 
 
-def _propagations(
-    batch: origami_mod.PairBatch, commuting: bool = False, starts: Optional[Sequence[int]] = None
-) -> np.ndarray:
-    """Per row of a batch, the number of squares t among starts from which
-    sigma(0) = t propagates to a map defined on every square without a clash.
-
-    The involution propagation (commuting False) applies
-    sigma(h(s)) = h^-1(sigma(s)) and sigma(v(s)) = v^-1(sigma(s)); a flat
-    involution is such a map, so every row with one has a nonzero count.
-    The commuting propagation applies sigma(h(s)) = h(sigma(s)) and
-    sigma(v(s)) = v(sigma(s)); on a connected row its maps are the
-    automorphisms of the pair, so the count is |Aut| >= 1.  Either rule
-    reaches only the component of square 0, so every disconnected row counts
-    0.  Either map sends the h-cycle of 0 to an h-cycle as long, so the
-    default starts are the t whose h-cycle is as long as that of 0; from
-    starts (0,) the commuting count is 1 exactly on the connected rows.
-    Each round applies both rules to the whole state matrix at once, int8
-    with -1 for an image not known yet.  A row stops when two images of one
-    square clash or when a round adds no image, and counts when it stops
-    with no clash and every image known.
-    """
-    import numpy as np
-
-    def merge(state, image):
-        """Both partial maps together, and the rows where they disagree."""
-        clash = ((state != image) & ((state | image) >= 0)).any(axis=0)
-        return np.maximum(state, image), clash
-
-    n, d = batch.v.shape
-    if starts is None:
-        length = [0] * d
-        for cycle in cycles_of(batch.h.tolist()):
-            for s in cycle:
-                length[s] = len(cycle)
-        starts = [t for t in range(d) if length[t] == length[0]]
-    hinv_rows = batch.hinv.astype(np.intp)
-    h_images = np.append(batch.h if commuting else batch.hinv, np.int8(-1))  # index -1 stays -1
-    v_images = batch.v if commuting else batch.vinv
-    counts = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, origami_mod._BLOCK):
-        for t in starts:
-            # One column per row of the batch: state[s] holds sigma(s), and
-            # image has a last row of -1, which index -1 wraps to.
-            alive = np.arange(lo, min(lo + origami_mod._BLOCK, n))
-            vinv = batch.vinv[alive].T
-            image = np.full((d + 1, len(alive)), -1, dtype=np.int8)
-            image[:d] = v_images[alive].T
-            state = np.full((d, len(alive)), -1, dtype=np.int8)
-            state[0] = t
-            while len(alive):
-                before = state
-                state, clash_h = merge(state, h_images[state[hinv_rows]])
-                at = state.ravel()[origami_mod._flat_index(vinv)]
-                state, clash_v = merge(state, image.ravel()[origami_mod._flat_index(at)])
-                clash = clash_h | clash_v
-                still = (state == before).all(axis=0)
-                counts[alive[still & ~clash & (state.min(axis=0) >= 0)]] += 1
-                keep = ~(clash | still)
-                alive = alive[keep]
-                state = np.compress(keep, state, axis=1)
-                vinv = np.compress(keep, vinv, axis=1)
-                image = np.compress(keep, image, axis=1)
-    return counts
-
-
-def _batch_scan(d: int, orders: Sequence[int], per_class: bool = False) -> tuple[int, int]:
-    """hyperelliptic_scan over the numpy batches, one row per isomorphism class.
-
-    Conjugating (h, v) by an element of C(h) relabels the pair and keeps h,
-    so a flat involution exists on every row of a C(h)-orbit or on none.
-    Only the kept rows of origami._orbit_representatives, one row per
-    orbit, go to the involution propagation (_propagations), and only the
-    rows with a nonzero count go to _involution_core.  Disconnected rows
-    never have a witness, so no step tests connectivity.  Returns (rows,
-    rows with a witness), a witness row counting |C(h)| / |Aut| times,
-    |Aut| from the commuting propagation; with per_class, (connected kept
-    rows, kept rows with a witness), which counts classes: the commuting
-    propagation from sigma(0) = 0 alone is 1 exactly on the connected rows,
-    where the identity extends to an automorphism.  Each cycle type of h logs at
-    DEBUG its funnel (cosets tested, cosets passing the kernel's filters,
-    rows, F-canonical rows, kept rows, propagation survivors, witness rows,
-    witnesses) and the seconds spent in the kernel, the orbit filter, the
-    propagation and the per-pair test.
-    """
-    import logging
-    import time
-
-    log = logging.getLogger(__name__)
-    scanned = 0
-    hits = 0
-    batches = origami_mod._stratum_batches(d, orders)
-    while True:
-        start = time.perf_counter()
-        batch = next(batches, None)
-        if batch is None:
-            break
-        kernel = time.perf_counter()
-        kept, f_canonical = origami_mod._orbit_representatives(batch)
-        reps = batch._replace(v=batch.v[kept], vinv=batch.vinv[kept])
-        orbit_filter = time.perf_counter()
-        survive = _propagations(reps).nonzero()[0]
-        propagation = time.perf_counter()
-        h, hinv = batch.h.tolist(), batch.hinv.tolist()
-        found = [
-            row
-            for row, v, vinv in zip(survive, reps.v[survive].tolist(), reps.vinv[survive].tolist())
-            if _involution_core(d, h, v, hinv, vinv) is not None
-        ]
-        order = origami_mod._centralizer_order(batch.cycle_type)
-        if per_class:
-            scanned += int(_propagations(reps, commuting=True, starts=(0,)).sum())
-            witnesses = len(found)
-        else:
-            scanned += len(batch.v)
-            found_rows = reps._replace(v=reps.v[found], vinv=reps.vinv[found])
-            witnesses = int((order // _propagations(found_rows, commuting=True)).sum())
-        test = time.perf_counter()
-        log.debug(
-            "hyperelliptic_scan d=%d h type %s: %d cosets tested, %d pass, %d rows, "
-            "%d F-canonical, %d kept, %d survive propagation, %d witness rows, "
-            "%d witnesses; kernel %.3f s, orbit filter %.3f s, propagation %.3f s, "
-            "per-pair test %.3f s",
-            d, batch.cycle_type, math.factorial(d) // order, len(batch.v) // order, len(batch.v),
-            f_canonical, len(kept), len(survive), len(found), witnesses,
-            kernel - start, orbit_filter - kernel, propagation - orbit_filter, test - propagation,
-        )
-        hits += witnesses
-    return scanned, hits
-
-
 def hyperelliptic_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
     """Exhaustively test a stratum's degree-d pairs for flat involutions.
 
     Returns (pairs scanned, pairs admitting an involution).  Below degree 9
     the pairs are one per isomorphism class: below degree 8 those of
-    origami.stratum_pairs_raw, at degree 8 the connected kept rows of the
+    origami.origamis_in_stratum, at degree 8 the connected kept rows of the
     numpy batches (_batch_scan with per_class), with no canonical form
     computed.
     From degree 9 on the scan covers every labeled cycle-type match,
@@ -610,24 +476,15 @@ def hyperelliptic_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
     logs a funnel and stage times per cycle type of h at DEBUG on the
     flatkit.spin logger.
     """
-    if d >= origami_mod._NUMPY_DEGREE:
-        return _batch_scan(d, orders, per_class=d < origami_mod._RAW_DEGREE)
-    scanned = 0
-    hits = 0
-    for h, v in origami_mod.stratum_pairs_raw(d, orders):
-        scanned += 1
-        if _involution_core(d, h, v, invert_perm(h), invert_perm(v)) is not None:
-            hits += 1
-    return scanned, hits
+    from . import census
+
+    return census._involution_scan(d, orders)
 
 
 def _involution_swaps_singular_vertices(o: Origami, sigma: Sequence[int]) -> bool:
     """Whether the involution exchanges the two cone points (when there are two)."""
     comm_cycles = o._corner_cycles
-    cycle_id = {}
-    for idx, cyc in enumerate(comm_cycles):
-        for s in cyc:
-            cycle_id[s] = idx
+    cycle_id = {s: idx for idx, cyc in enumerate(comm_cycles) for s in cyc}
     singular = [idx for idx, cyc in enumerate(comm_cycles) if len(cyc) > 1]
     if len(singular) != 2:
         return False

@@ -95,7 +95,7 @@ from functools import lru_cache
 from itertools import combinations, groupby
 from typing import Optional, Sequence
 
-from flatkit import flatcore, origami, spin, strata
+from flatkit import census, flatcore, origami, spin, strata
 from flatkit.flatcore import PlanarVec
 
 
@@ -546,26 +546,26 @@ def automorphism_count(
 
 def labeled_stratum_pairs_python(d: int, orders: tuple[int, ...]):
     """Raw (h, v, h^-1, v^-1) of the Python kernel with the given corner cycle
-    type: the rows of origami._python_batches, one cycle type of h after
+    type: the rows of census._python_batches, one cycle type of h after
     another, with no connectivity check and no removal of isomorphic
     duplicates."""
-    for h, hinv, _, rows in origami._python_batches(d, orders):
+    for h, hinv, _, rows in census._python_batches(d, orders):
         for v in rows:
             yield h, v, hinv, origami.invert_perm(v)
 
 
 def python_batches_reference(d: int, orders: tuple[int, ...]) -> list[tuple[tuple, list]]:
-    """(h, rows) per cycle type of h as origami._python_batches yields them,
+    """(h, rows) per cycle type of h as census._python_batches yields them,
     with the full cycle-type test on every coset representative and no
     fixed-point count before it."""
-    target = list(origami._target_type(d, orders))
+    target = list(census._target_type(d, orders))
     out = []
     for parts in strata.int_partitions(d):
-        h = origami._cycle_type_rep(parts)
+        h = census._cycle_type_rep(parts)
         hinv = origami.invert_perm(h)
-        centralizer = origami._centralizer(parts)
+        centralizer = census._centralizer(parts)
         rows = []
-        for v in origami._coset_representatives(parts):
+        for v in census._coset_representatives(parts):
             vinv = origami.invert_perm(v)
             corner = [h[v[hinv[vinv[s]]]] for s in range(d)]
             if sorted(map(len, origami.cycles_of(corner)), reverse=True) == target:
@@ -604,7 +604,7 @@ def connected_columns(h, v):
     cycles = [(c[0], c[0] + len(c)) for c in origami.cycles_of(h.tolist())]
     cycle_of = np.repeat(np.arange(len(cycles), dtype=np.int8), [b - a for a, b in cycles])
     label = np.repeat(np.arange(len(cycles), dtype=np.int8)[:, None], v.shape[1], axis=1)
-    at = origami._flat_index(cycle_of[v])  # where label holds the label of the cycle of v(s)
+    at = census._flat_index(cycle_of[v])  # where label holds the label of the cycle of v(s)
     while label.any():
         reach = label.ravel()[at]
         least = np.minimum(label, np.stack([reach[a:b].min(axis=0) for a, b in cycles]))

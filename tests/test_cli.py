@@ -36,6 +36,49 @@ def test_strata_loads_neither_origami_nor_spin():
     assert proc.stdout.strip() == "[]"
 
 
+def test_origami_commands_do_not_load_the_enumeration_engine(tmp_path):
+    """analyze, orbit, spin, act and render on an origami never import flatkit.census."""
+    origami_path = str(DATA / "l5.origami")
+    commands = [
+        ["analyze", origami_path],
+        ["orbit", origami_path],
+        ["spin", origami_path],
+        ["act", origami_path, "--matrix", "1", "1", "0", "1", "-o", str(tmp_path / "t.json")],
+        ["render", origami_path, "-o", str(tmp_path / "l5.svg")],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from flatkit import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted({'flatkit.origami', 'flatkit.spin', 'flatkit.census'} & set(sys.modules)))\n"
+    )
+    package_root = str(pathlib.Path(cli.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        check=True,
+    )
+    assert proc.stdout.strip() == "['flatkit.origami', 'flatkit.spin']"
+    assert (tmp_path / "t.json").exists() and (tmp_path / "l5.svg").exists()
+
+
+def test_enumeration_entry_points_keep_their_kind():
+    """The entry points of flatkit.census stay in origami and spin: the two
+    enumerators are generator functions, the scan a plain function."""
+    import inspect
+
+    from flatkit import origami
+
+    assert inspect.isgeneratorfunction(origami.origamis_in_stratum)
+    assert inspect.isgeneratorfunction(origami.stratum_pairs_raw)
+    assert not inspect.isgeneratorfunction(spin.hyperelliptic_scan)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()

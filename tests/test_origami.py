@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flatkit import flatcore, origami, spin, strata
+from flatkit import census, flatcore, origami, spin, strata
 from flatkit.origami import make
 
 import oracles
@@ -353,10 +353,10 @@ def test_canonical_code_matches_reference():
     # every cycle of h of length 4 or more, so every start is tried
     for parts in [(4,), (5,), (4, 4), (5, 4), (6, 4), (4, 4, 4), (7, 5)]:
         d = sum(parts)
-        h = origami._cycle_type_rep(parts)
+        h = census._cycle_type_rep(parts)
         cases += [scrambled(d, h, rng.sample(range(d), d), rng) for _ in range(10)]
     for d in range(1, 21):
-        h = origami._cycle_type_rep((d,))
+        h = census._cycle_type_rep((d,))
         cases += [scrambled(d, h, rng.sample(range(d), d), rng) for _ in range(5)]
     for d in range(5, 8):
         for o in origami.origamis_in_stratum(d, (4,)):
@@ -390,7 +390,7 @@ def pairs_by_cycle_type(draw):
     """A pair (h, v), connected or not, whose h has drawn cycle lengths."""
     parts = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
     d = sum(parts)
-    o = origami.Origami(d, origami._cycle_type_rep(parts), tuple(draw(st.permutations(range(d)))))
+    o = origami.Origami(d, census._cycle_type_rep(parts), tuple(draw(st.permutations(range(d)))))
     return origami.relabel(o, draw(st.permutations(range(d))))
 
 
@@ -502,7 +502,7 @@ def numpy_kernel_rows(d, orders):
     """The rows of the numpy batches as (h, v, h^-1, v^-1) tuples."""
     return [
         (tuple(batch.h.tolist()), tuple(v), tuple(batch.hinv.tolist()), tuple(vinv))
-        for batch in origami._stratum_batches(d, orders)
+        for batch in census._stratum_batches(d, orders)
         for v, vinv in zip(batch.v.tolist(), batch.vinv.tolist())
     ]
 
@@ -519,19 +519,19 @@ def test_python_kernel_matches_numpy_kernel():
 def test_numpy_batches_are_consistent():
     """Each batch holds its type representative and inverses, and distinct
     rows that come one whole coset v C(h) per run of |C(h)| rows."""
-    batches = list(origami._stratum_batches(7, (2, 2)))
+    batches = list(census._stratum_batches(7, (2, 2)))
     assert [b.cycle_type for b in batches] == list(strata.int_partitions(7))
     for b in batches:
-        assert tuple(b.h.tolist()) == origami._cycle_type_rep(b.cycle_type)
+        assert tuple(b.h.tolist()) == census._cycle_type_rep(b.cycle_type)
         assert tuple(b.hinv.tolist()) == origami.invert_perm(b.h.tolist())
         assert b.v.shape == b.vinv.shape == (len(b.v), 7)
         rows = [tuple(v) for v in b.v.tolist()]
         for v, vinv in zip(rows, b.vinv.tolist()):
             assert tuple(vinv) == origami.invert_perm(v)
         assert len(set(rows)) == len(rows), b.cycle_type
-        size = origami._centralizer_order(b.cycle_type)
+        size = census._centralizer_order(b.cycle_type)
         assert len(rows) % size == 0, b.cycle_type
-        centralizer = origami._centralizer(b.cycle_type)
+        centralizer = census._centralizer(b.cycle_type)
         for lo in range(0, len(rows), size):
             coset = {tuple(map(rows[lo].__getitem__, c)) for c in centralizer}
             assert set(rows[lo : lo + size]) == coset, (b.cycle_type, lo)
@@ -543,31 +543,31 @@ def test_stratum_pairs_raw_sorts_each_batch(monkeypatch):
     increasing scan rank, and they are the rows of the batch."""
     import numpy as np
 
-    monkeypatch.setattr(origami, "_RAW_DEGREE", 7)
+    monkeypatch.setattr(census, "_RAW_DEGREE", 7)
     pairs = iter(origami.stratum_pairs_raw(7, (2, 2)))
-    for batch in origami._stratum_batches(7, (2, 2)):
+    for batch in census._stratum_batches(7, (2, 2)):
         h = tuple(batch.h.tolist())
         got = [next(pairs) for _ in range(len(batch.v))]
         assert all(pair_h == h for pair_h, _ in got)
         rows = [v for _, v in got]
         inverses = np.array([origami.invert_perm(v) for v in rows], dtype=np.int8).reshape(-1, 7)
-        assert (np.diff(origami._scan_rank(inverses.T)) > 0).all(), batch.cycle_type
+        assert (np.diff(census._scan_rank(inverses.T)) > 0).all(), batch.cycle_type
         assert sorted(rows) == sorted(map(tuple, batch.v.tolist())), batch.cycle_type
     assert next(pairs, None) is None
 
 
 def test_empty_batches_build_no_centralizer(monkeypatch):
     """C(h), up to 10! columns, is built only for the types with rows."""
-    sizes = {b.cycle_type: len(b.v) for b in origami._stratum_batches(8, (3, 1))}
+    sizes = {b.cycle_type: len(b.v) for b in census._stratum_batches(8, (3, 1))}
     assert sizes[(1,) * 8] == 0
     built = []
-    centralizer_array = origami._centralizer_array
+    centralizer_array = census._centralizer_array
 
     def counted(parts):
         built.append(tuple(parts))
         return centralizer_array(parts)
 
-    monkeypatch.setattr(origami, "_centralizer_array", counted)
+    monkeypatch.setattr(census, "_centralizer_array", counted)
     assert len(list(origami.origamis_in_stratum(8, (3, 1)))) == 4032
     assert built and all(sizes[parts] for parts in built), built
 
@@ -578,7 +578,7 @@ def test_enumeration_degree_budget(monkeypatch):
     def refuse(d):
         raise AssertionError(f"_all_perms_array({d}) called")
 
-    monkeypatch.setattr(origami, "_all_perms_array", refuse)
+    monkeypatch.setattr(census, "_all_perms_array", refuse)
     for enumerate_stratum in (origami.origamis_in_stratum, origami.stratum_pairs_raw):
         with pytest.raises(RuntimeError, match="budget exceeded"):
             next(enumerate_stratum(11, (3, 1)))
@@ -592,8 +592,8 @@ def reference_classes(d, orders):
     each batch are sorted here, so the order does not rest on the kernel."""
     seen = set()
     out = []
-    for batch in origami._stratum_batches(d, orders):
-        for v in batch.v[origami._scan_rank(batch.vinv.T).argsort()].tolist():
+    for batch in census._stratum_batches(d, orders):
+        for v in batch.v[census._scan_rank(batch.vinv.T).argsort()].tolist():
             o = origami.Origami(d, tuple(batch.h.tolist()), tuple(v))
             if origami.is_connected(o):
                 code = origami.canonical_form(o)
@@ -615,19 +615,19 @@ def reference_classes(d, orders):
 )
 def test_centralizer_filter_keeps_every_class_in_order(monkeypatch, cases):
     """The filtered numpy path gives the unfiltered loop's list, order included."""
-    monkeypatch.setattr(origami, "_NUMPY_DEGREE", 1)
+    monkeypatch.setattr(census, "_NUMPY_DEGREE", 1)
     for d, orders in cases:
-        assert list(origami._classes(d, orders)) == reference_classes(d, orders), (d, orders)
+        assert list(census._classes(d, orders)) == reference_classes(d, orders), (d, orders)
 
 
 def test_scan_rank_is_the_column_index():
     import numpy as np
 
     for d in range(1, 8):
-        perms = origami._all_perms_array(d)
+        perms = census._all_perms_array(d)
         inverses = np.empty_like(perms)
         inverses[perms, np.arange(perms.shape[1])] = np.arange(d, dtype=np.int8)[:, None]
-        assert origami._scan_rank(inverses).tolist() == list(range(perms.shape[1])), d
+        assert census._scan_rank(inverses).tolist() == list(range(perms.shape[1])), d
 
 
 def test_centralizer_subset():
@@ -635,8 +635,8 @@ def test_centralizer_subset():
     prod_{k>=2} m_k! * k^m_k of them, the identity first."""
     for d in range(1, 9):
         for parts in strata.int_partitions(d):
-            h = origami._cycle_type_rep(parts)
-            subset = origami._centralizer_subset(parts)
+            h = census._cycle_type_rep(parts)
+            subset = census._centralizer_subset(parts)
             assert subset[0] == tuple(range(d))
             assert len(set(subset)) == len(subset)
             expected = 1
@@ -655,19 +655,19 @@ def test_coset_representatives():
     columns are marked; the full centralizer has prod_k m_k! * k^m_k distinct
     elements, k = 1 included, each commuting with h."""
     for d in range(1, 8):
-        perms = origami._all_perms_array(d)
+        perms = census._all_perms_array(d)
         columns = [tuple(v) for v in perms.T.tolist()]
         for parts in strata.int_partitions(d):
-            h = origami._cycle_type_rep(parts)
-            centralizer = origami._centralizer(parts)
+            h = census._cycle_type_rep(parts)
+            centralizer = census._centralizer(parts)
             order = math.prod(math.factorial(m) * k**m for k, m in Counter(parts).items())
             assert len(set(centralizer)) == len(centralizer) == order, parts
-            assert origami._centralizer_order(parts) == order
+            assert census._centralizer_order(parts) == order
             for c in centralizer:
                 assert all(c[h[s]] == h[c[s]] for s in range(d))
-            as_array = origami._centralizer_array(parts).T.tolist()
+            as_array = census._centralizer_array(parts).T.tolist()
             assert sorted(map(tuple, as_array)) == sorted(centralizer), parts
-            marked = origami._coset_columns(perms, origami._coset_pairs(parts)).tolist()
+            marked = census._coset_columns(perms, census._coset_pairs(parts)).tolist()
             assert len(marked) * order == len(columns), parts
             cosets = Counter(
                 tuple(columns[r][s] for s in c) for r in marked for c in centralizer
@@ -682,11 +682,11 @@ def test_coset_representatives_are_generated_in_scan_order():
     for d in range(1, 9):
         perms = list(permutations(range(d)))
         for parts in strata.int_partitions(d):
-            pairs = origami._coset_pairs(parts)
+            pairs = census._coset_pairs(parts)
             expected = [v for v in perms if all(v[i] < v[j] for i, j in pairs)]
-            reps = origami._coset_representatives(parts)
+            reps = census._coset_representatives(parts)
             assert reps == expected, parts
-            assert len(reps) == math.factorial(d) // origami._centralizer_order(parts), parts
+            assert len(reps) == math.factorial(d) // census._centralizer_order(parts), parts
 
 
 def test_fixed_point_count_drops_only_failing_cosets(monkeypatch):
@@ -697,13 +697,13 @@ def test_fixed_point_count_drops_only_failing_cosets(monkeypatch):
     1080 of the 5040 representatives to the full test."""
     for d in range(1, 8):
         for orders in signatures(d):
-            batches = origami._python_batches(d, strata.normalize_orders(orders))
+            batches = census._python_batches(d, strata.normalize_orders(orders))
             got = [(h, rows) for h, _, _, rows in batches]
             assert got == oracles.python_batches_reference(d, orders), (d, orders)
     tested = []
     cycles_of = origami.cycles_of
-    monkeypatch.setattr(origami, "cycles_of", lambda p: tested.append(p) or cycles_of(p))
-    assert sum(len(rows) for *_, rows in origami._python_batches(7, (4,))) > 0
+    monkeypatch.setattr(census, "cycles_of", lambda p: tested.append(p) or cycles_of(p))
+    assert sum(len(rows) for *_, rows in census._python_batches(7, (4,))) > 0
     assert len(tested) == 1080
 
 
@@ -720,7 +720,7 @@ def test_one_code_per_centralizer_orbit_below_degree_8(monkeypatch):
         codes.append(code(*args))
         return codes[-1]
 
-    monkeypatch.setattr(origami, "_canonical_code", counted)
+    monkeypatch.setattr(census, "_canonical_code", counted)
     for case in cases:
         codes.clear()
         classes = list(origami.origamis_in_stratum(*case))
@@ -737,7 +737,7 @@ def test_one_code_per_centralizer_orbit_below_degree_8(monkeypatch):
 )
 def test_batch_sizes_match_character_counts(d, orders):
     """Every h type's row count is the Frobenius count of tests/oracles.py."""
-    sizes = {b.cycle_type: len(b.v) for b in origami._stratum_batches(d, orders)}
+    sizes = {b.cycle_type: len(b.v) for b in census._stratum_batches(d, orders)}
     assert sizes == oracles.commutator_counts(d, orders)
 
 
@@ -755,18 +755,18 @@ def test_orbit_sizes_add_up_to_the_batch():
 
     for d in (7, 8):
         for orders in signatures(d):
-            for batch in origami._stratum_batches(d, orders):
-                kept, f_canonical = origami._orbit_representatives(batch)
+            for batch in census._stratum_batches(d, orders):
+                kept, f_canonical = census._orbit_representatives(batch)
                 reps = batch._replace(v=batch.v[kept], vinv=batch.vinv[kept])
-                automorphisms = spin._propagations(reps, commuting=True)
+                automorphisms = census._propagations(reps, commuting=True)
                 connected = automorphisms > 0
                 assert (connected == oracles.connected_columns(batch.h, reps.v.T)).all()
-                order = origami._centralizer_order(batch.cycle_type)
+                order = census._centralizer_order(batch.cycle_type)
                 weight = order // automorphisms[connected]
                 assert (weight * automorphisms[connected] == order).all()
                 rows = oracles.connected_columns(batch.h, batch.v.T)
                 assert weight.sum() == rows.sum(), (d, orders, batch.cycle_type)
-                k = len(origami._centralizer_subset(batch.cycle_type))
+                k = len(census._centralizer_subset(batch.cycle_type))
                 assert len(kept) <= f_canonical <= min(len(batch.v), k * len(kept))
                 assert (np.diff(kept) > 0).all()
 
@@ -780,8 +780,8 @@ def test_kept_rows_satisfy_the_mass_formula():
     cases = [(d, orders) for d in range(1, 8) for orders in signatures(d)] + [(8, (3, 1))]
     for d, orders in cases:
         sizes = Counter()
-        for batch in origami._stratum_batches(d, orders):
-            kept = origami._orbit_representatives(batch)[0]
+        for batch in census._stratum_batches(d, orders):
+            kept = census._orbit_representatives(batch)[0]
             kept = kept[oracles.connected_columns(batch.h, batch.v[kept].T)]
             h, hinv = batch.h.tolist(), batch.hinv.tolist()
             for v, vinv in zip(batch.v[kept].tolist(), batch.vinv[kept].tolist()):
@@ -799,14 +799,14 @@ def test_connected_columns_match_is_connected():
     tests/oracles.py holds, exactly on the connected rows."""
     for d in (5, 6):
         for orders in signatures(d):
-            for batch in origami._stratum_batches(d, orders):
+            for batch in census._stratum_batches(d, orders):
                 h = tuple(batch.h.tolist())
                 expected = [
                     origami.is_connected(origami.Origami(d, h, tuple(v))) for v in batch.v.tolist()
                 ]
-                automorphisms = spin._propagations(batch, commuting=True)
+                automorphisms = census._propagations(batch, commuting=True)
                 assert (automorphisms > 0).tolist() == expected, (d, orders, batch.cycle_type)
-                identity = spin._propagations(batch, commuting=True, starts=(0,))
+                identity = census._propagations(batch, commuting=True, starts=(0,))
                 assert identity.tolist() == expected, (d, orders, batch.cycle_type)  # 1 or 0
                 got = oracles.connected_columns(batch.h, batch.v.T)
                 assert got.tolist() == expected, (d, orders, batch.cycle_type)
@@ -821,7 +821,7 @@ def test_one_canonical_form_per_class_at_degree_8(monkeypatch):
         calls.append(args)
         return code(*args)
 
-    monkeypatch.setattr(origami, "_canonical_code", counted)
+    monkeypatch.setattr(census, "_canonical_code", counted)
     monkeypatch.setattr(origami, "decode_canonical", None)
     assert spin.hyperelliptic_scan(8, (3, 1)) == (4032, 0)
     assert calls == []
@@ -835,7 +835,7 @@ def test_class_funnel_adds_up(caplog):
     funnels = [r.args[2:] for r in records]
     for (pairs, f_canonical, kept, classes), record in zip(funnels, records):
         assert pairs >= f_canonical >= kept >= classes
-        assert f_canonical <= len(origami._centralizer_subset(record.args[1])) * kept
+        assert f_canonical <= len(census._centralizer_subset(record.args[1])) * kept
     assert sum(f[0] for f in funnels) == len(numpy_kernel_rows(8, (2,)))
     assert sum(f[3] for f in funnels) == 135
     assert sum(f[1] for f in funnels) < sum(f[0] for f in funnels)

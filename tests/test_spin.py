@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatkit
-from flatkit import hyperell, origami, spin, strata
+from flatkit import census, hyperell, origami, spin, strata
 from flatkit.flatcore import StratumSignature
 from flatkit.origami import make, singularity_orders
 from flatkit.strata import ComponentLabel
@@ -487,8 +487,8 @@ def test_batch_scan_matches_per_pair_loop():
     for d in range(1, 8):
         for orders in signatures(d):
             pairs = witnesses = 0
-            for batch in origami._stratum_batches(d, orders):
-                survive = spin._propagations(batch) > 0
+            for batch in census._stratum_batches(d, orders):
+                survive = census._propagations(batch) > 0
                 h = batch.h.tolist()
                 hinv = origami.invert_perm(h)
                 for v, kept in zip(batch.v.tolist(), survive.tolist()):
@@ -496,7 +496,7 @@ def test_batch_scan_matches_per_pair_loop():
                     if spin._involution_core(d, h, v, hinv, origami.invert_perm(v)) is not None:
                         witnesses += 1
                         assert kept, (d, orders, h, v)
-            scans[d, orders] = spin._batch_scan(d, orders)
+            scans[d, orders] = census._batch_scan(d, orders)
             assert scans[d, orders] == (pairs, witnesses), (d, orders)
     assert scans[7, (4,)] == (15480, 3909)
     assert scans[7, (2, 2)] == (8572, 3651)
@@ -507,35 +507,35 @@ def test_batch_scan_weights_witnesses_by_orbit():
     scan would.  The witness orbits of H(4) and H(2) are regular; those of
     H(2,2) and H(1,1) include rows with non-trivial stabilizers, where
     counting |K| rows per orbit would give 34473 and 17998."""
-    assert spin._batch_scan(8, (4,)) == (90000, 16474)
-    assert spin._batch_scan(8, (2,)) == (35952, 6716)
-    assert spin._batch_scan(8, (2, 2)) == (85416, 31945)
-    assert spin._batch_scan(8, (1, 1)) == (50472, 17214)
+    assert census._batch_scan(8, (4,)) == (90000, 16474)
+    assert census._batch_scan(8, (2,)) == (35952, 6716)
+    assert census._batch_scan(8, (2, 2)) == (85416, 31945)
+    assert census._batch_scan(8, (1, 1)) == (50472, 17214)
 
 
 def test_batch_scan_funnel_adds_up(caplog):
     caplog.set_level(logging.DEBUG, logger="flatkit")
-    assert spin._batch_scan(7, (4,)) == (15480, 3909)
+    assert census._batch_scan(7, (4,)) == (15480, 3909)
     records = [r for r in caplog.records if r.name == "flatkit.spin"]
     assert [r.args[1] for r in records] == list(strata.int_partitions(7))
     funnels = []
     for r in records:
         tested, passing, rows, f_canonical, kept = r.args[2:7]
         survivors, found, witnesses = r.args[7:10]
-        order = origami._centralizer_order(r.args[1])
+        order = census._centralizer_order(r.args[1])
         assert tested * order == 5040
         assert tested >= passing
         assert rows == order * passing
         assert rows >= f_canonical >= kept >= survivors >= found
-        assert f_canonical <= len(origami._centralizer_subset(r.args[1])) * kept
+        assert f_canonical <= len(census._centralizer_subset(r.args[1])) * kept
         assert found <= witnesses <= order * found
         assert len(r.args[10:]) == 4 and min(r.args[10:]) >= 0  # stage seconds
         funnels.append((rows, kept, survivors, witnesses))
     assert sum(f[0] for f in funnels) == 15480
     assert sum(f[3] for f in funnels) == 3909
     connected_kept = sum(
-        oracles.connected_columns(b.h, b.v[origami._orbit_representatives(b)[0]].T).sum()
-        for b in origami._stratum_batches(7, (4,))
+        oracles.connected_columns(b.h, b.v[census._orbit_representatives(b)[0]].T).sum()
+        for b in census._stratum_batches(7, (4,))
     )
     assert connected_kept == len(list(origami.origamis_in_stratum(7, (4,)))) == 775
     assert sum(f[2] for f in funnels) < sum(f[1] for f in funnels)
@@ -546,7 +546,7 @@ def test_class_scan_matches_the_python_path(monkeypatch):
     involution) as the Python path does, on every stratum up to degree 7."""
     cases = [(d, orders) for d in range(1, 8) for orders in signatures(d)]
     expected = {case: spin.hyperelliptic_scan(*case) for case in cases}
-    monkeypatch.setattr(origami, "_NUMPY_DEGREE", 1)
+    monkeypatch.setattr(census, "_NUMPY_DEGREE", 1)
     for case in cases:
         assert spin.hyperelliptic_scan(*case) == expected[case], case
     assert expected[7, (4,)] == (775, 255)
