@@ -10,7 +10,8 @@ the common denominator of all its coordinates.  Scaling by one positive integer
 keeps every sign of a cross product or coordinate difference and every equality
 of vertices or edge vectors, so each answer is that of the rational coordinates.
 Every surface stores only that view and builds its Fraction vertices on first
-read; every reader here works on the view and its one list of edge vectors.
+read, as periods does its Fraction vectors; every reader here works on the view
+and its one list of edge vectors, and validation tests each polygon shape once.
 
 The main operations are structural validation, the cone-point (singularity)
 sweep, genus and stratum computation, the rank of the relative period lattice,
@@ -270,9 +271,6 @@ def _on_segment(p: Point, a: Point, b: Point) -> bool:
 
 def _segments_touch(a: Point, b: Point, c: Point, d: Point) -> bool:
     """True iff closed segments [a,b] and [c,d] share at least one point."""
-    if (max(a[0], b[0]) < min(c[0], d[0]) or max(c[0], d[0]) < min(a[0], b[0])
-            or max(a[1], b[1]) < min(c[1], d[1]) or max(c[1], d[1]) < min(a[1], b[1])):
-        return False  # closed segments with disjoint bounding boxes cannot meet
     return (
         _orient(c, d, a) * _orient(c, d, b) < 0 and _orient(a, b, c) * _orient(a, b, d) < 0
         or _on_segment(a, c, d)
@@ -298,9 +296,13 @@ def _polygon_violations(index: int, pts: Sequence[Point], edges: Sequence[Point]
 
     # Simplicity: edges may meet only where consecutive edges share a vertex.  Two
     # consecutive edges, neither of zero length, meet beyond it (one folds back over
-    # the other) exactly when their vectors are antiparallel.
+    # the other) exactly when their vectors are antiparallel.  Closed segments with
+    # disjoint bounding boxes cannot meet: each edge's box is taken once.
+    ends = pts[1:] + pts[:1]
+    boxes = [(min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+             for a, b in zip(pts, ends)]
     for i in range(n):
-        a, b, (ux, uy) = pts[i], pts[(i + 1) % n], edges[i]
+        a, b, (ux, uy), (x0, x1, y0, y1) = pts[i], ends[i], edges[i], boxes[i]
         for j in range(i + 1, n):
             if j == i + 1 or (i == 0 and j == n - 1):
                 vx, vy = edges[j]
@@ -308,7 +310,9 @@ def _polygon_violations(index: int, pts: Sequence[Point], edges: Sequence[Point]
                     out.append(
                         f"polygon {index}: edges {i} and {j} overlap beyond their shared vertex"
                     )
-            elif _segments_touch(a, b, pts[j], pts[(j + 1) % n]):
+            elif x1 < boxes[j][0] or boxes[j][1] < x0 or y1 < boxes[j][2] or boxes[j][3] < y0:
+                continue
+            elif _segments_touch(a, b, pts[j], ends[j]):
                 out.append(f"polygon {index}: edges {i} and {j} intersect")
     return out
 
@@ -329,14 +333,21 @@ def _roots(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
 
 
 def _validate(surf: TranslationSurface) -> ValidationReport:
+    """Every check.  Polygon tests are exact and translation-invariant, and edge vectors fix a
+    polygon up to translation: a passing shape is tested once, a failing one at each index."""
     out: list[str] = []
     scaled, edges = surf._scaled, surf._edges
     if not scaled:
         return ValidationReport(("no polygons",))
+    passed: set[tuple[Point, ...]] = set()
     for i, pts in enumerate(scaled):
-        out.extend(_polygon_violations(i, pts, edges[i]))
+        if edges[i] not in passed:
+            found = _polygon_violations(i, pts, edges[i])
+            out += found
+            if not found:
+                passed.add(edges[i])
 
-    all_edges = set(surf.edge_refs())
+    all_edges = {(p, e) for p, pts in enumerate(scaled) for e in range(len(pts))}
     keys = set(surf.pairing.keys())
     refs = dict.fromkeys(ref for pair in surf.pairing.items() for ref in pair)
     unknown = [ref for ref in refs if ref not in all_edges]
@@ -449,15 +460,11 @@ def _corner_orbits(surf: TranslationSurface) -> list[list[tuple[int, int]]]:
     edge; repeating sweeps counterclockwise around one vertex of the glued
     surface until the walk closes up.
     """
-    next_corner: dict[tuple[int, int], tuple[int, int]] = {}
-    for p, pts in enumerate(surf._scaled):
-        n = len(pts)
-        for i in range(n):
-            partner = surf.pairing[EdgeRef(p, (i - 1) % n)]
-            next_corner[(p, i)] = (partner.polygon, partner.edge)
+    next_corner = {(p, i): tuple(surf.pairing[p, (i - 1) % len(pts)])  # keys sorted
+                   for p, pts in enumerate(surf._scaled) for i in range(len(pts))}
     orbits: list[list[tuple[int, int]]] = []
     seen: set[tuple[int, int]] = set()
-    for start in sorted(next_corner):
+    for start in next_corner:
         if start in seen:
             continue
         orbit = [start]
@@ -561,6 +568,7 @@ class PeriodData(_Record):
     actual zeros (for the torus a single marked point is kept).  Both kinds of
     relation are rows of incidence matrices, so periods counts the rank from
     connected components; it always equals 2g + n - 1 for n marked points.
+    periods builds the vectors on first read; ==, hash and repr read them as a field.
     """
 
     pairs: tuple[tuple[EdgeRef, EdgeRef], ...]
@@ -572,9 +580,15 @@ class PeriodData(_Record):
     ) -> None:
         self.__dict__.update(pairs=pairs, vectors=vectors, rank=rank)
 
+    @cached_property
+    def vectors(self) -> tuple[PlanarVec, ...]:  # the constructor stores them; periods does not
+        edges, scale = self._surface._edges, self._surface._scale
+        pair_edges = (edges[p][i] for (p, i), _ in self.pairs)
+        return tuple(PlanarVec(Fraction(dx, scale), Fraction(dy, scale)) for dx, dy in pair_edges)
+
 
 def periods(surf: TranslationSurface) -> PeriodData:
-    """Edge-pair period vectors and the relative period rank, checked to be 2g + n - 1.
+    """Relative period rank, checked to be 2g + n - 1, and edge-pair vectors built on first read.
 
     The rank is the number of edge pairs less the ranks of two sets of relations.  Each
     set is made of rows of an incidence matrix, whose rows are dependent only through
@@ -587,9 +601,7 @@ def periods(surf: TranslationSurface) -> PeriodData:
       of components with no marked vertex.
     """
     points, g = surf._swept
-    pairs, edges, scale = surf._pairs, surf._edges, surf._scale
-    pair_edges = (edges[p][i] for (p, i), _ in pairs)
-    vectors = tuple(PlanarVec(Fraction(dx, scale), Fraction(dy, scale)) for dx, dy in pair_edges)
+    pairs, edges = surf._pairs, surf._edges
     boundary_rank = len(edges) - 1
 
     vertex_of = {corner: k for k, cp in enumerate(points) for corner in cp.corners}
@@ -605,7 +617,9 @@ def periods(surf: TranslationSurface) -> PeriodData:
         raise RuntimeError(
             f"period rank {rank} does not match 2g+n-1 = {expected}; broken representation"
         )
-    return PeriodData(pairs, vectors, rank)
+    data = object.__new__(PeriodData)
+    data.__dict__.update(pairs=pairs, rank=rank, _surface=surf)
+    return data
 
 
 def is_integral(surf: TranslationSurface) -> bool:

@@ -63,7 +63,7 @@ def rotation(cos_value: Rational, sin_value: Rational) -> Mat2:
 
 
 def apply(surf: TranslationSurface, m: Mat2) -> TranslationSurface:
-    """Image surface with every vertex mapped by m; the pairing is reused.
+    """Image surface with every vertex mapped by m; the pairing and its pair list are reused.
 
     The map runs on integers: m over one denominator den maps the source's
     integer view, whose image over den times the source's scale seeds the
@@ -81,6 +81,7 @@ def apply(surf: TranslationSurface, m: Mat2) -> TranslationSurface:
     a, b, c, d = (e.numerator * (den // e.denominator) for e in entries)
     points = tuple(tuple((a * x + b * y, c * x + d * y) for x, y in pts) for pts in surf._scaled)
     image = TranslationSurface._from_scaled(points, den * surf._scale, surf.pairing)
+    image.__dict__["_pairs"] = surf._pairs  # the source's validation built it
     image_report = flatcore.validate(image)
     if not image_report.ok:
         raise RuntimeError(

@@ -519,6 +519,78 @@ def test_a_straight_vertex_is_no_fold_back():
     assert [cp.angle_turns for cp in flatcore.singularities(surf)] == [1, 1]
 
 
+# Invalid shapes for the once-per-shape rule: the fold-backs above and four more.
+INVALID_SHAPES = {name: points for name, (points, _) in FOLD_BACKS.items()}
+INVALID_SHAPES.update({
+    "bow-tie": [(0, 0), (2, 2), (2, 0), (0, 2)],
+    "clockwise triangle": [(0, 0), (0, 2), (2, 0)],
+    "zero-length edge": [(0, 0), (2, 0), (2, 0), (0, 2)],
+    "2-gon": [(0, 0), (2, 0)],
+})
+BAD_REFS = [("0", 1), (0.0, 1), (0, 7), (-1, 0)]
+SHAPES_BY_KIND = {
+    "square": [(0, 0), (1, 0), (1, 1), (0, 1)],
+    "triangle": [(0, 0), (3, 0), (0, 3)],
+}
+LAYOUTS = [  # (kind, shift) per polygon; "bad" is the shape under test
+    [("square", (0, 0)), ("bad", (10, 0)), ("bad", (-7, 5)), ("square", (4, 4)),
+     ("square", (0, -9))],
+    [("bad", (0, 0)), ("bad", (1, 1)), ("bad", (20, -3)), ("triangle", (5, 5)),
+     ("triangle", (6, 5))],
+    [("triangle", (0, 0)), ("bad", (3, 1)), ("square", (2, 2)), ("bad", (3, 1)),
+     ("bad", (-4, 0)), ("triangle", (9, 9)), ("square", (0, 0))],
+]
+
+
+@pytest.fixture
+def polygon_checks(monkeypatch) -> list:
+    """The index of each polygon that runs flatcore's polygon tests, in call order."""
+    checks = []
+    body = flatcore._polygon_violations
+
+    def counted(index, pts, edges):
+        checks.append(index)
+        return body(index, pts, edges)
+
+    monkeypatch.setattr(flatcore, "_polygon_violations", counted)
+    return checks
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_SHAPES))
+def test_each_passing_shape_is_checked_once(name, polygon_checks):
+    """Translates of a failing shape are each checked and report at their own
+    index, in order; a passing shape is checked once per surface, at its first
+    index, however often it recurs.  Broken refs leave the answers unchanged."""
+    shapes = dict(SHAPES_BY_KIND, bad=INVALID_SHAPES[name])
+    for layout in LAYOUTS:
+        polys = [[(x + dx, y + dy) for x, y in shapes[kind]] for kind, (dx, dy) in layout]
+        kinds = [kind for kind, _ in layout]
+        expected = [i for i, kind in enumerate(kinds) if kind == "bad" or kinds.index(kind) == i]
+        edges = [(p, e) for p, pts in enumerate(polys) for e in range(len(pts))]
+        matching = list(zip(edges[::2], edges[1::2]))
+        extras = [[]] + [[(ref, edges[0])] for ref in BAD_REFS]
+        extras += [[(edges[1], ref)] for ref in BAD_REFS]
+        for extra in extras:
+            surf = flatcore.surface(polys, matching + extra)
+            polygon_checks.clear()
+            violations = flatcore.validate(surf).violations
+            assert violations == oracles.validation_reference(surf), (layout, extra)
+            assert polygon_checks == expected, (layout, extra)
+            reported = {int(v.split()[1].rstrip(":")) for v in violations if v.startswith("polygon ")}
+            assert reported == {i for i, kind in enumerate(kinds) if kind == "bad"}
+
+
+def test_square_tilings_and_their_images_check_one_shape(polygon_checks):
+    rng = make_rng(29)
+    for d in range(1, 13):
+        surf = origami.to_polygons(origami.random_origami(d, rng))
+        image = gl2.apply(surf, random_matrix(rng))
+        assert len(surf._scaled) == len(image._scaled) == d
+        assert image._pairs is surf._pairs  # the pair list the source's validation built
+        assert polygon_checks == [0, 0], d  # the source's first square, then the image's
+        polygon_checks.clear()
+
+
 # --- period rank against dense elimination ------------------------------------
 
 
@@ -529,6 +601,20 @@ def test_period_rank_equals_the_dense_elimination(torus_surface):
     surfaces += [origami.to_polygons(origami.random_origami(d, rng)) for d in (50, 100, 200, 300)]
     for k, surf in enumerate(surfaces):
         assert flatcore.periods(surf).rank == oracles.period_rank_reference(surf), k
+
+
+def test_period_vectors_are_built_on_first_read():
+    rng = make_rng(28)
+    sources = [origami.to_polygons(origami.random_origami(d, rng)) for d in range(1, 13)]
+    sources += [build_2ngon(n) for n in range(3, 8)]
+    for k, surf in enumerate(sources + [gl2.apply(s, random_matrix(rng)) for s in sources]):
+        data = flatcore.periods(surf)
+        assert data.rank == oracles.period_rank_reference(surf), k
+        assert "vectors" not in vars(data), k
+        assert data.vectors == tuple(surf.edge_vector(e) for e, _ in data.pairs), k
+        assert data.vectors is data.vectors
+        twin = flatcore.PeriodData(data.pairs, data.vectors, data.rank)
+        assert data == twin and hash(data) == hash(twin) and repr(data) == repr(twin), k
 
 
 def test_period_rank_is_checked_against_the_genus():
