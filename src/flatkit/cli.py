@@ -342,45 +342,44 @@ _PALETTE = [
 ]
 
 
-def render_svg(surf: flatcore.TranslationSurface, width: int = 800) -> str:
+_SVG_WIDTH = 800  # pixels; the height follows the drawing's aspect ratio
+
+
+def render_svg(surf: flatcore.TranslationSurface) -> str:
     """SVG drawing: paired edges share a color, cone points get dots.
 
-    Rational coordinates are converted to floats here and only here.
+    Coordinates are converted to floats here and only here, from the integer
+    view: int true division is correctly rounded, as float() of a Fraction is.
     """
     from . import flatcore
 
-    xs = [p.x for poly in surf.polygons for p in poly.vertices]
-    ys = [p.y for poly in surf.polygons for p in poly.vertices]
-    minx, maxx = min(xs), max(xs)
-    miny, maxy = min(ys), max(ys)
-    span_x = max(maxx - minx, Fraction(1))
-    span_y = max(maxy - miny, Fraction(1))
+    views, unit = surf._scaled, surf._scale
+    xs = [x for pts in views for x, _ in pts]
+    ys = [y for pts in views for _, y in pts]
+    minx, maxy = min(xs), max(ys)
     margin = 30.0
-    scale = (width - 2 * margin) / float(span_x)
-    height = float(span_y) * scale + 2 * margin
+    scale = (_SVG_WIDTH - 2 * margin) / (max(max(xs) - minx, unit) / unit)
+    height = max(maxy - min(ys), unit) / unit * scale + 2 * margin
 
-    def to_px(p: flatcore.PlanarVec) -> tuple[float, float]:
-        return (
-            margin + float(p.x - minx) * scale,
-            margin + float(maxy - p.y) * scale,
-        )
+    def to_px(p: flatcore.Point) -> tuple[float, float]:
+        return margin + (p[0] - minx) / unit * scale, margin + (maxy - p[1]) / unit * scale
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height:.1f}" viewBox="0 0 {width} {height:.1f}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
+        f'height="{height:.1f}" viewBox="0 0 {_SVG_WIDTH} {height:.1f}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    for poly in surf.polygons:
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(p) for p in poly.vertices))
-        parts.append(f'<polygon points="{pts}" fill="#f2f2f2" stroke="none"/>')
+    for pts in views:
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in map(to_px, pts))
+        parts.append(f'<polygon points="{coords}" fill="#f2f2f2" stroke="none"/>')
 
     pair_color: dict[flatcore.EdgeRef, str] = {}
     for k, (e, partner) in enumerate(surf._pairs):
         pair_color[e] = pair_color[partner] = _PALETTE[k % len(_PALETTE)]
     for e, color in pair_color.items():
-        poly = surf.polygons[e.polygon]
-        x1, y1 = to_px(poly.vertex(e.edge))
-        x2, y2 = to_px(poly.vertex(e.edge + 1))
+        pts = views[e.polygon]
+        x1, y1 = to_px(pts[e.edge])
+        x2, y2 = to_px(pts[(e.edge + 1) % len(pts)])
         parts.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'stroke="{color}" stroke-width="3"/>'
@@ -389,7 +388,7 @@ def render_svg(surf: flatcore.TranslationSurface, width: int = 800) -> str:
         if cp.angle_turns <= 1:
             continue
         for p_idx, v_idx in cp.corners:
-            x, y = to_px(surf.polygons[p_idx].vertex(v_idx))
+            x, y = to_px(views[p_idx][v_idx])
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="5" fill="black"/>')
     parts.append("</svg>")
     return "\n".join(parts)

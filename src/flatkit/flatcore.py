@@ -20,6 +20,8 @@ and JSON serialization of surfaces.
 flatkit's records (PlanarVec, Origami, Mat2 and the rest) are plain classes on
 the private base _Record here, not dataclasses: importing dataclasses and
 building the classes cost each CLI process 13-18 ms (see README, "Start-up").
+The base also holds the one constructor that stores a record's fields; only a
+record that checks or coerces its input defines its own.
 """
 
 from __future__ import annotations
@@ -48,16 +50,30 @@ def _as_fraction(value: Rational) -> Fraction:
 class _Record:
     """Base of flatkit's immutable records: the frozen dataclass semantics
     without importing dataclasses.  A subclass declares its fields as class
-    annotations, in positional order; its __init__ stores them, checked, in
-    the instance __dict__, where cached properties also live.  Equality holds
-    within one class on the field tuple, the hash is the field tuple's, the
-    repr is Class(field=value, ...), and assignment or deletion raises
-    AttributeError."""
+    annotations, in positional order, and only there.  The one constructor
+    here stores them, given by position or by keyword, in field order in the
+    instance __dict__, where cached properties also live; a record that checks
+    or coerces its input defines its own __init__.  Equality holds within one
+    class on the field tuple, the hash is the field tuple's, the repr is
+    Class(field=value, ...), and assignment or deletion raises AttributeError."""
 
     def __init_subclass__(cls) -> None:
         cls._fields = getattr(cls, "_fields", ()) + tuple(vars(cls).get("__annotations__", ()))
         get = attrgetter(*cls._fields)  # of one name it returns the bare value, not a 1-tuple
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # bound as a Python signature binds them
+            given = dict(zip(fields, args))
+            if len(args) > len(fields) or given.keys() & kwargs or {*given, *kwargs} != {*fields}:
+                raise TypeError(
+                    f"{type(self).__qualname__}() takes the fields {', '.join(fields)}; got "
+                    f"{len(args)} positional and the keywords {', '.join(kwargs) or '(none)'}"
+                )
+            given.update(kwargs)
+            args = [given[name] for name in fields]
+        self.__dict__.update(zip(fields, args))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -141,7 +157,7 @@ class PolygonChain(_Record):
 
 def polygon(points: Iterable[Sequence[Rational]]) -> PolygonChain:
     """Build a PolygonChain from raw (x, y) coordinate pairs."""
-    return PolygonChain(tuple(PlanarVec(_as_fraction(x), _as_fraction(y)) for x, y in points))
+    return PolygonChain(tuple(PlanarVec(x, y) for x, y in points))
 
 
 class TranslationSurface(_Record):
@@ -242,9 +258,6 @@ def surface(
 
 class ValidationReport(_Record):
     violations: tuple[str, ...]
-
-    def __init__(self, violations: tuple[str, ...]) -> None:
-        self.__dict__["violations"] = violations
 
     @property
     def ok(self) -> bool:
@@ -408,9 +421,6 @@ class ConePoint(_Record):
     corners: tuple[tuple[int, int], ...]
     angle_turns: int
 
-    def __init__(self, corners: tuple[tuple[int, int], ...], angle_turns: int) -> None:
-        self.__dict__.update(corners=corners, angle_turns=angle_turns)
-
     @property
     def zero_order(self) -> int:
         return self.angle_turns - 1
@@ -543,9 +553,6 @@ class StratumSignature(_Record):
     genus: int
     orders: tuple[int, ...]
 
-    def __init__(self, genus: int, orders: tuple[int, ...]) -> None:
-        self.__dict__.update(genus=genus, orders=orders)
-
     def __str__(self) -> str:
         return "H(" + ",".join(str(m) for m in self.orders) + ")"
 
@@ -574,11 +581,6 @@ class PeriodData(_Record):
     pairs: tuple[tuple[EdgeRef, EdgeRef], ...]
     vectors: tuple[PlanarVec, ...]
     rank: int
-
-    def __init__(
-        self, pairs: tuple[tuple[EdgeRef, EdgeRef], ...], vectors: tuple[PlanarVec, ...], rank: int
-    ) -> None:
-        self.__dict__.update(pairs=pairs, vectors=vectors, rank=rank)
 
     @cached_property
     def vectors(self) -> tuple[PlanarVec, ...]:  # the constructor stores them; periods does not
@@ -632,10 +634,10 @@ def is_integral(surf: TranslationSurface) -> bool:
 # --- JSON interchange ------------------------------------------------------
 
 
-def _coord_to_json(value: Fraction) -> int | str:
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+def _coord_to_json(value: int, scale: int) -> int | str:
+    """value / scale in lowest terms: an int, or a "p/q" string."""
+    g = gcd(value, scale)
+    return value // g if g == scale else f"{value // g}/{scale // g}"
 
 
 def _coord_from_json(raw: object) -> Fraction:
@@ -668,10 +670,7 @@ def _edge_from_json(raw: object) -> EdgeRef:
 
 
 def surface_to_json(surf: TranslationSurface) -> dict:
-    polys = [
-        [[_coord_to_json(p.x), _coord_to_json(p.y)] for p in poly.vertices]
-        for poly in surf.polygons
-    ]
+    polys = [[[_coord_to_json(c, surf._scale) for c in pt] for pt in pts] for pts in surf._scaled]
     pairs = [[list(e), list(partner)] for e, partner in surf._pairs]
     return {"polygons": polys, "pairings": pairs}
 

@@ -141,9 +141,6 @@ class WeierstrassPlace(_Record):
 
     branch: Fraction
 
-    def __init__(self, branch: Fraction) -> None:
-        self.__dict__["branch"] = branch
-
     def __str__(self) -> str:
         return f"W({self.branch})"
 
@@ -157,9 +154,6 @@ class ConjugatePairPlace(_Record):
 
     root: Fraction
 
-    def __init__(self, root: Fraction) -> None:
-        self.__dict__["root"] = root
-
     def __str__(self) -> str:
         return f"pair({self.root})"
 
@@ -168,9 +162,6 @@ class InfinityPlace(_Record):
     """One of the two points over z = infinity, labeled +1 / -1."""
 
     sign: int
-
-    def __init__(self, sign: int) -> None:
-        self.__dict__["sign"] = sign
 
     def __str__(self) -> str:
         return "inf+" if self.sign > 0 else "inf-"
@@ -183,9 +174,6 @@ class DivisorOnCurve(_Record):
     """Order table of a form; zero-order places are omitted."""
 
     entries: tuple[tuple[Place, int], ...]
-
-    def __init__(self, entries: tuple[tuple[Place, int], ...]) -> None:
-        self.__dict__["entries"] = entries
 
     def order_at(self, place: Place) -> int:
         for p, order in self.entries:
@@ -245,9 +233,6 @@ class BasisReport(_Record):
 
     genus: int
     holomorphic: tuple[bool, ...]
-
-    def __init__(self, genus: int, holomorphic: tuple[bool, ...]) -> None:
-        self.__dict__.update(genus=genus, holomorphic=holomorphic)
 
     @property
     def ok(self) -> bool:

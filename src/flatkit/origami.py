@@ -450,12 +450,6 @@ class OrbitData(_Record):
     cusp_widths: tuple[int, ...]
     edges: tuple[tuple[int, str, int], ...]
 
-    def __init__(
-        self, elements: tuple[CanonicalForm, ...], cusp_widths: tuple[int, ...],
-        edges: tuple[tuple[int, str, int], ...],
-    ) -> None:
-        self.__dict__.update(elements=elements, cusp_widths=cusp_widths, edges=edges)
-
 
 def orbit(o: Origami, max_elements: int = 10000) -> OrbitData:
     """The SL(2,Z) orbit of o, as a permutation representation on its classes.
@@ -520,15 +514,9 @@ class Cylinder(_Record):
     width: int
     height: int
 
-    def __init__(self, width: int, height: int) -> None:
-        self.__dict__.update(width=width, height=height)
-
 
 class CylinderDecomposition(_Record):
     cylinders: tuple[Cylinder, ...]
-
-    def __init__(self, cylinders: tuple[Cylinder, ...]) -> None:
-        self.__dict__["cylinders"] = cylinders
 
 
 def cylinders(o: Origami) -> CylinderDecomposition:

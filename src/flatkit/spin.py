@@ -253,15 +253,6 @@ class QuadraticFormData(_Record):
     symplectic_rank: int
     arf: int
 
-    def __init__(
-        self, _origami: Origami, _walks: tuple[_Walk, ...], _rows: tuple[int, ...],
-        q_values: tuple[int, ...], radical_rank: int, symplectic_rank: int, arf: int,
-    ) -> None:
-        self.__dict__.update(
-            _origami=_origami, _walks=_walks, _rows=_rows, q_values=q_values,
-            radical_rank=radical_rank, symplectic_rank=symplectic_rank, arf=arf,
-        )
-
     @cached_property
     def cycles(self) -> tuple[SimpleCycle, ...]:
         return tuple(SimpleCycle._trusted(self._origami, walk) for walk in self._walks)

@@ -855,4 +855,12 @@ def test_record_semantics(cls, fields, expected_repr, expected_hash):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert tuple(getattr(record, name) for name in fields) == values
+    # arguments bind as a signature binds them, and the fields are stored in order
+    for args, kwargs in (
+        (values + (0,), {}), (values[:-1], {}), ((), dict(fields, other=0)), (values[:1], fields)
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    if cls is not flatcore.TranslationSurface:
+        assert list(vars(cls(*values))) == list(fields) == list(cls._fields)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flatkit import flatcore, gl2, origami
+from flatkit import cli, flatcore, gl2, origami
 
 from conftest import DATA, build_2ngon, build_step_octagon, make_rng
 
@@ -209,6 +209,17 @@ def test_periods_equal_the_edge_vectors(rng):
         assert data.vectors == tuple(surf.edge_vector(rep) for rep, _ in data.pairs)
 
 
+def test_json_coordinates_are_the_fraction_vertices_in_lowest_terms():
+    def written(c: Fraction) -> object:
+        return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+    for source in FIXTURES:
+        for surf in [source] + [gl2.apply(source, m) for m in MIXED_DENOMINATORS]:
+            blob = json.dumps(flatcore.surface_to_json(surf)["polygons"])  # before polygons is read
+            polys = [[[written(p.x), written(p.y)] for p in poly.vertices] for poly in surf.polygons]
+            assert blob == json.dumps(polys)
+
+
 def test_images_and_square_tilings_build_their_polygons_on_first_read(rng):
     """Every reader works on the integer view; polygons appear only when read."""
     for d in range(1, 10):
@@ -223,6 +234,8 @@ def test_images_and_square_tilings_build_their_polygons_on_first_read(rng):
             flatcore.genus(surf)
             flatcore.periods(surf)
             flatcore.is_integral(surf)
+            flatcore.surface_to_json(surf)
+            cli.render_svg(surf)
             assert "polygons" not in surf.__dict__
         assert square_tiled.polygons == tuple(  # unit squares 5/4 apart
             flatcore.polygon([(x, 0), (x + 1, 0), (x + 1, 1), (x, 1)])
