@@ -4,70 +4,24 @@ Input files are either surface JSON (see flatcore) or origami text (see
 origami); the format is sniffed from the content.  All arithmetic stays
 rational; floating point appears only when emitting SVG coordinates.  Each
 subcommand imports only the modules it runs, so a process that lists
-strata never compiles the origami or spin code.
+strata never compiles the origami or spin code.  Each subcommand that
+reports results builds one JSON payload: `--json` prints it, and otherwise
+its text is rendered from that payload alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from . import flatcore, gl2
     from .origami import Origami
-
-
-class Report:
-    """Analysis record for one input, a plain mutable class (see README, "Start-up"); keys
-    serialize in the order __init__ sets them, and unset (None) ones are omitted."""
-
-    def __init__(self, source: str, kind: str) -> None:
-        self.source = source
-        self.kind = kind
-        self.degree: Optional[int] = None
-        self.genus: Optional[int] = None
-        self.stratum_orders: Optional[tuple[int, ...]] = None
-        self.cone_angle_turns: Optional[tuple[int, ...]] = None
-        self.period_rank: Optional[int] = None
-        self.integral: Optional[bool] = None
-        self.spin_parity: Optional[int] = None
-        self.component: Optional[str] = None
-        self.messages: list[str] = []
-
-    def to_dict(self) -> dict:
-        out: dict = {}
-        for name, value in vars(self).items():
-            if value is not None:
-                out[name] = list(value) if isinstance(value, (tuple, list)) else value
-        return out
-
-    def to_text(self) -> str:
-        lines = [f"input: {self.source} ({self.kind})"]
-        if self.degree is not None:
-            lines.append(f"degree: {self.degree}")
-        if self.genus is not None:
-            lines.append(f"genus: {self.genus}")
-        if self.stratum_orders is not None:
-            inner = ",".join(str(m) for m in self.stratum_orders)
-            lines.append(f"stratum: H({inner})" if inner else "stratum: H() [torus]")
-        if self.cone_angle_turns is not None:
-            angles = ", ".join(f"{2 * t}pi" for t in self.cone_angle_turns)
-            lines.append(f"cone angles: {angles}")
-        if self.period_rank is not None:
-            lines.append(f"period rank: {self.period_rank}")
-        if self.integral is not None:
-            lines.append(f"integral periods: {'yes' if self.integral else 'no'}")
-        if self.spin_parity is not None:
-            lines.append(f"spin parity: {self.spin_parity}")
-        if self.component is not None:
-            lines.append(f"component: {self.component}")
-        for msg in self.messages:
-            lines.append(f"note: {msg}")
-        return "\n".join(lines)
 
 
 class CliError(Exception):
@@ -145,11 +99,9 @@ def _valid_surface(loaded: tuple[str, object]) -> Optional[flatcore.TranslationS
     return None if violations else surf
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+def _emit(args: argparse.Namespace, payload: dict, text: Callable[[dict], str]) -> None:
+    """Print the payload as JSON with --json, otherwise the text rendered from it."""
+    print(json.dumps(payload, indent=2) if args.json else text(payload))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -159,29 +111,51 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     surf = _valid_surface(loaded)
     if surf is None:
         return 1
-    report = Report(source=args.path, kind=kind)
-    points = flatcore.singularities(surf)
     signature = flatcore.stratum(surf)
-    report.genus = signature.genus
-    report.stratum_orders = signature.orders
-    report.cone_angle_turns = tuple(cp.angle_turns for cp in points)
-    report.period_rank = flatcore.periods(surf).rank
-    report.integral = flatcore.is_integral(surf)
+    payload: dict = {"source": args.path, "kind": kind}
+    if kind == "origami":
+        payload["degree"] = value.d
+    payload["genus"] = signature.genus
+    payload["stratum_orders"] = list(signature.orders)
+    payload["cone_angle_turns"] = [cp.angle_turns for cp in flatcore.singularities(surf)]
+    payload["period_rank"] = flatcore.periods(surf).rank
+    payload["integral"] = flatcore.is_integral(surf)
+    messages = []
     if kind == "origami":
         from . import spin, strata
 
-        report.degree = value.d
         if signature.genus >= 2:
             component = spin.classify_component(value)
         else:
             component = strata.components(signature.orders)[0]
         if all(m % 2 == 0 for m in signature.orders):
-            report.spin_parity = spin.spin_parity(value)
+            payload["spin_parity"] = spin.spin_parity(value)
         else:
-            report.messages.append("spin parity undefined (odd zero order)")
-        report.component = str(component)
-    _emit(args, report.to_dict(), report.to_text())
+            messages.append("spin parity undefined (odd zero order)")
+        payload["component"] = str(component)
+    payload["messages"] = messages
+    _emit(args, payload, _analyze_text)
     return 0
+
+
+def _analyze_text(payload: dict) -> str:
+    lines = [f"input: {payload['source']} ({payload['kind']})"]
+    if "degree" in payload:
+        lines.append(f"degree: {payload['degree']}")
+    inner = ",".join(str(m) for m in payload["stratum_orders"])
+    angles = ", ".join(f"{2 * t}pi" for t in payload["cone_angle_turns"])
+    lines += [
+        f"genus: {payload['genus']}",
+        f"stratum: H({inner})" if inner else "stratum: H() [torus]",
+        f"cone angles: {angles}",
+        f"period rank: {payload['period_rank']}",
+        f"integral periods: {'yes' if payload['integral'] else 'no'}",
+    ]
+    for key in ("spin_parity", "component"):  # origami inputs only
+        if key in payload:
+            lines.append(f"{key.replace('_', ' ')}: {payload[key]}")
+    lines += [f"note: {msg}" for msg in payload["messages"]]
+    return "\n".join(lines)
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
@@ -201,17 +175,18 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         "elements": [list(code) for code in data.elements],
         "edges": [list(edge) for edge in data.edges],
     }
-    lines = [
-        f"orbit size: {len(data.elements)}",
-        f"cusp widths: {list(data.cusp_widths)}",
-    ]
-    for i, code in enumerate(data.elements):
-        rep = origami.decode_canonical(code)
-        lines.append(
-            f"  [{i}] h: {origami.format_cycles(rep.h)}  v: {origami.format_cycles(rep.v)}"
-        )
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, _orbit_text)
     return 0
+
+
+def _orbit_text(payload: dict) -> str:
+    from .origami import format_cycles
+
+    lines = [f"orbit size: {payload['orbit_size']}", f"cusp widths: {payload['cusp_widths']}"]
+    for i, code in enumerate(payload["elements"]):  # (d, *h, *v), built valid by orbit
+        h, v = code[1 : 1 + code[0]], code[1 + code[0] :]
+        lines.append(f"  [{i}] h: {format_cycles(h)}  v: {format_cycles(v)}")
+    return "\n".join(lines)
 
 
 def cmd_spin(args: argparse.Namespace) -> int:
@@ -225,7 +200,7 @@ def cmd_spin(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     payload = {"source": args.path, "spin_parity": parity}
-    _emit(args, payload, f"spin parity: {parity}")
+    _emit(args, payload, lambda p: f"spin parity: {p['spin_parity']}")
     return 0
 
 
@@ -284,21 +259,26 @@ def cmd_strata(args: argparse.Namespace) -> int:
         comps = [str(c) for c in strata.components(orders)]
         rows.append({"orders": list(orders), "dimension": dim, "components": comps})
     payload: dict = {"genus": g, "strata": rows}
-    lines = [f"genus {g}: {len(rows)} strata"]
     if g >= 2:
         payload["hodge_dimension"] = strata.hodge_dimension(g)
         payload["hyperelliptic_locus_dimension"] = strata.hyperelliptic_locus_dimension(g)
+    _emit(args, payload, _strata_text)
+    return 0
+
+
+def _strata_text(payload: dict) -> str:
+    lines = [f"genus {payload['genus']}: {len(payload['strata'])} strata"]
+    if "hodge_dimension" in payload:
         lines.append(
-            f"ambient (curve, form) dimension: {strata.hodge_dimension(g)}; "
-            f"hyperelliptic locus: {strata.hyperelliptic_locus_dimension(g)}"
+            f"ambient (curve, form) dimension: {payload['hodge_dimension']}; "
+            f"hyperelliptic locus: {payload['hyperelliptic_locus_dimension']}"
         )
-    for row in rows:
+    for row in payload["strata"]:
         inner = ",".join(str(m) for m in row["orders"])
         lines.append(
             f"  H({inner}): dim {row['dimension']}, components {{{', '.join(row['components'])}}}"
         )
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
 def cmd_divisor(args: argparse.Namespace) -> int:
@@ -318,21 +298,23 @@ def cmd_divisor(args: argparse.Namespace) -> int:
         raise CliError(
             f"{len(points)} branch points give genus {branches.genus}, not {args.genus}"
         )
-    entries = [[str(place), order] for place, order in div.entries]
     payload = {
         "genus": branches.genus,
         "form": str(form),
-        "entries": entries,
+        "entries": [[str(place), order] for place, order in div.entries],
         "total_order": div.total_order,
         "holomorphic": div.is_effective,
     }
-    lines = [f"genus {branches.genus}, form {form} * dz/x"]
-    for place, order in div.entries:
-        lines.append(f"  {place}: order {order}")
-    lines.append(f"total order: {div.total_order}")
-    lines.append(f"holomorphic: {'yes' if div.is_effective else 'no'}")
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, _divisor_text)
     return 0
+
+
+def _divisor_text(payload: dict) -> str:
+    lines = [f"genus {payload['genus']}, form {payload['form']} * dz/x"]
+    lines += [f"  {place}: order {order}" for place, order in payload["entries"]]
+    lines.append(f"total order: {payload['total_order']}")
+    lines.append(f"holomorphic: {'yes' if payload['holomorphic'] else 'no'}")
+    return "\n".join(lines)
 
 
 _PALETTE = [
@@ -360,6 +342,8 @@ def render_svg(surf: flatcore.TranslationSurface) -> str:
     margin = 30.0
     scale = (_SVG_WIDTH - 2 * margin) / (max(max(xs) - minx, unit) / unit)
     height = max(maxy - min(ys), unit) / unit * scale + 2 * margin
+    if not math.isfinite(height):  # float products overflow to inf, not to an error
+        raise OverflowError("drawing height is not finite")
 
     def to_px(p: flatcore.Point) -> tuple[float, float]:
         return margin + (p[0] - minx) / unit * scale, margin + (maxy - p[1]) / unit * scale

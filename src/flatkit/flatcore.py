@@ -359,6 +359,7 @@ def _validate(surf: TranslationSurface) -> ValidationReport:
             out += found
             if not found:
                 passed.add(edges[i])
+    polygons_ok = not out
 
     all_edges = {(p, e) for p, pts in enumerate(scaled) for e in range(len(pts))}
     keys = set(surf.pairing.keys())
@@ -382,7 +383,7 @@ def _validate(surf: TranslationSurface) -> ValidationReport:
         if missing:
             structural_ok = False
 
-    if structural_ok and not any("polygon" in v for v in out):
+    if structural_ok and polygons_ok:
         # The pairing is an involution without fixed points: _pairs holds each pair once.
         for e, partner in surf._pairs:
             x, y = edges[e.polygon][e.edge]

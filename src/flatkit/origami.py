@@ -130,8 +130,6 @@ def parse_cycles(text: str, d: int) -> Perm:
     stripped = text.strip()
     if stripped in ("", "id"):
         return tuple(range(d))
-    if stripped.replace("(", "").replace(")", "").strip() == "":
-        return tuple(range(d))
     consumed = _CYCLE_RE.sub("", stripped).strip()
     if consumed:
         raise ValueError(f"unparsed text {consumed!r} in cycle notation {text!r}")

@@ -114,6 +114,102 @@ def test_analyze_origami(capsys):
     assert "component: connected" in out
 
 
+ORIGAMI_FILES = {
+    "torus.origami": "d: 1\nh: ()\nv: ()\n",
+    "h11.origami": "d: 4\nh: (1,2,3,4)\nv: (1,3)\n",
+}
+PINNED_TEXT = {  # command line -> full stdout; PATH stands for the input file
+    "analyze l5.origami": """\
+input: PATH (origami)
+degree: 5
+genus: 2
+stratum: H(2)
+cone angles: 6pi, 2pi, 2pi
+period rank: 4
+integral periods: yes
+spin parity: 1
+component: connected
+""",
+    "analyze decagon.json": """\
+input: PATH (surface)
+genus: 2
+stratum: H(1,1)
+cone angles: 4pi, 4pi
+period rank: 5
+integral periods: yes
+""",
+    "analyze torus.origami": """\
+input: PATH (origami)
+degree: 1
+genus: 1
+stratum: H() [torus]
+cone angles: 2pi
+period rank: 2
+integral periods: yes
+spin parity: 1
+component: connected
+""",
+    "analyze h11.origami": """\
+input: PATH (origami)
+degree: 4
+genus: 2
+stratum: H(1,1)
+cone angles: 4pi, 4pi
+period rank: 5
+integral periods: yes
+component: connected
+note: spin parity undefined (odd zero order)
+""",
+    "orbit l3.origami": """\
+orbit size: 3
+cusp widths: [2, 1]
+  [0] h: (2,3)  v: (1,2)
+  [1] h: (2,3)  v: (1,2,3)
+  [2] h: (1,2,3)  v: (2,3)
+""",
+    "spin l3.origami": "spin parity: 1\n",
+    "strata --genus 1": """\
+genus 1: 1 strata
+  H(): dim 2, components {connected}
+""",
+    "strata --genus 3": """\
+genus 3: 5 strata
+ambient (curve, form) dimension: 9; hyperelliptic locus: 5
+  H(4): dim 6, components {hyperelliptic, odd_spin}
+  H(3,1): dim 7, components {connected}
+  H(2,2): dim 7, components {hyperelliptic, odd_spin}
+  H(2,1,1): dim 8, components {connected}
+  H(1,1,1,1): dim 9, components {connected}
+""",
+    "divisor --branch 0,1,2,-1,3,-2 --form (z-10)^2": """\
+genus 2, form (z-10)^2 * dz/x
+  pair(10): order 2
+  inf+: order -1
+  inf-: order -1
+total order: 2
+holomorphic: no
+""",
+}
+
+
+@pytest.mark.parametrize("line", list(PINNED_TEXT))
+def test_text_output_is_pinned(tmp_path, capsys, line):
+    """The full text stdout of each command, rendered from its JSON payload."""
+    argv = line.split()
+    expected = PINNED_TEXT[line]
+    if argv[0] in ("analyze", "orbit", "spin"):
+        name = argv[1]
+        path = DATA / name
+        if name in ORIGAMI_FILES:
+            path = tmp_path / name
+            path.write_text(ORIGAMI_FILES[name])
+        argv[1] = str(path)
+        expected = expected.replace("PATH", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 def test_analyze_builds_one_quadratic_form(tmp_path, capsys, monkeypatch):
     # H(4), odd spin: classify_component already computes the parity analyze prints
     path = tmp_path / "h4_odd.origami"
@@ -242,6 +338,18 @@ def test_analyze_refuses_a_degree_beyond_the_written_labels(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_analyze_refuses_stray_parentheses(tmp_path, capsys):
+    """Parentheses that close no cycle are an error, not the identity."""
+    path = tmp_path / "stray.origami"
+    path.write_text("d: 2\nh: (1,2)\nv: (\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {path}: line 3: unparsed text '(' in cycle notation '('"
+    ]
+
+
 def test_analyze_half_paired_square(tmp_path, capsys):
     path = tmp_path / "half.json"
     path.write_text(json.dumps({"polygons": [SQUARE], "pairings": SQUARE_PAIRS[:1]}))
@@ -261,6 +369,20 @@ def test_orbit_command(capsys):
     assert payload["orbit_size"] == 3
     assert sorted(payload["cusp_widths"]) == [1, 2]
     assert len(payload["elements"]) == 3
+
+
+def test_orbit_json_renders_no_text(capsys, monkeypatch):
+    """With --json, no element is decoded or written in cycle notation."""
+    from flatkit import origami
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("text rendering under --json")
+
+    monkeypatch.setattr(origami, "decode_canonical", refuse)
+    monkeypatch.setattr(origami, "format_cycles", refuse)
+    code, out, _ = run_cli(capsys, "orbit", str(DATA / "l5.origami"), "--json")
+    assert code == 0
+    assert json.loads(out)["orbit_size"] == 18
 
 
 def test_orbit_budget_error(capsys):
@@ -467,19 +589,20 @@ def test_render_default_output_name(tmp_path, capsys, monkeypatch):
 
 
 def test_render_huge_coordinates_is_an_error(tmp_path, capsys):
-    """A valid square too large for floats is analyzed, but not drawn."""
-    side = 10**400
+    """A valid square too large for floats, or a rectangle whose drawing would be
+    too tall for them, is analyzed, but not drawn."""
     path = tmp_path / "huge.json"
-    square = [[0, 0], [side, 0], [side, side], [0, side]]
-    path.write_text(json.dumps({"polygons": [square], "pairings": SQUARE_PAIRS}))
-    assert run_cli(capsys, "analyze", str(path))[0] == 0
-    svg = tmp_path / "huge.svg"
-    code, out, err = run_cli(capsys, "render", str(path), "-o", str(svg))
-    assert code == 1
-    assert out == ""
-    assert err.splitlines() == [f"error: {path}: coordinates too large to draw"]
-    assert "Traceback" not in err
-    assert not svg.exists()
+    for width, height in [(10**400, 10**400), (1, 10**307)]:
+        rectangle = [[0, 0], [width, 0], [width, height], [0, height]]
+        path.write_text(json.dumps({"polygons": [rectangle], "pairings": SQUARE_PAIRS}))
+        assert run_cli(capsys, "analyze", str(path))[0] == 0
+        svg = tmp_path / "huge.svg"
+        code, out, err = run_cli(capsys, "render", str(path), "-o", str(svg))
+        assert code == 1, height
+        assert out == ""
+        assert err.splitlines() == [f"error: {path}: coordinates too large to draw"]
+        assert "Traceback" not in err
+        assert not svg.exists()
 
 
 FUZZ_ALPHABET = "09-(),[]{}: x\n"

@@ -62,6 +62,11 @@ def test_parse_cycles_and_format():
     assert origami.cycles_of((1, 0, 2)) == [[0, 1], [2]]
     with pytest.raises(ValueError):
         origami.parse_cycles("(1,2", 3)
+    for identity in ("", "id", "()", "( )", "()()"):
+        assert origami.parse_cycles(identity, 3) == (0, 1, 2), identity
+    for stray in ("(", ")(", "((", "(()"):
+        with pytest.raises(ValueError, match="unparsed text"):
+            origami.parse_cycles(stray, 3)
 
 
 def test_invert_perm():
