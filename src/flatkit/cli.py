@@ -3,10 +3,10 @@
 Input files are either surface JSON (see flatcore) or origami text (see
 origami); the format is sniffed from the content.  All arithmetic stays
 rational; floating point appears only when emitting SVG coordinates.  Each
-subcommand imports only the modules it runs, so a process that lists
-strata never compiles the origami or spin code.  Each subcommand that
-reports results builds one JSON payload: `--json` prints it, and otherwise
-its text is rendered from that payload alone.
+subcommand imports only the modules it runs; analyze reads an origami off
+its permutations, without the polygon model in flatcore.  Each subcommand
+that reports results builds one JSON payload: `--json` prints it, and
+otherwise its text is rendered from that payload alone.
 """
 
 from __future__ import annotations
@@ -105,34 +105,35 @@ def _emit(args: argparse.Namespace, payload: dict, text: Callable[[dict], str]) 
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from . import flatcore
-
     kind, value = loaded = _load_input(args.path)
-    surf = _valid_surface(loaded)
-    if surf is None:
-        return 1
-    signature = flatcore.stratum(surf)
     payload: dict = {"source": args.path, "kind": kind}
-    if kind == "origami":
-        payload["degree"] = value.d
-    payload["genus"] = signature.genus
-    payload["stratum_orders"] = list(signature.orders)
-    payload["cone_angle_turns"] = [cp.angle_turns for cp in flatcore.singularities(surf)]
-    payload["period_rank"] = flatcore.periods(surf).rank
-    payload["integral"] = flatcore.is_integral(surf)
-    messages = []
-    if kind == "origami":
-        from . import spin, strata
+    origami_keys, messages = {}, []
+    if kind == "origami":  # every invariant from (h, v); the tests check them on to_polygons
+        from . import origami, spin, strata
 
-        if signature.genus >= 2:
-            component = spin.classify_component(value)
+        signature = origami.singularity_orders(value)
+        payload["degree"] = value.d
+        angles, integral = origami.cone_angle_turns(value), True
+        if signature.genus >= 2:  # the period rank is the dimension of the stratum
+            rank, component = strata.dimension(signature.orders), spin.classify_component(value)
         else:
-            component = strata.components(signature.orders)[0]
+            rank, component = 2, strata.components(signature.orders)[0]
         if all(m % 2 == 0 for m in signature.orders):
-            payload["spin_parity"] = spin.spin_parity(value)
+            origami_keys["spin_parity"] = spin.spin_parity(value)
         else:
             messages.append("spin parity undefined (odd zero order)")
-        payload["component"] = str(component)
+        origami_keys["component"] = str(component)
+    else:
+        from . import flatcore
+
+        surf = _valid_surface(loaded)
+        if surf is None:
+            return 1
+        signature = flatcore.stratum(surf)
+        angles = [cp.angle_turns for cp in flatcore.singularities(surf)]
+        rank, integral = flatcore.periods(surf).rank, flatcore.is_integral(surf)
+    payload.update(genus=signature.genus, stratum_orders=list(signature.orders))
+    payload.update(cone_angle_turns=angles, period_rank=rank, integral=integral, **origami_keys)
     payload["messages"] = messages
     _emit(args, payload, _analyze_text)
     return 0
@@ -164,6 +165,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     kind, value = _load_input(args.path)
     if kind != "origami":
         raise CliError("orbit requires an origami input")
+    if args.max < 1:
+        raise CliError("--max must be at least 1")
     try:
         data = origami.orbit(value, max_elements=args.max)
     except RuntimeError as exc:
@@ -195,11 +198,7 @@ def cmd_spin(args: argparse.Namespace) -> int:
     kind, value = _load_input(args.path)
     if kind != "origami":
         raise CliError("spin requires an origami input")
-    try:
-        parity = spin.spin_parity(value)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    payload = {"source": args.path, "spin_parity": parity}
+    payload = {"source": args.path, "spin_parity": spin.spin_parity(value)}
     _emit(args, payload, lambda p: f"spin parity: {p['spin_parity']}")
     return 0
 
@@ -288,12 +287,9 @@ def cmd_divisor(args: argparse.Namespace) -> int:
         points = [Fraction(p) for p in args.branch.split(",") if p.strip() != ""]
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad branch point: {exc}") from exc
-    try:
-        branches = hyperell.branch_set(points)
-        form = hyperell.parse_form(args.form)
-        div = hyperell.divisor_of_form(branches, form)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    branches = hyperell.branch_set(points)  # main reports a ValueError as an error line
+    form = hyperell.parse_form(args.form)
+    div = hyperell.divisor_of_form(branches, form)
     if args.genus is not None and branches.genus != args.genus:
         raise CliError(
             f"{len(points)} branch points give genus {branches.genus}, not {args.genus}"
@@ -454,9 +450,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
+        return code
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # as the Python signal docs advise: no traceback, exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -15,13 +15,8 @@ and its one list of edge vectors, and validation tests each polygon shape once.
 
 The main operations are structural validation, the cone-point (singularity)
 sweep, genus and stratum computation, the rank of the relative period lattice,
-and JSON serialization of surfaces.
-
-flatkit's records (PlanarVec, Origami, Mat2 and the rest) are plain classes on
-the private base _Record here, not dataclasses: importing dataclasses and
-building the classes cost each CLI process 13-18 ms (see README, "Start-up").
-The base also holds the one constructor that stores a record's fields; only a
-record that checks or coerces its input defines its own.
+and JSON serialization of surfaces.  Its records are plain classes on _Record,
+re-exported with _roots, _as_fraction, Rational and StratumSignature from _base.
 """
 
 from __future__ import annotations
@@ -31,67 +26,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from math import gcd, lcm
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-Rational = Union[int, str, Fraction]
+from ._base import Rational, StratumSignature, _as_fraction, _Record, _roots
+
 Point = tuple[int, int]  # a vertex or edge vector of the integer view
-
-
-def _as_fraction(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"not a rational value: {value!r}")
-
-
-class _Record:
-    """Base of flatkit's immutable records: the frozen dataclass semantics
-    without importing dataclasses.  A subclass declares its fields as class
-    annotations, in positional order, and only there.  The one constructor
-    here stores them, given by position or by keyword, in field order in the
-    instance __dict__, where cached properties also live; a record that checks
-    or coerces its input defines its own __init__.  Equality holds within one
-    class on the field tuple, the hash is the field tuple's, the repr is
-    Class(field=value, ...), and assignment or deletion raises AttributeError."""
-
-    def __init_subclass__(cls) -> None:
-        cls._fields = getattr(cls, "_fields", ()) + tuple(vars(cls).get("__annotations__", ()))
-        get = attrgetter(*cls._fields)  # of one name it returns the bare value, not a 1-tuple
-        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        fields = self._fields
-        if kwargs or len(args) != len(fields):  # bound as a Python signature binds them
-            given = dict(zip(fields, args))
-            if len(args) > len(fields) or given.keys() & kwargs or {*given, *kwargs} != {*fields}:
-                raise TypeError(
-                    f"{type(self).__qualname__}() takes the fields {', '.join(fields)}; got "
-                    f"{len(args)} positional and the keywords {', '.join(kwargs) or '(none)'}"
-                )
-            given.update(kwargs)
-            args = [given[name] for name in fields]
-        self.__dict__.update(zip(fields, args))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
-        return f"{type(self).__qualname__}({inner})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class PlanarVec(_Record):
@@ -330,21 +270,6 @@ def _polygon_violations(index: int, pts: Sequence[Point], edges: Sequence[Point]
     return out
 
 
-def _roots(n: int, links: Iterable[tuple[int, int]]) -> list[int]:
-    """Union-find: the representative of each of 0..n-1 once the links are merged."""
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in links:
-        parent[find(a)] = find(b)
-    return [find(a) for a in range(n)]
-
-
 def _validate(surf: TranslationSurface) -> ValidationReport:
     """Every check.  Polygon tests are exact and translation-invariant, and edge vectors fix a
     polygon up to translation: a passing shape is tested once, a failing one at each index."""
@@ -546,16 +471,6 @@ def singularities(surf: TranslationSurface) -> list[ConePoint]:
 def genus(surf: TranslationSurface) -> int:
     """Genus via the Euler characteristic of the induced cell structure."""
     return surf._swept[1]
-
-
-class StratumSignature(_Record):
-    """Genus plus the descending list of positive zero orders."""
-
-    genus: int
-    orders: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return "H(" + ",".join(str(m) for m in self.orders) + ")"
 
 
 def stratum(surf: TranslationSurface) -> StratumSignature:

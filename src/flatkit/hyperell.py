@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .flatcore import Rational, _as_fraction, _Record
+from ._base import Rational, _as_fraction, _Record
 
 
 class BranchSet(_Record):

@@ -10,12 +10,12 @@ _corner_cycles, and _signature from them), and every reader here and in
 flatkit.spin takes them from there (flatkit.spin also stores its _arf and
 _involution there); ==, hash and repr see d, h and v only.
 
-Provides conversion to a polygon surface, stratum computation from the
-corner permutation (the source of truth; the tests check it against the
-polygon model), canonical forms and isomorphism, the shear and quarter-turn
-actions with orbit enumeration, horizontal cylinder decompositions, and
-exhaustive enumeration by stratum through flatkit.census, which
-origamis_in_stratum and stratum_pairs_raw import only when they run.
+Provides the polygon surface (to_polygons imports flatkit.flatcore when it
+runs), the stratum and cone angles from the corner permutation (the source
+of truth; the tests check both against to_polygons), canonical forms and
+isomorphism, the shear and quarter-turn actions with orbit enumeration,
+horizontal cylinders, and enumeration by stratum through flatkit.census,
+which origamis_in_stratum and stratum_pairs_raw import only when they run.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Optional, Sequence, Union
 
-from .flatcore import EdgeRef, StratumSignature, TranslationSurface, _Record, _roots
+from ._base import StratumSignature, _Record, _roots
 from .strata import _integers
 
 Perm = tuple[int, ...]
@@ -259,6 +259,8 @@ def to_polygons(o: Origami) -> TranslationSurface:
     The squares are built as integer points over the scale 4, which seeds
     the surface's integer view.
     """
+    from .flatcore import EdgeRef, TranslationSurface
+
     squares = tuple(((5 * s, 0), (5 * s + 4, 0), (5 * s + 4, 4), (5 * s, 4)) for s in range(o.d))
     pairing: dict[EdgeRef, EdgeRef] = {}
     for s in range(o.d):
@@ -294,6 +296,15 @@ def singularity_orders(o: Origami) -> StratumSignature:
 
 def genus(o: Origami) -> int:
     return singularity_orders(o).genus
+
+
+def cone_angle_turns(o: Origami) -> list[int]:
+    """Cone angles in turns, ordered as flatcore.singularities orders to_polygons(o): by each
+    vertex's least corner (s, i), corner i being the bottom-left of s, h(s), h(v(s)), v(s)."""
+    cycles, h, v = o._corner_cycles, o.h, o.v
+    vertex = {s: k for k, cyc in enumerate(cycles) for s in cyc}
+    first = dict.fromkeys(vertex[t] for s in range(o.d) for t in (s, h[s], h[v[s]], v[s]))
+    return [len(cycles[k]) for k in first]
 
 
 # --- canonical form and isomorphism ----------------------------------------

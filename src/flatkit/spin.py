@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from . import strata
-from .flatcore import _Record
+from ._base import _Record
 from .origami import Origami, singularity_orders
 from .strata import ComponentLabel
 

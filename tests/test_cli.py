@@ -15,25 +15,33 @@ from flatkit import cli, flatcore, spin
 from conftest import DATA, build_2ngon, build_bad_square
 
 
-def test_strata_loads_neither_origami_nor_spin():
-    """Each subcommand imports only the modules it runs."""
+def child_env() -> dict:
+    """The environment of a child interpreter that imports the same flatkit as this one."""
+    package_root = str(pathlib.Path(cli.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def modules_loaded_by(commands, modules) -> str:
+    """Which of the modules a fresh interpreter has loaded after running the commands."""
     code = (
         "import contextlib, io, sys\n"
         "from flatkit import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['strata', '--genus', '3']) == 0\n"
-        "print(sorted({'flatkit.origami', 'flatkit.spin'} & set(sys.modules)))\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        f"print(sorted({set(modules)!r} & set(sys.modules)))\n"
     )
-    package_root = str(pathlib.Path(cli.__file__).parents[1])
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        check=True,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_strata_loads_neither_origami_nor_spin():
+    """Each subcommand imports only the modules it runs."""
+    commands = [["strata", "--genus", "3"]]
+    assert modules_loaded_by(commands, ["flatkit.origami", "flatkit.spin"]) == "[]"
 
 
 def test_origami_commands_do_not_load_the_enumeration_engine(tmp_path):
@@ -46,25 +54,24 @@ def test_origami_commands_do_not_load_the_enumeration_engine(tmp_path):
         ["act", origami_path, "--matrix", "1", "1", "0", "1", "-o", str(tmp_path / "t.json")],
         ["render", origami_path, "-o", str(tmp_path / "l5.svg")],
     ]
-    code = (
-        "import contextlib, io, sys\n"
-        "from flatkit import cli\n"
-        f"for argv in {commands!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main(argv) == 0, argv\n"
-        "print(sorted({'flatkit.origami', 'flatkit.spin', 'flatkit.census'} & set(sys.modules)))\n"
-    )
-    package_root = str(pathlib.Path(cli.__file__).parents[1])
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        check=True,
-    )
-    assert proc.stdout.strip() == "['flatkit.origami', 'flatkit.spin']"
+    modules = ["flatkit.origami", "flatkit.spin", "flatkit.census"]
+    assert modules_loaded_by(commands, modules) == "['flatkit.origami', 'flatkit.spin']"
     assert (tmp_path / "t.json").exists() and (tmp_path / "l5.svg").exists()
+
+
+def test_permutation_commands_do_not_load_the_polygon_model():
+    """analyze, orbit and spin on an origami, and divisor, never import flatkit.flatcore:
+    the records and the stratum signature come from flatkit._base."""
+    origami_path = str(DATA / "l5.origami")
+    commands = [
+        ["analyze", origami_path],
+        ["analyze", origami_path, "--json"],
+        ["orbit", origami_path],
+        ["spin", origami_path],
+        ["divisor", "--branch", "0,1,2,-1,3,-2", "--form", "(z-10)^2"],
+    ]
+    modules = ["flatkit._base", "flatkit.flatcore", "flatkit.gl2", "flatkit.hyperell"]
+    assert modules_loaded_by(commands, modules) == "['flatkit._base', 'flatkit.hyperell']"
 
 
 def test_enumeration_entry_points_keep_their_kind():
@@ -258,6 +265,13 @@ def test_analyze_validates_once(validation_calls, capsys):
     assert len(validation_calls) == 1
 
 
+def test_analyze_never_validates_an_origami(validation_calls, capsys):
+    """An origami's invariants come from its permutations: no polygon is validated."""
+    code, _, _ = run_cli(capsys, "analyze", str(DATA / "l5.origami"))
+    assert code == 0
+    assert validation_calls == []
+
+
 def test_analyze_unreadable_input(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{ not json")
@@ -389,6 +403,12 @@ def test_orbit_budget_error(capsys):
     code, _, err = run_cli(capsys, "orbit", str(DATA / "l5.origami"), "--max", "2")
     assert code == 1
     assert "budget exceeded" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_orbit_max_names_the_flag(capsys, value):
+    code, out, err = run_cli(capsys, "orbit", str(DATA / "l5.origami"), "--max", value)
+    assert (code, out, err) == (1, "", "error: --max must be at least 1\n")
 
 
 def test_spin_command(capsys):
@@ -644,13 +664,40 @@ def test_commands_survive_mutated_fixtures(tmp_path, capsys, fixture):
 
 def test_console_script_runs():
     # The child imports the same flatkit as this process, installed or not.
-    package_root = str(pathlib.Path(cli.__file__).parents[1])
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "flatkit.cli", "analyze", str(DATA / "l3.origami")],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "stratum: H(2)" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strata", "--genus", "3"],  # fits the buffer: written by the flush in main
+        ["strata", "--genus", "9"],  # overflows it: written inside print
+        ["orbit", str(DATA / "l5.origami")],
+    ],
+)
+def test_closed_stdout_exits_quietly(argv):
+    """A reader that closes stdout before the command writes (`| head -1` on a long
+    output) gets status 1 and nothing on stderr, not a BrokenPipeError traceback.
+    stdout is block-buffered, as in a shell pipe, so a short output is written only when
+    main flushes it."""
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts: every write it makes fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatkit.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")

@@ -883,13 +883,24 @@ def test_h2_orbits_match_mcmullen_hubert_lelievre():
         assert sum(sizes) == oracles.primitive_h2_count(n), n
 
 
+def assert_invariants_match_polygons(o):
+    """What analyze reads off (h, v) equals what flatcore finds on to_polygons(o): genus
+    and orders, the cone angles in order, and the period rank, the stratum's dimension."""
+    surf = origami.to_polygons(o)
+    signature = origami.singularity_orders(o)
+    assert signature == flatcore.stratum(surf)
+    assert origami.cone_angle_turns(o) == [cp.angle_turns for cp in flatcore.singularities(surf)]
+    rank = strata.dimension(signature.orders) if signature.genus >= 2 else 2
+    assert rank == flatcore.periods(surf).rank
+
+
 @pytest.mark.parametrize("d", sorted(CLASSES_BY_DEGREE))
 def test_commutator_stratum_matches_polygons_on_all_classes(d):
     classes = all_classes(d)
     assert len(classes) == CLASSES_BY_DEGREE[d]
     assert len({origami.canonical_form(o) for o in classes}) == len(classes)
     for o in classes:
-        assert origami.singularity_orders(o) == flatcore.stratum(origami.to_polygons(o))
+        assert_invariants_match_polygons(o)
 
 
 @st.composite
@@ -909,8 +920,14 @@ def relabeled_origamis(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(relabeled_origamis())
+@example(origami.random_origami(100, make_rng(100)))
+@example(origami.random_origami(100, make_rng(101)))
+@example(origami.random_origami(300, make_rng(300)))
+@example(origami.random_origami(300, make_rng(301)))
+@example(origami.random_origami(1000, make_rng(1000)))
+@example(origami.random_origami(1000, make_rng(1001)))
 def test_commutator_stratum_matches_polygons_random(o):
-    assert origami.singularity_orders(o) == flatcore.stratum(origami.to_polygons(o))
+    assert_invariants_match_polygons(o)
 
 
 @settings(max_examples=100, deadline=None)
