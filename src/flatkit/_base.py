@@ -1,21 +1,37 @@
 """Private base of every flatkit module: the record base class _Record (plain
 classes, not dataclasses; see README, "Start-up"), the StratumSignature record,
-rational coercion and union-find.  It imports no other flatkit module.
+the one rational reader, rational coercion and union-find.  No flatkit imports.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Union
 
 Rational = Union[int, str, Fraction]
 
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/(?:(0+)|[0-9]+))?")  # group 1: a zero denominator
 
-def _as_fraction(value: Rational) -> Fraction:
+
+def _read_rational(text: str, what: str) -> tuple[int, int]:
+    """The one reader of a rational from text: ASCII -?[0-9]+(/[0-9]+)? and nothing else (no
+    blank, +, _, exponent, decimal point or non-ASCII digit), in lowest terms (n, q > 0)."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"bad {what} {text!r}: not an integer or p/q in ASCII digits")
+    if m[1]:
+        raise ValueError(f"zero denominator in {what} {text!r}")
+    return Fraction(text).as_integer_ratio()
+
+
+def _as_fraction(value: Rational, what: str = "rational value") -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, str):
+        return Fraction(*_read_rational(value, what))
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"not a rational value: {value!r}")
 

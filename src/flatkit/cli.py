@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -205,15 +204,12 @@ def cmd_spin(args: argparse.Namespace) -> int:
 
 def _parse_matrix(tokens: Sequence[str]) -> gl2.Mat2:
     from . import gl2
+    from ._base import _as_fraction
 
     entries = [piece for token in tokens for piece in token.replace(",", " ").split()]
     if len(entries) != 4:
         raise CliError(f"matrix needs 4 entries a b c d, got {len(entries)}")
-    try:
-        a, b, c, d = (Fraction(e) for e in entries)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad matrix entry: {exc}") from exc
-    return gl2.Mat2(a, b, c, d)
+    return gl2.Mat2(*(_as_fraction(e, "matrix entry") for e in entries))
 
 
 def cmd_act(args: argparse.Namespace) -> int:
@@ -223,7 +219,7 @@ def cmd_act(args: argparse.Namespace) -> int:
         *args.matrix, args.path = args.matrix
         try:
             _parse_matrix(args.matrix)  # before any file is read
-        except CliError as exc:
+        except (CliError, ValueError) as exc:
             raise CliError(f"{exc} (with no path before --matrix, its last token is the path)")
     surf = _valid_surface(_load_input(args.path))
     if surf is None:
@@ -282,11 +278,9 @@ def _strata_text(payload: dict) -> str:
 
 def cmd_divisor(args: argparse.Namespace) -> int:
     from . import hyperell
+    from ._base import _as_fraction
 
-    try:
-        points = [Fraction(p) for p in args.branch.split(",") if p.strip() != ""]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad branch point: {exc}") from exc
+    points = [_as_fraction(p.strip(), "branch point") for p in args.branch.split(",")]
     branches = hyperell.branch_set(points)  # main reports a ValueError as an error line
     form = hyperell.parse_form(args.form)
     div = hyperell.divisor_of_form(branches, form)

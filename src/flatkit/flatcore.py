@@ -15,8 +15,8 @@ and its one list of edge vectors, and validation tests each polygon shape once.
 
 The main operations are structural validation, the cone-point (singularity)
 sweep, genus and stratum computation, the rank of the relative period lattice,
-and JSON serialization of surfaces.  Its records are plain classes on _Record,
-re-exported with _roots, _as_fraction, Rational and StratumSignature from _base.
+and strict JSON reading and writing of surfaces.  Its records are plain classes on
+_Record; each name it imports from _base is re-exported here.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from ._base import Rational, StratumSignature, _as_fraction, _Record, _roots
+from ._base import Rational, StratumSignature, _as_fraction, _read_rational, _Record, _roots
 
 Point = tuple[int, int]  # a vertex or edge vector of the integer view
 
@@ -556,13 +556,21 @@ def _coord_to_json(value: int, scale: int) -> int | str:
     return value // g if g == scale else f"{value // g}/{scale // g}"
 
 
-def _coord_from_json(raw: object) -> Fraction:
+def _coord_from_json(raw: object) -> tuple[int, int]:
+    """A JSON coordinate as (numerator, denominator): an integer, or a "p/q" string."""
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise ValueError(f"coordinate must be an integer or 'p/q' string, got {raw!r}")
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad coordinate {raw!r}: {exc}") from exc
+    return (raw, 1) if isinstance(raw, int) else _read_rational(raw, "coordinate")
+
+
+def _object_from_json(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are each given once."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice in one JSON object")
+        obj[key] = value
+    return obj
 
 
 def _list_from_json(raw: object, what: str) -> list:
@@ -592,22 +600,23 @@ def surface_to_json(surf: TranslationSurface) -> dict:
 
 
 def surface_from_json(data: Union[str, dict]) -> TranslationSurface:
+    """The surface of JSON text or its object: the keys "polygons" and "pairings", each once;
+    the coordinates go straight into the integer view, over the lcm of their denominators."""
     if isinstance(data, str):
-        data = json.loads(data)
+        data = json.loads(data, object_pairs_hook=_object_from_json)
     if not isinstance(data, dict):
         raise ValueError("surface JSON must be an object")
-    try:
-        raw_polys = _list_from_json(data["polygons"], '"polygons"')
-        raw_pairs = _list_from_json(data["pairings"], '"pairings"')
-    except KeyError as exc:
-        raise ValueError(f"surface JSON missing key {exc}") from exc
-    polys = []
+    for key in (*data, "polygons", "pairings"):  # unknown keys in file order, then missing ones
+        if key not in data or key not in ("polygons", "pairings"):
+            raise ValueError(f"surface JSON {'has unknown' if key in data else 'missing'} key {key!r}")
+    raw_polys = _list_from_json(data["polygons"], '"polygons"')
+    raw_pairs = _list_from_json(data["pairings"], '"pairings"')
+    polys = []  # each vertex as ((x numerator, x denominator), (y numerator, y denominator))
     for i, raw in enumerate(raw_polys):
-        points = (
-            _pair_from_json(pt, f"vertex of polygon {i}")
-            for pt in _list_from_json(raw, f"polygon {i}")
-        )
-        polys.append(PolygonChain(tuple(PlanarVec(_coord_from_json(x), _coord_from_json(y)) for x, y in points)))
+        pts, what = _list_from_json(raw, f"polygon {i}"), f"vertex of polygon {i}"
+        polys.append([tuple(map(_coord_from_json, _pair_from_json(pt, what))) for pt in pts])
+    scale = lcm(*(q for pts in polys for pt in pts for _, q in pt))
+    points = [[tuple(n * (scale // q) for n, q in pt) for pt in pts] for pts in polys]
     # validate reports nonexistent, unpaired and self-paired edges; only an
     # edge paired twice cannot be held in the pairing dict.
     pairing: dict[EdgeRef, EdgeRef] = {}
@@ -618,7 +627,7 @@ def surface_from_json(data: Union[str, dict]) -> TranslationSurface:
                 raise ValueError(f"edge {tuple(ref)} is paired twice")
         pairing[a] = b
         pairing[b] = a
-    return TranslationSurface(tuple(polys), pairing)
+    return TranslationSurface._from_scaled(points, scale, MappingProxyType(pairing))
 
 
 def load_surface(path: str) -> TranslationSurface:

@@ -13,11 +13,12 @@ hyperelliptic locus in each genus.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from ._base import Rational, _as_fraction, _Record
+from ._base import Rational, _as_fraction, _read_rational, _Record
 
 
 class BranchSet(_Record):
@@ -49,8 +50,11 @@ class FactoredForm(_Record):
     factors: tuple[tuple[Fraction, int], ...]
 
     def __init__(self, constant: Rational, factors: Iterable[tuple[Rational, int]]) -> None:
-        c = _as_fraction(constant)
-        facs = tuple((_as_fraction(b), int(k)) for b, k in factors)
+        c, factors = _as_fraction(constant), tuple(factors)
+        # operator.index refuses a float, where int() truncates it; a bool is no multiplicity.
+        if any(isinstance(k, bool) or not hasattr(type(k), "__index__") for _, k in factors):
+            raise TypeError(f"multiplicities must be integers, got {factors}")
+        facs = tuple((_as_fraction(b), operator.index(k)) for b, k in factors)
         if c == 0:
             raise ValueError("constant factor must be nonzero")
         roots = [b for b, _ in facs]
@@ -91,45 +95,29 @@ def factored_form(
     return FactoredForm(constant, tuple(factors))
 
 
+# z, (z-r) or (z+r), then an optional ^k; blanks may stand between the parts, not in a number.
 _FACTOR_RE = re.compile(
-    r"""^\(\s*z\s*(?P<op>[+-])\s*(?P<root>[0-9]+(?:/[0-9]+)?)\s*\)(?:\^(?P<mult>[0-9]+))?$"""
+    r"(?:z|\([ \t]*z[ \t]*(?P<op>[+-])[ \t]*(?P<root>[0-9/]+)[ \t]*\))(?:[ \t]*\^[ \t]*(?P<mult>[0-9]+))?"
 )
-_BARE_Z_RE = re.compile(r"""^z(?:\^(?P<mult>[0-9]+))?$""")
 
 
 def parse_form(text: str) -> FactoredForm:
-    """Parse a factored-form string like "3*(z-1)^2*(z+1/2)" or "z^2" or "5"."""
+    """Parse a factored-form string like "3*(z-1)^2*(z+1/2)" or "z^2" or "5"; each number
+    is read by the one rational reader, _base._read_rational."""
     constant = Fraction(1)
     mults: dict[Fraction, int] = {}
-    saw_factor_or_constant = False
-    for token in text.replace(" ", "").split("*"):
+    for token in text.split("*"):
+        token = token.strip(" \t")
         if not token:
             raise ValueError(f"empty factor in form string {text!r}")
-        m = _FACTOR_RE.match(token)
-        if m is not None:
-            try:
-                root = Fraction(m.group("root"))
-            except ZeroDivisionError as exc:
-                raise ValueError(f"zero denominator in factor {token!r} of {text!r}") from exc
-            if m.group("op") == "+":
-                root = -root
-            k = int(m.group("mult") or 1)
-            mults[root] = mults.get(root, 0) + k
-            saw_factor_or_constant = True
+        m = _FACTOR_RE.fullmatch(token)
+        if m is None:
+            constant *= _as_fraction(token, "form factor")
             continue
-        m = _BARE_Z_RE.match(token)
-        if m is not None:
-            k = int(m.group("mult") or 1)
-            mults[Fraction(0)] = mults.get(Fraction(0), 0) + k
-            saw_factor_or_constant = True
-            continue
-        try:
-            constant *= Fraction(token)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse factor {token!r} in form string {text!r}") from exc
-        saw_factor_or_constant = True
-    if not saw_factor_or_constant:
-        raise ValueError(f"empty form string {text!r}")
+        root = _as_fraction(m["root"], "form root") if m["root"] else Fraction(0)
+        root = -root if m["op"] == "+" else root
+        k = _read_rational(m["mult"], "form exponent")[0] if m["mult"] else 1
+        mults[root] = mults.get(root, 0) + k
     return FactoredForm(constant, tuple(sorted(mults.items())))
 
 

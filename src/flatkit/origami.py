@@ -122,36 +122,33 @@ def make(d: int, h: Union[str, Sequence[int]], v: Union[str, Sequence[int]]) -> 
 
 # --- cycle notation ---------------------------------------------------------
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_BLANKS = " \t"
+# One cycle after optional blanks: labels [0-9]+, apart by a comma or by blanks.  Blank text
+# and "id" write no cycle; each label is in 1..d and written at most once.
+_CYCLE_RE = re.compile(r"[ \t]*\([ \t]*((?:[0-9]+(?:[ \t]*,[ \t]*|[ \t]+))*[0-9]+)?[ \t]*\)")
+
+
+def _read_cycles(text: str, d: int) -> dict[int, int]:
+    """1-based cycle notation, read in one pass, as the 0-based image of each written label."""
+    stripped, images, pos = text.strip(_BLANKS), {}, 0
+    while pos < len(stripped) and stripped != "id":
+        m = _CYCLE_RE.match(stripped, pos)
+        if m is None:
+            raise ValueError(f"unparsed text {stripped[pos:]!r} in cycle notation {text!r}")
+        pos, cycle = m.end(), [int(x) - 1 for x in (m[1] or "").replace(",", " ").split()]
+        for s, t in zip(cycle, cycle[1:] + cycle[:1]):
+            if not 0 <= s < d:
+                raise ValueError(f"cycle entry {s + 1} out of range 1..{d}")
+            if s in images:
+                raise ValueError(f"label {s + 1} appears twice in cycle notation {text!r}")
+            images[s] = t
+    return images
 
 
 def parse_cycles(text: str, d: int) -> Perm:
     """1-based cycle notation "(1,2,3)(4,5)"; fixed points may be omitted."""
-    stripped = text.strip()
-    if stripped in ("", "id"):
-        return tuple(range(d))
-    consumed = _CYCLE_RE.sub("", stripped).strip()
-    if consumed:
-        raise ValueError(f"unparsed text {consumed!r} in cycle notation {text!r}")
-    images = list(range(d))
-    seen: set[int] = set()
-    for group in _CYCLE_RE.findall(stripped):
-        entries = [e for e in re.split(r"[,\s]+", group.strip()) if e]
-        if not entries:
-            continue
-        try:
-            cycle = [int(e) for e in entries]
-        except ValueError as exc:
-            raise ValueError(f"bad cycle entry in {text!r}: {exc}") from exc
-        for x in cycle:
-            if not 1 <= x <= d:
-                raise ValueError(f"cycle entry {x} out of range 1..{d}")
-            if x in seen:
-                raise ValueError(f"label {x} appears twice in cycle notation {text!r}")
-            seen.add(x)
-        for i, x in enumerate(cycle):
-            images[x - 1] = cycle[(i + 1) % len(cycle)] - 1
-    return tuple(images)
+    images = _read_cycles(text, d)
+    return tuple(images.get(s, s) for s in range(d))
 
 
 def cycles_of(p: Sequence[int]) -> list[list[int]]:
@@ -188,27 +185,25 @@ def format_cycles(p: Sequence[int]) -> str:
 def parse_origami_text(text: str) -> Origami:
     """Parse the three-line format: "d: 5" then "h: (1,2,3,4)" then "v: (1,5)".
 
-    Blank lines are skipped and everything after a # is a comment; h and v
-    may appear in either order but d must come first so omitted fixed points
-    are defined.
-    """
+    Blank lines are skipped and everything after a # is a comment; h and v may appear
+    in either order but d must come first so omitted fixed points are defined.  README,
+    "File formats", states the grammar."""
     d: Optional[int] = None
-    cycles: dict[str, tuple[int, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    cycles: dict[str, dict[int, int]] = {}
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
+        line = raw.split("#", 1)[0].strip(_BLANKS)
         if not line:
             continue
-        m = re.match(r"^(d|h|v)\s*:\s*(.*)$", line)
-        if m is None:
+        key, colon, rest = line.partition(":")
+        key, rest = key.rstrip(_BLANKS), rest.lstrip(_BLANKS)
+        if not colon or key not in ("d", "h", "v"):
             raise ValueError(f"line {lineno}: expected 'd:', 'h:' or 'v:', got {raw!r}")
-        key, rest = m.group(1), m.group(2).strip()
         if key == "d":
             if d is not None:
                 raise ValueError(f"line {lineno}: duplicate 'd:' line")
-            try:
-                d = int(rest)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad degree {rest!r}") from exc
+            if not (rest.isascii() and rest.isdigit()):
+                raise ValueError(f"line {lineno}: bad degree {rest!r}")
+            d = int(rest)
             if d < 1:
                 raise ValueError(f"line {lineno}: degree must be positive, got {d}")
         else:
@@ -216,19 +211,17 @@ def parse_origami_text(text: str) -> Origami:
                 raise ValueError(f"line {lineno}: 'd:' must come before '{key}:'")
             if key in cycles:
                 raise ValueError(f"line {lineno}: duplicate '{key}:' line")
-            cycles[key] = (lineno, rest)
-    if d is None or "h" not in cycles or "v" not in cycles:
-        raise ValueError("origami text needs 'd:', 'h:' and 'v:' lines")
-    # Each label is written with a digit run, and from d = 2 on a square in no
-    # cycle of h or v is isolated: refuse such a degree before allocating it.
-    if d <= max(1, sum(len(re.findall(r"\d+", rest)) for _, rest in cycles.values())):
-        perms = {}
-        for key, (lineno, rest) in cycles.items():
             try:
-                perms[key] = parse_cycles(rest, d)
+                cycles[key] = _read_cycles(rest, d)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
-        o = Origami(d, perms["h"], perms["v"])
+    if d is None or "h" not in cycles or "v" not in cycles:
+        raise ValueError("origami text needs 'd:', 'h:' and 'v:' lines")
+    # From d = 2 on, a square in no written cycle is fixed by h and v, so isolated:
+    # refuse such a degree before allocating it.
+    if d <= max(1, len(cycles["h"]) + len(cycles["v"])):
+        h, v = (tuple(cycles[key].get(s, s) for s in range(d)) for key in "hv")
+        o = Origami._trusted(d, h, v)
         if is_connected(o):
             return o
     raise ValueError("not connected: h and v do not act transitively")

@@ -86,8 +86,16 @@ and the q values from spin.turning_index.  reduction_reference is the
 GF(2) reduction of build_quadratic_form in the same pivot order, written
 with each vector a (combination, pairing row, q value) tuple and with the
 pairing and the sum taken by closures.
+
+read_input_reference reads an input file's text as README, "File formats",
+states it, and with none of flatkit's parsing: no regular expression, no
+int() or Fraction() of text (digits are summed one by one), and a JSON
+object read as its list of key-value pairs.  It returns ("origami", (d, h,
+v)) with 0-based permutations, or ("surface", (polygons, pairing)) with
+Fraction vertices, or raises Refused.
 """
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -691,3 +699,157 @@ def quadratic_form_reference(o: origami.Origami, rng=None):
         raise RuntimeError("self-pairing must vanish")
     rows = [sum(bit << j for j, bit in enumerate(row)) for row in pairing]
     return (pairing, q_values, *reduction_reference(rows, q_values, sum(orders) // 2 + 1))
+
+
+# --- the input grammar of README, "File formats" -----------------------------
+
+
+class Refused(ValueError):
+    """The reference reader refuses the input."""
+
+
+DIGITS = "0123456789"
+BLANKS = " \t"
+
+
+def _natural(text: str) -> int:
+    """A nonempty run of ASCII digits, summed digit by digit."""
+    if not text or any(c not in DIGITS for c in text):
+        raise Refused(f"not ASCII digits: {text!r}")
+    value = 0
+    for c in text:
+        value = 10 * value + DIGITS.index(c)
+    return value
+
+
+def rational_reference(text: str) -> Fraction:
+    """An integer or p/q: an optional minus sign, digits, then optionally / and digits, q > 0."""
+    numerator, slash, denominator = text.partition("/")
+    negative = numerator.startswith("-")
+    n = _natural(numerator[1:] if negative else numerator)
+    q = _natural(denominator) if slash else 1
+    if q == 0:
+        raise Refused(f"zero denominator: {text!r}")
+    return Fraction(-n if negative else n, q)
+
+
+def _cycle_labels(inner: str) -> list[int]:
+    """The labels between a cycle's parentheses: apart by a comma or by blanks, with blanks
+    allowed at either end; a comma needs a label on each side."""
+    groups = inner.split(",")
+    words = [[w for w in g.replace("\t", " ").split(" ") if w] for g in groups]
+    if len(groups) > 1 and not all(words):
+        raise Refused(f"empty place around a comma in ({inner})")
+    return [_natural(w) for ws in words for w in ws]
+
+
+def _permutation_reference(value: str, d: int) -> dict[int, int]:
+    """id, nothing, or cycles (a,b,...) with blanks around them: the 0-based image of each
+    written label; each label in 1..d, at most once."""
+    images: dict[int, int] = {}
+    if value == "id":
+        return images
+    i = 0
+    while i < len(value):
+        if value[i] in BLANKS:
+            i += 1
+            continue
+        close = value.find(")", i)
+        if value[i] != "(" or close < 0:
+            raise Refused(f"not a cycle at {value[i:]!r}")
+        labels = _cycle_labels(value[i + 1 : close])
+        for k, label in enumerate(labels):
+            if not 1 <= label <= d or label - 1 in images:
+                raise Refused(f"label {label} out of range or written twice")
+            images[label - 1] = labels[(k + 1) % len(labels)] - 1
+        i = close + 1
+    return images
+
+
+def _lines(text: str) -> list[str]:
+    """Lines end at \\n, \\r\\n or \\r."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def origami_reference(text: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    values: dict[str, str] = {}
+    for raw in _lines(text):
+        line = raw.split("#")[0].strip(BLANKS)
+        if not line:
+            continue
+        key, after = line[0], line[1:].lstrip(BLANKS)
+        if key not in ("d", "h", "v") or not after.startswith(":") or key in values:
+            raise Refused(f"bad line {raw!r}")
+        if key != "d" and "d" not in values:
+            raise Refused("d must come first")
+        values[key] = after[1:].strip(BLANKS)
+    if len(values) != 3:
+        raise Refused("needs d, h and v")
+    d = _natural(values["d"])
+    if d < 1:
+        raise Refused("degree 0")
+    h, v = (_permutation_reference(values[key], d) for key in ("h", "v"))
+    if d > 1 and len(h.keys() | v.keys()) < d:  # a square in no cycle is isolated
+        raise Refused("not connected")
+    h_perm = tuple(h.get(s, s) for s in range(d))
+    v_perm = tuple(v.get(s, s) for s in range(d))
+    reached, stack = {0}, [0]
+    while stack:
+        s = stack.pop()
+        for t in (h_perm[s], v_perm[s], h_perm.index(s), v_perm.index(s)):
+            if t not in reached:
+                reached.add(t)
+                stack.append(t)
+    if len(reached) != d:
+        raise Refused("not connected")
+    return d, h_perm, v_perm
+
+
+def _json_list(raw: object, length: Optional[int] = None) -> list:
+    if type(raw) is not list or (length is not None and len(raw) != length):
+        raise Refused(f"not a list of {length}: {raw!r}")
+    return raw
+
+
+def _json_coordinate(raw: object) -> Fraction:
+    if type(raw) is int:
+        return Fraction(raw)
+    if type(raw) is str:
+        return rational_reference(raw)
+    raise Refused(f"not a coordinate: {raw!r}")
+
+
+def _json_edge(raw: object) -> tuple[int, int]:
+    polygon, edge = _json_list(raw, 2)
+    if type(polygon) is not int or type(edge) is not int:
+        raise Refused(f"not an edge: {raw!r}")
+    return polygon, edge
+
+
+def surface_reference(text: str):
+    """(polygons as tuples of Fraction pairs, pairing as a dict of (polygon, edge) pairs)."""
+    try:
+        top = json.loads(text, object_pairs_hook=lambda pairs: ("object", pairs))
+    except (ValueError, RecursionError) as exc:
+        raise Refused(f"not JSON: {exc}") from exc
+    if type(top) is not tuple or sorted(key for key, _ in top[1]) != ["pairings", "polygons"]:
+        raise Refused("the top level is not an object of exactly polygons and pairings")
+    fields = dict(top[1])
+    polygons = tuple(
+        tuple(tuple(map(_json_coordinate, _json_list(pt, 2))) for pt in _json_list(poly))
+        for poly in _json_list(fields["polygons"])
+    )
+    pairing: dict[tuple[int, int], tuple[int, int]] = {}
+    for entry in _json_list(fields["pairings"]):
+        a, b = map(_json_edge, _json_list(entry, 2))
+        if a in pairing or b in pairing:
+            raise Refused(f"edge paired twice in {entry!r}")
+        pairing[a], pairing[b] = b, a
+    return polygons, pairing
+
+
+def read_input_reference(text: str):
+    """A file is surface JSON when its first non-whitespace character is { or [."""
+    if text.lstrip()[:1] in ("{", "["):
+        return "surface", surface_reference(text)
+    return "origami", origami_reference(text)

@@ -4,12 +4,14 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
+import oracles
 from flatkit import cli, flatcore, spin
 
 from conftest import DATA, build_2ngon, build_bad_square
@@ -322,22 +324,62 @@ SQUARE_PAIRS = [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]
         ({"polygons": [SQUARE], "pairings": [[[0.9, 0], [0, 2]], SQUARE_PAIRS[1]]}, "must be integers, got [0.9, 0]"),
         ({"polygons": [SQUARE], "pairings": [[[0, True], [0, 3]], [[0, 0], [0, 2]]]}, "must be integers, got [0, True]"),
         ([1, 2], "surface JSON must be an object"),
+        # A repeated key is refused, not read as its last value (text, since a dict cannot repeat one).
+        (f'{{"polygons": [{SQUARE}], "pairings": [], "pairings": {SQUARE_PAIRS}}}', "key 'pairings' appears twice"),
+        (f'{{"polygons": [{SQUARE}], "pairings": {SQUARE_PAIRS}, "polygons": []}}', "key 'polygons' appears twice"),
+        ({"polygons": [SQUARE], "pairings": SQUARE_PAIRS, "name": "square"}, "unknown key 'name'"),
+        ({"polygons": [SQUARE]}, "missing key 'pairings'"),
     ],
     ids=[
         "polygons_not_list", "pairings_not_list", "polygon_not_list", "vertex_not_pair",
         "entry_not_pair", "entry_of_three", "edge_not_pair", "index_float", "index_bool",
-        "top_level_array",
+        "top_level_array", "pairings_twice", "polygons_twice", "unknown_key", "missing_key",
     ],
 )
 def test_analyze_malformed_surface_json(tmp_path, capsys, payload, message):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code, out, err = run_cli(capsys, "analyze", str(path))
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
     assert message in err
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def _square_json(x1: object) -> str:
+    """The unit square, with x1 written for its coordinate 1 on the x axis."""
+    poly = [[0, 0], [x1, 0], [x1, 1], [0, 1]]
+    return json.dumps({"polygons": [poly], "pairings": SQUARE_PAIRS})
+
+
+REFUSED_SPELLINGS = [
+    ("degree_underscore.origami", "d: 0_3\nh: (1,2,3)\nv: ()\n", "line 1: bad degree '0_3'"),
+    ("degree_arabic.origami", "d: \u0663\nh: (1,2,3)\nv: ()\n", "line 1: bad degree '\u0663'"),
+    ("degree_plus.origami", "d: +3\nh: (1,2,3)\nv: ()\n", "line 1: bad degree '+3'"),
+    ("doubled_comma.origami", "d: 2\nh: (1,,2)\nv: ()\n", "line 2: unparsed text '(1,,2)' in cycle notation '(1,,2)'"),
+    ("trailing_comma.origami", "d: 2\nh: (1,2,)\nv: ()\n", "line 2: unparsed text '(1,2,)' in cycle notation '(1,2,)'"),
+    ("label_plus.origami", "d: 3\nh: (1,2)\nv: (+2,3)\n", "line 3: unparsed text '(+2,3)' in cycle notation '(+2,3)'"),
+    ("label_arabic.origami", "d: 2\nh: (1,\u0662)\nv: ()\n", "line 2: unparsed text '(1,\u0662)' in cycle notation '(1,\u0662)'"),
+    ("exponent.json", _square_json("1e0"), "bad coordinate '1e0': not an integer or p/q in ASCII digits"),
+    ("blanks.json", _square_json(" 1 "), "bad coordinate ' 1 ': not an integer or p/q in ASCII digits"),
+    ("plus.json", _square_json("+1"), "bad coordinate '+1': not an integer or p/q in ASCII digits"),
+    ("underscore.json", _square_json("1_0"), "bad coordinate '1_0': not an integer or p/q in ASCII digits"),
+    ("decimal.json", _square_json("1.0"), "bad coordinate '1.0': not an integer or p/q in ASCII digits"),
+    ("arabic.json", _square_json("\u0661"), "bad coordinate '\u0661': not an integer or p/q in ASCII digits"),
+]
+
+
+@pytest.mark.parametrize("name,text,line", REFUSED_SPELLINGS, ids=[c[0] for c in REFUSED_SPELLINGS])
+def test_spellings_int_or_fraction_would_take_are_refused(tmp_path, capsys, name, text, line):
+    """Python's int() or Fraction() reads each of these as a number (1_0 as 10, Arabic-Indic
+    digits as their values, 1,,2 as 1,2): flatkit refuses each with one error line."""
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {path}: {line}"]
 
 
 def test_analyze_refuses_a_degree_beyond_the_written_labels(tmp_path, capsys):
@@ -569,6 +611,16 @@ def test_divisor_genus_mismatch(capsys):
     assert "genus 1" in err
 
 
+@pytest.mark.parametrize("branch", ["0,,1,2,3", "0,1,2,3,", ",0,1,2,3", "0,1,2,3.0", "0,1,2,+3"])
+def test_divisor_refuses_a_misspelled_branch_list(capsys, branch):
+    """An empty place between commas is refused, not skipped, as is a number that is not a
+    rational; blanks around a value are allowed."""
+    code, out, err = run_cli(capsys, "divisor", "--branch", branch, "--form", "z")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad branch point '") and err.count("\n") == 1
+    assert run_cli(capsys, "divisor", "--branch", " 0, 1 ,2,3 ", "--form", "z")[0] == 0
+
+
 def test_divisor_zero_denominator_root(capsys):
     code, out, err = run_cli(
         capsys, "divisor", "--branch", "1,2,3,4", "--form", "(z-1/0)"
@@ -660,6 +712,109 @@ def test_commands_survive_mutated_fixtures(tmp_path, capsys, fixture):
                 assert all(line.startswith(("error: ", "invalid: ")) for line in lines), (
                     command, text, err,
                 )
+
+
+def _respell(number: str, rng: random.Random) -> list[str]:
+    """Spellings of an ASCII digit run that int() or Fraction() would read as a number, or
+    that are plainly not one, and the two that the grammar keeps (a leading zero, -)."""
+    first = int(number[0])
+    return [
+        chr(0x660 + first) + number[1:],  # Arabic-Indic digit
+        chr(0xFF10 + first) + number[1:],  # fullwidth digit
+        "+" + number, "-" + number, "0" + number,
+        number + "_0", number + "e0", number + ".0", number + ".5", number + "/1", number + "/0",
+        " " + number, number + " ", rng.choice(("x", "", "--1", "1//2", "1/-2")),
+    ]
+
+
+def grammar_mutations(text: str, seed: int):
+    """Seeded rewrites of a fixture along its grammar: number spellings (also inside JSON
+    strings), doubled, leading and trailing separators, blanks and line ends, repeated and
+    unknown keys, and a type swap of each field."""
+    rng = random.Random(seed)
+    numbers = [(m.start(), m.end()) for m in re.finditer(r"[0-9]+", text)]
+    for a, b in rng.sample(numbers, min(3, len(numbers))):
+        for spelling in _respell(text[a:b], rng):
+            yield text[:a] + spelling + text[b:]
+            if text.lstrip().startswith("{"):
+                yield text[:a] + json.dumps(spelling) + text[b:]
+    for old, new in [(",", ",,"), (",", ", "), (",", " "), (",", "\t"), ("(", "(,"), (")", ",)"),
+                     ("(", "( "), (")", " )"), ("(", "(("), ("]", ",]"), (":", " : "), (":", ":")]:
+        spots = [i for i in range(len(text)) if text.startswith(old, i)]
+        for i in rng.sample(spots, min(2, len(spots))):
+            yield text[:i] + new + text[i + len(old) :]
+    for old, new in [("\n", "\r\n"), ("\n", "\r"), ("\n", "\n\n  # note\n"), (" ", "\u00a0"),
+                     (" ", "\t"), (" ", "\f"), (" ", "")]:
+        yield text.replace(old, new)
+    if text.lstrip().startswith("{"):
+        yield text.replace("{", '{"pairings": [], ', 1)
+        yield text.rstrip()[:-1] + ', "polygons": []}'
+        yield text.replace("{", '{"extra": 0, ', 1)
+        yield text.replace('"pairings"', '"pairing"')
+        data = json.loads(text)
+        swaps = [{}, "x", 0, None, True, 1.5, [0], "0", {"x": 0, "y": 0}]
+        for path in (("polygons",), ("pairings",), ("polygons", 0), ("polygons", 0, 0),
+                     ("polygons", 0, 0, 0), ("pairings", 0), ("pairings", 0, 0), ("pairings", 0, 0, 1)):
+            for value in rng.sample(swaps, 3) + ["1/2", -1]:
+                swapped = json.loads(text)
+                *parents, last = path
+                target = swapped
+                for key in parents:
+                    target = target[key]
+                target[last] = value
+                yield json.dumps(swapped)
+        for shift in (0, 1):  # every coordinate c as (q c + shift)/q, with q = 2, 3, 4 in turn
+            spelled = json.loads(text)
+            for poly in spelled["polygons"]:
+                for j, pt in enumerate(poly):
+                    pt[:] = [f"{(j % 3 + 2) * c + shift}/{j % 3 + 2}" for c in pt]
+            yield json.dumps(spelled)
+        assert json.loads(text) == data
+    else:
+        lines = text.splitlines()
+        for k, line in enumerate(lines):
+            key, _, rest = line.partition(":")
+            for value in ("(1,2)", "id", "", "3/2", "5 5", rest + rest):
+                if key in ("d", "h", "v"):
+                    yield "\n".join(lines[:k] + [f"{key}: {value}"] + lines[k + 1 :])
+        yield "\n".join(reversed(lines))
+        yield text + lines[-1] + "\n"
+        yield "\n".join(lines[:-1])
+        yield text.replace("d:", "D:")
+
+
+def test_reader_agrees_with_the_reference_grammar(tmp_path, capsys, monkeypatch):
+    """A seeded differential fuzz of the two file readers against the README grammar as
+    tests/oracles.py reads it: each input ends in exit 0 (or only invalid: lines from
+    validation) exactly when the reference accepts it, then parses to the reference's
+    object, and otherwise in exactly one error: line with exit 1."""
+    parser = cli.build_parser()  # built once: it is most of an in-process analyze
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    inputs = []
+    for k, fixture in enumerate(sorted(p.name for p in DATA.iterdir())):
+        text = (DATA / fixture).read_text()
+        inputs += [text, *mutations(text), *grammar_mutations(text, seed=k)]
+    path = tmp_path / "input"
+    accepted = 0
+    for text in inputs:
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        try:
+            kind, expected = oracles.read_input_reference(text)
+        except oracles.Refused:
+            assert (code, out) == (1, ""), text
+            assert err.startswith("error: ") and err.count("\n") == 1, (text, err)
+            continue
+        accepted += 1
+        assert code == 0 or all(line.startswith("invalid: ") for line in err.splitlines()), (text, err)
+        got_kind, got = cli._load_input(str(path))
+        assert got_kind == kind, text
+        if kind == "origami":
+            assert (got.d, got.h, got.v) == expected, text
+        else:
+            polygons = tuple(tuple((v.x, v.y) for v in poly.vertices) for poly in got.polygons)
+            assert (polygons, dict(got.pairing)) == expected, text
+    assert len(inputs) > 500 and 50 < accepted < len(inputs) - 200, (len(inputs), accepted)
 
 
 def test_console_script_runs():

@@ -83,6 +83,11 @@ def test_entries_must_be_exact_rationals():
     with pytest.raises(TypeError, match="not a rational value"):
         gl2.mat2(0.1, 0, 0, 1)
     with pytest.raises(TypeError, match="not a rational value"):
+        gl2.mat2(True, 0, 0, 1)  # a bool is not read as 1
+    for spelling in ("1.5", "1e0", " 1", "+1", "1_0", "\u0661", "1/0"):
+        with pytest.raises(ValueError, match="rational value"):
+            gl2.mat2(spelling, 0, 0, 1)
+    with pytest.raises(TypeError, match="not a rational value"):
         gl2.rotation(0.6, 0.8)
 
 

@@ -43,6 +43,12 @@ def test_values_must_be_exact_rationals():
     with pytest.raises(TypeError, match="not a rational value"):
         branch_set([0.5, 1, 2, 3])
     with pytest.raises(TypeError, match="not a rational value"):
+        branch_set([True, 2, 3, 4])  # a bool is not read as 1
+    with pytest.raises(TypeError, match="not a rational value"):
+        factored_form(True)
+    with pytest.raises(TypeError, match="not a rational value"):
+        factored_form(1, [(False, 1)])
+    with pytest.raises(TypeError, match="not a rational value"):
         factored_form(1.5)
     with pytest.raises(TypeError, match="not a rational value"):
         factored_form(1, [(0.5, 1)])
@@ -61,6 +67,19 @@ def test_factored_form_basic():
         factored_form(1, [(1, 0)])
 
 
+def test_multiplicities_must_be_integers():
+    """A float multiplicity is refused, not truncated, and a bool is not read as 0 or 1."""
+    import numpy as np
+
+    for k in (1.9, 2.0, True, "2", None):
+        with pytest.raises(TypeError, match="multiplicities must be integers"):
+            factored_form(1, [(0, k)])
+    f = factored_form(1, [(0, np.int64(2)), ("1/2", 1)])
+    assert f.factors == ((0, 2), (Fraction(1, 2), 1))
+    assert type(f.factors[0][1]) is int
+    assert str(f) == "z^2*(z-1/2)"
+
+
 def test_parse_form():
     f = parse_form("3*(z-1)^2*(z+1/2)")
     assert f.constant == 3
@@ -77,6 +96,21 @@ def test_parse_form():
         parse_form("z + 1")
     with pytest.raises(ValueError):
         parse_form("(w-1)")
+
+
+def test_form_numbers_use_the_rational_spelling():
+    """Blanks may stand between the parts of a form, never inside a number, and every
+    number is an ASCII integer or p/q, as a --matrix entry or a JSON coordinate is."""
+    assert parse_form(" ( z - 1 ) ^ 2 *\t3 ") == parse_form("3*(z-1)^2")
+    assert parse_form("-1/2*z") == factored_form("-1/2", [(0, 1)])
+    for text in (
+        "1 2", "1 / 2", "+3", "1.5", "3e0", "1_0", "\u0663", "(z-1.5)", "(z--1)", "(z-+1)",
+        "(z-1 0)", "z^+2", "z^1.5", "z^\u0662", "3**z", "3*",
+    ):
+        with pytest.raises(ValueError):
+            parse_form(text)
+    with pytest.raises(ValueError, match="^zero denominator in form root '1/0'$"):
+        parse_form("(z-1/0)")
 
 
 def test_parse_format_roundtrip():
