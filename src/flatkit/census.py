@@ -192,8 +192,8 @@ def _python_batches(
 _NUMPY_DEGREE = 8  # the numpy kernel scans from this degree on, the Python kernel below it
 _RAW_DEGREE = 9  # stratum_pairs_raw yields raw pairs from this degree on, classes below it
 _MAX_DEGREE = 10  # at degree 11 the d! permutations alone would take about 440 MB
-_BLOCK = 65536  # columns per numpy piece in _inverse_columns, _orbit_representatives,
-# the class-order pass of _classes and _propagations, which bounds their temporaries
+_BLOCK = 65536  # columns per numpy piece, which bounds the temporaries: in _inverse_columns,
+# _orbit_representatives, the class-order pass of _classes and, as (start, row) pairs, _propagations
 
 
 def _stratum_orders(d: int, orders: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -383,14 +383,14 @@ def _least_conjugates(parts: Sequence[int], vinv):
     start[r] .. start[r] + lens[r] - 1, so the F-relabeling of k v k^-1
     moves each run to the place of its root k(r) in the new root order: the
     result is p v p^-1, with p = k on 0..n-1 and the run shifts on F.
+    _scan_rank orders the rows as vinv read lexicographically from its last
+    entry, as its digit j is #{e < j : vinv[e] < vinv[j]} = vinv[j] - #{e > j : vinv[e] < vinv[j]}.
     """
     import numpy as np
 
     d, m = vinv.shape
     n = sum(length for length in parts if length > 1)
     alive = np.arange(m)
-    # _scan_rank orders rows by digits[j] = #{e < j : vinv[e] < vinv[j]}, from the last.
-    digits = np.stack([(vinv[:j] < vinv[j]).sum(axis=0, dtype=np.int8) for j in range(d)])
     relabel = n > 0 and d - n > 1  # a single fixed point never moves
     if relabel:
         # The root of each F square: the heads come in increasing root order.
@@ -402,7 +402,7 @@ def _least_conjugates(parts: Sequence[int], vinv):
         if not len(alive):
             break
         cinv = invert_perm(c)
-        if not relabel:  # the conjugate's last row first, the rest where it ties
+        if not relabel:  # conj[j] = c(vinv[c^-1(j)]), one entry at a time
             images = np.array(c, dtype=np.int8)
             top = images[vinv[cinv[d - 1]]]
         else:
@@ -418,16 +418,15 @@ def _least_conjugates(parts: Sequence[int], vinv):
             top = conj[d - 1]
         keep = top >= vinv[d - 1]
         tied = np.flatnonzero(top == vinv[d - 1])
-        conj = conj[:, tied] if relabel else images[vinv[:, tied][list(cinv)]]
-        for j in range(d - 2, 0, -1):
+        for j in range(d - 2, 0, -1):  # entry 0 ties when entries 1..d-1 do
             if not len(tied):
                 break
-            digit = (conj[:j] < conj[j]).sum(axis=0, dtype=np.int8)
-            keep[tied[digit < digits[j, tied]]] = False
-            same = digit == digits[j, tied]
-            tied, conj = tied[same], conj[:, same]
+            theirs = conj[j, tied] if relabel else images[vinv[cinv[j], tied]]
+            mine = vinv[j, tied]
+            keep[tied[theirs < mine]] = False
+            tied = tied[theirs == mine]
         if not keep.all():
-            alive, vinv, digits = (np.compress(keep, a, axis=-1) for a in (alive, vinv, digits))
+            alive, vinv = np.compress(keep, alive), np.compress(keep, vinv, axis=1)
             if relabel:
                 root, lens, start = (np.compress(keep, a, axis=1) for a in (root, lens, start))
     return alive
@@ -573,14 +572,15 @@ def _propagations(
     default starts are the t whose h-cycle is as long as that of 0; from
     starts (0,) the commuting count is 1 exactly on the connected rows.
     Each round applies both rules to the whole state matrix at once, int8
-    with -1 for an image not known yet.  A row stops when two images of one
-    square clash or when a round adds no image, and counts when it stops
-    with no clash and every image known.
+    with -1 for an image not known yet, one column per (start, row) pair in
+    blocks of at most _BLOCK columns.  A column stops when two images of one
+    square clash or when a round adds no image, and counts for its row when
+    it stops with no clash and every image known.
     """
     import numpy as np
 
     def merge(state, image):
-        """Both partial maps together, and the rows where they disagree."""
+        """Both partial maps together, and the columns where they disagree."""
         clash = ((state != image) & ((state | image) >= 0)).any(axis=0)
         return np.maximum(state, image), clash
 
@@ -595,29 +595,29 @@ def _propagations(
     h_images = np.append(batch.h if commuting else batch.hinv, np.int8(-1))  # index -1 stays -1
     v_images = batch.v if commuting else batch.vinv
     counts = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, _BLOCK):
-        for t in starts:
-            # One column per row of the batch: state[s] holds sigma(s), and
-            # image has a last row of -1, which index -1 wraps to.
-            alive = np.arange(lo, min(lo + _BLOCK, n))
-            vinv = batch.vinv[alive].T
-            image = np.full((d + 1, len(alive)), -1, dtype=np.int8)
-            image[:d] = v_images[alive].T
-            state = np.full((d, len(alive)), -1, dtype=np.int8)
-            state[0] = t
-            while len(alive):
-                before = state
-                state, clash_h = merge(state, h_images[state[hinv_rows]])
-                at = state.ravel()[_flat_index(vinv)]
-                state, clash_v = merge(state, image.ravel()[_flat_index(at)])
-                clash = clash_h | clash_v
-                still = (state == before).all(axis=0)
-                counts[alive[still & ~clash & (state.min(axis=0) >= 0)]] += 1
-                keep = ~(clash | still)
-                alive = alive[keep]
-                state = np.compress(keep, state, axis=1)
-                vinv = np.compress(keep, vinv, axis=1)
-                image = np.compress(keep, image, axis=1)
+    step = max(1, _BLOCK // len(starts))
+    for lo in range(0, n, step):
+        # Column i * rows + r starts row lo + r at sigma(0) = starts[i]: state[s]
+        # holds sigma(s), and image has a last row of -1, which index -1 wraps to.
+        rows = np.arange(lo, min(lo + step, n))
+        alive = np.tile(rows, len(starts))
+        vinv = batch.vinv[alive].T
+        image = np.full((d + 1, len(alive)), -1, dtype=np.int8)
+        image[:d] = v_images[alive].T
+        state = np.full((d, len(alive)), -1, dtype=np.int8)
+        state[0] = np.repeat(np.array(starts, dtype=np.int8), len(rows))
+        while len(alive):
+            before = state
+            state, clash_h = merge(state, h_images[state[hinv_rows]])
+            at = state.ravel()[_flat_index(vinv)]
+            state, clash_v = merge(state, image.ravel()[_flat_index(at)])
+            clash = clash_h | clash_v
+            still = (state == before).all(axis=0)
+            # A row may succeed from several starts in one round: add.at counts each.
+            np.add.at(counts, alive[still & ~clash & (state.min(axis=0) >= 0)], 1)
+            keep = ~(clash | still)
+            alive = alive[keep]
+            state, vinv, image = (np.compress(keep, a, axis=1) for a in (state, vinv, image))
     return counts
 
 

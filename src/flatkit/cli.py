@@ -206,10 +206,16 @@ def _parse_matrix(tokens: Sequence[str]) -> gl2.Mat2:
     from . import gl2
     from ._base import _as_fraction
 
-    entries = [piece for token in tokens for piece in token.replace(",", " ").split()]
-    if len(entries) != 4:
-        raise CliError(f"matrix needs 4 entries a b c d, got {len(entries)}")
-    return gl2.Mat2(*(_as_fraction(e, "matrix entry") for e in entries))
+    text = " ".join(tokens)
+    places = text.split(",")  # blanks are spaces and tabs; a comma needs an entry on each side
+    entries = [e for place in places for e in place.replace("\t", " ").split(" ") if e]
+    if len(places) > 1 and not all(place.strip(" \t") for place in places):
+        raise CliError(f"matrix has an empty place at a comma: {text!r}")
+    # Entries before the count, so an error names two entries a newline joins.
+    values = [_as_fraction(e, "matrix entry") for e in entries]
+    if len(values) != 4:
+        raise CliError(f"matrix needs 4 entries a b c d, got {len(values)}")
+    return gl2.Mat2(*values)
 
 
 def cmd_act(args: argparse.Namespace) -> int:

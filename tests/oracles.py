@@ -57,6 +57,16 @@ connected_columns tests the connectivity of each row of a numpy batch by
 label propagation over the cycles of h, with neither a canonical code nor
 a propagation of flatkit.spin.
 
+f_canonical_columns decides the F-canonical rows of census._orbit_representatives
+by the F-relabeling walk itself, and least_conjugates_reference is the orbit
+filter by its definition: each F-canonical row is conjugated by every element
+of C(h) (census._centralizer_array), the F-canonical conjugates are ranked with
+census._scan_rank, and the row is kept when its own rank is the least.
+
+propagation_reference is census._propagations one row and one start at a
+time: sigma(0) = t is pushed square by square along h and v from square 0,
+each edge checked once it is reached, in plain Python.
+
 connected_pair_count is A_d(orders), the number of connected labeled pairs
 (h, v) in S_d x S_d whose corner permutation has the cycle type of the
 orders.  All labeled pairs, connected or not, number
@@ -86,6 +96,9 @@ and the q values from spin.turning_index.  reduction_reference is the
 GF(2) reduction of build_quadratic_form in the same pivot order, written
 with each vector a (combination, pairing row, q value) tuple and with the
 pairing and the sum taken by closures.
+
+matrix_reference reads the --matrix arguments of README, "Command line",
+character by character into entries and commas.
 
 read_input_reference reads an input file's text as README, "File formats",
 states it, and with none of flatkit's parsing: no regular expression, no
@@ -622,6 +635,102 @@ def connected_columns(h, v):
     return (label == 0).all(axis=0)
 
 
+def f_canonical_columns(parts: Sequence[int], v):
+    """Mask of the columns of the (d, m) int8 array v that are F-canonical, by the walk.
+
+    From each root r of 0..n-1 in order (square 0 alone when h is the
+    identity, F then being 1..d-1), the chain v(r), v(v(r)), ... through
+    F = n..d-1 gives its squares the next labels, counting up from the least
+    square of F; a column is F-canonical when every square gets its own label.
+    """
+    import numpy as np
+
+    d, m = v.shape
+    first = max(1, sum(length for length in parts if length > 1))
+    label = np.full((d, m), -1, dtype=np.int64)
+    label[:first] = np.arange(first)[:, None]
+    columns = np.arange(m)
+    following = np.full(m, first)
+    for root in range(first):
+        at = v[root].astype(np.int64)
+        for _ in range(d - first):
+            walking = (at >= first) & (label[at, columns] < 0)
+            label[at[walking], columns[walking]] = following[walking]
+            following += walking
+            at = np.where(walking, v[at, columns], at)
+    return (label == np.arange(d)[:, None]).all(axis=0)
+
+
+def least_conjugates_reference(parts: Sequence[int], vinv):
+    """Indices of the columns of vinv, inverses of F-canonical rows, whose row has
+    the least census._scan_rank among the F-canonical rows of its whole C(h)-orbit."""
+    import numpy as np
+
+    d, m = vinv.shape
+    centralizer = census._centralizer_array(parts).astype(np.int64)
+    size = centralizer.shape[1]
+    own = census._scan_rank(vinv)
+    kept = []
+    step = max(1, 2**18 // size)
+    for lo in range(0, m, step):
+        rows = vinv[:, lo : lo + step].astype(np.int64)
+        r = rows.shape[1]
+        v = np.empty_like(rows)
+        v[rows, np.arange(r)] = np.arange(d)[:, None]
+        # c v c^-1 sends c(s) to c(v(s)); its inverse sends c(s) to c(v^-1(s)).
+        at = np.broadcast_to(centralizer[:, None, :], (d, r, size))
+        cols = np.arange(size)
+        conj = np.empty((d, r, size), dtype=np.int8)
+        conj_inv = np.empty((d, r, size), dtype=np.int8)
+        conj[at, np.arange(r)[:, None], cols] = centralizer[v[:, :, None], cols]
+        conj_inv[at, np.arange(r)[:, None], cols] = centralizer[rows[:, :, None], cols]
+        canonical = f_canonical_columns(parts, conj.reshape(d, -1)).reshape(r, size)
+        rank = census._scan_rank(conj_inv.reshape(d, -1)).reshape(r, size)
+        least = np.where(canonical, rank, np.iinfo(rank.dtype).max).min(axis=1)
+        kept.extend(lo + np.flatnonzero(own[lo : lo + step] == least))
+    return np.array(kept, dtype=np.int64)
+
+
+def propagation_reference(
+    h: Sequence[int],
+    v: Sequence[int],
+    commuting: bool = False,
+    starts: Optional[Sequence[int]] = None,
+) -> int:
+    """The number of starts t (by default the squares whose h-cycle is as long
+    as that of 0) from which sigma(0) = t extends along h and v, square by square from 0,
+    to every square with sigma(h(s)) = a(sigma(s)) and sigma(v(s)) = b(sigma(s))
+    on every edge: a, b = h, v when commuting, h^-1, v^-1 otherwise."""
+    d = len(h)
+    hinv, vinv = origami.invert_perm(h), origami.invert_perm(v)
+    a, b = (h, v) if commuting else (hinv, vinv)
+    if starts is None:
+
+        def cycle_length(s: int) -> int:
+            k, x = 1, h[s]
+            while x != s:
+                k, x = k + 1, h[x]
+            return k
+
+        starts = [t for t in range(d) if cycle_length(t) == cycle_length(0)]
+    count = 0
+    for t in starts:
+        sigma = {0: t}
+        queue = [0]
+        clash = False
+        while queue and not clash:
+            s = queue.pop()
+            for move, image in ((h, a), (v, b)):
+                value = image[sigma[s]]
+                if move[s] not in sigma:
+                    sigma[move[s]] = value
+                    queue.append(move[s])
+                elif sigma[move[s]] != value:
+                    clash = True
+        count += not clash and len(sigma) == d
+    return count
+
+
 # Where a curve crosses each side of a square, in sixteenths of a turn from the
 # midpoint of the E side: the curve at the midpoint, and its copy pushed by
 # (-eps, +eps) just counterclockwise of it on E and N, just clockwise on W and S.
@@ -853,3 +962,27 @@ def read_input_reference(text: str):
     if text.lstrip()[:1] in ("{", "["):
         return "surface", surface_reference(text)
     return "origami", origami_reference(text)
+
+
+def matrix_reference(tokens: Sequence[str]) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The --matrix entries of README, "Command line": four rationals apart by blanks
+    (spaces, tabs and the gaps between arguments) or by a comma with an entry on each
+    side, read character by character."""
+    items: list[str] = []  # the entries and the commas, in order
+    word = ""
+    for c in " ".join(tokens) + " ":
+        if c in BLANKS or c == ",":
+            if word:
+                items.append(word)
+            word = ""
+            if c == ",":
+                items.append(c)
+        else:
+            word += c
+    commas = [i for i, x in enumerate(items) if x == ","]
+    if any(i == 0 or i == len(items) - 1 or items[i + 1] == "," for i in commas):
+        raise Refused(f"empty place at a comma in {tokens!r}")
+    entries = [rational_reference(w) for w in items if w != ","]
+    if len(entries) != 4:
+        raise Refused(f"{len(entries)} entries in {tokens!r}")
+    return tuple(entries)

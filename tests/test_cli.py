@@ -546,6 +546,69 @@ def test_act_rejects_bad_matrix(capsys):
     assert "4 entries" in err
 
 
+def test_act_refuses_an_empty_matrix_place(capsys):
+    """A doubled, leading or trailing comma in --matrix is one error line; the
+    blank and comma spellings, with the path first or last, read one matrix.
+    A newline is no blank: the error names the entry it joins."""
+    path = str(DATA / "torus.json")
+    outputs = set()
+    for form in (
+        [path, "--matrix", "1", "1", "0", "1"],
+        [path, "--matrix", "1,1,0,1"],
+        [path, "--matrix", "1, 1, 0, 1"],
+        [path, "--matrix", "1,", "1,", "0,", "1"],
+        [path, "--matrix=1,1,0,1"],
+        ["--matrix", "1", "1", "0", "1", path],
+    ):
+        code, out, err = run_cli(capsys, "act", *form)
+        assert (code, err) == (0, ""), form
+        outputs.add(out)
+    assert len(outputs) == 1
+    for matrix in ("1,,1,0,1", ",1,1,0,1", "1,1,0,1,", "1, ,1,0,1"):
+        for form in ([path, "--matrix", matrix], [f"--matrix={matrix}", path]):
+            code, out, err = run_cli(capsys, "act", *form)
+            assert (code, out) == (1, ""), form
+            assert err.startswith("error: matrix has an empty place") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "act", path, "--matrix", "1\n1 0 1")
+    assert (code, out, err) == (
+        1,
+        "",
+        "error: bad matrix entry '1\\n1': not an integer or p/q in ASCII digits\n",
+    )
+
+
+def test_matrix_reader_agrees_with_the_reference():
+    """cli._parse_matrix reads exactly the token lists tests/oracles.py's
+    matrix_reference reads, to the same entries, on seeded spellings: four
+    rationals joined by blanks and commas, then cut into arguments, with
+    extra, missing and foreign separators and entries."""
+    rng = random.Random(3301)
+    numbers = ["1", "0", "-1", "3/5", "-4/5", "007", "2/4", "1/0", "+1", "1.5", "x", "", "/"]
+    separators = [" ", ",", ", ", " ,", "\t", ",\t", ",,", " , ,", "\n", "\u00a0", ";"]
+    accepted = 0
+    for _ in range(1500):
+        parts = [rng.choice(numbers[:7]) for _ in range(4)]
+        if rng.random() < 0.3:
+            parts[rng.randrange(4)] = rng.choice(numbers)
+        if rng.random() < 0.1:
+            parts.insert(rng.randrange(5), rng.choice(numbers[:7]))
+        seps = [rng.choice(separators[:6] if rng.random() < 0.8 else separators) for _ in parts]
+        text = rng.choice(["", ",", " "]) if rng.random() < 0.15 else ""
+        text += "".join(p + s for p, s in zip(parts, seps))[: -len(seps[-1]) or None]
+        text += rng.choice(["", ",", " ,", " "]) if rng.random() < 0.15 else ""
+        tokens = text.split(" ") if rng.random() < 0.5 else [text]
+        try:
+            expected = oracles.matrix_reference(tokens)
+        except oracles.Refused:
+            with pytest.raises((cli.CliError, ValueError)):
+                cli._parse_matrix(tokens)
+            continue
+        m = cli._parse_matrix(tokens)
+        assert (m.a, m.b, m.c, m.d) == expected, tokens
+        accepted += 1
+    assert 300 < accepted < 1200, accepted
+
+
 def test_strata_command(capsys):
     code, out, _ = run_cli(capsys, "strata", "--genus", "3")
     assert code == 0

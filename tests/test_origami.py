@@ -817,6 +817,70 @@ def test_connected_columns_match_is_connected():
                 assert got.tolist() == expected, (d, orders, batch.cycle_type)
 
 
+def test_least_conjugates_matches_the_orbit_reference():
+    """The orbit filter keeps exactly the F-canonical rows of least scan rank
+    among the F-canonical rows of their whole C(h)-orbit (tests/oracles.py),
+    for every cycle type of every signature up to degree 7 and H(3,1) at 8;
+    the reference's F-canonical rows are the ones _orbit_representatives counts."""
+    import numpy as np
+
+    cases = [(d, orders) for d in range(1, 8) for orders in signatures(d)] + [(8, (3, 1))]
+    for d, orders in cases:
+        for batch in census._stratum_batches(d, orders):
+            rows = np.flatnonzero(oracles.f_canonical_columns(batch.cycle_type, batch.v.T))
+            assert len(rows) == census._orbit_representatives(batch)[1], (d, orders)
+            vinv = batch.vinv[rows].T.copy()
+            got = census._least_conjugates(batch.cycle_type, vinv)
+            expected = oracles.least_conjugates_reference(batch.cycle_type, vinv)
+            assert got.tolist() == expected.tolist(), (d, orders, batch.cycle_type)
+
+
+def test_one_fixed_point_builds_no_relabeling(monkeypatch):
+    """The F-relabeling is the identity when h has one fixed point, so the
+    orbit filter builds it only for two fixed points or more."""
+    import numpy as np
+
+    calls = []
+    flat_index = census._flat_index
+    monkeypatch.setattr(census, "_flat_index", lambda rows: calls.append(1) or flat_index(rows))
+    for batch in census._stratum_batches(8, (3, 1)):
+        rows = np.flatnonzero(oracles.f_canonical_columns(batch.cycle_type, batch.v.T))
+        calls.clear()
+        census._least_conjugates(batch.cycle_type, batch.vinv[rows].T.copy())
+        fixed = batch.cycle_type.count(1)
+        assert bool(calls) == (fixed > 1 and len(rows) > 0), (batch.cycle_type, len(calls))
+
+
+def test_scan_rank_orders_vinv_from_its_last_entry():
+    """Sorting all 7! permutations by _scan_rank sorts their inverses
+    lexicographically read from the last entry, the order the orbit filter
+    compares on."""
+    import numpy as np
+
+    perms = census._all_perms_array(7)
+    inverses = census._inverse_columns(perms)
+    by_rank = inverses[:, np.argsort(census._scan_rank(inverses))].T.tolist()
+    assert by_rank == sorted(inverses.T.tolist(), key=lambda vinv: vinv[::-1])
+
+
+def test_propagations_match_the_per_start_reference():
+    """_propagations counts, row by row, the starts of tests/oracles.py's
+    square-by-square propagation, in all three call forms, on every batch up
+    to degree 6; rows with |Aut| > 1 succeed from several starts in one round."""
+    forms = [{}, {"commuting": True}, {"commuting": True, "starts": (0,)}]
+    several = Counter()
+    for d in range(1, 7):
+        for orders in signatures(d):
+            for batch in census._stratum_batches(d, orders):
+                h, rows = batch.h.tolist(), batch.v.tolist()
+                for i, form in enumerate(forms):
+                    expected = [oracles.propagation_reference(h, v, **form) for v in rows]
+                    got = census._propagations(batch, **form).tolist()
+                    assert got == expected, (d, orders, batch.cycle_type, form)
+                    several[i] += sum(count > 1 for count in expected)
+    assert several[0] > 0 and several[1] > 0 and several[2] == 0, several
+
+
 def test_one_canonical_form_per_class_at_degree_8(monkeypatch):
     """The H(3,1) scan at d = 8 counts classes without a canonical code."""
     calls = []
