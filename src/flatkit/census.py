@@ -628,17 +628,18 @@ def _batch_scan(d: int, orders: Sequence[int], per_class: bool = False) -> tuple
     so a flat involution exists on every row of a C(h)-orbit or on none.
     Only the kept rows of _orbit_representatives, one row per orbit, go to
     the involution propagation (_propagations), and only the rows with a
-    nonzero count go to _involution_core.  Disconnected rows never have a
-    witness, so no step tests connectivity.  Returns (rows, rows with a
-    witness), a witness row counting |C(h)| / |Aut| times, |Aut| from the
-    commuting propagation; with per_class, (connected kept rows, kept rows
-    with a witness), which counts classes: the commuting propagation from
-    sigma(0) = 0 alone is 1 exactly on the connected rows, where the
-    identity extends to an automorphism.  Each cycle type of h logs at DEBUG
-    on the flatkit.spin logger its funnel (cosets tested, cosets passing the
-    kernel's filters, rows, F-canonical rows, kept rows, propagation
-    survivors, witness rows, witnesses) and the seconds spent in the kernel,
-    the orbit filter, the propagation and the per-pair test.
+    nonzero count go to _involution_core, each as an unchecked Origami.
+    Disconnected rows never have a witness, so no step tests connectivity.
+    Returns (rows, rows with a witness), a witness row counting
+    |C(h)| / |Aut| times, |Aut| from the commuting propagation; with
+    per_class, (connected kept rows, kept rows with a witness), which counts
+    classes: the commuting propagation from sigma(0) = 0 alone is 1 exactly
+    on the connected rows, where the identity extends to an automorphism.
+    Each cycle type of h logs at DEBUG on the flatkit.spin logger its funnel
+    (cosets tested, cosets passing the kernel's filters, rows, F-canonical
+    rows, kept rows, propagation survivors, witness rows, witnesses) and the
+    seconds spent in the kernel, the orbit filter, the propagation and the
+    per-pair test.
     """
     import logging
     import time
@@ -646,23 +647,19 @@ def _batch_scan(d: int, orders: Sequence[int], per_class: bool = False) -> tuple
     log = logging.getLogger("flatkit.spin")
     scanned = 0
     hits = 0
-    batches = _stratum_batches(d, orders)
-    while True:
-        start = time.perf_counter()
-        batch = next(batches, None)
-        if batch is None:
-            break
+    start = time.perf_counter()
+    for batch in _stratum_batches(d, orders):
         kernel = time.perf_counter()
         kept, f_canonical = _orbit_representatives(batch)
         reps = batch._replace(v=batch.v[kept], vinv=batch.vinv[kept])
         orbit_filter = time.perf_counter()
         survive = _propagations(reps).nonzero()[0]
         propagation = time.perf_counter()
-        h, hinv = batch.h.tolist(), batch.hinv.tolist()
+        h = tuple(batch.h.tolist())
         found = [
             row
-            for row, v, vinv in zip(survive, reps.v[survive].tolist(), reps.vinv[survive].tolist())
-            if _involution_core(d, h, v, hinv, vinv) is not None
+            for row, v in zip(survive, reps.v[survive].tolist())
+            if _involution_core(Origami._trusted(d, h, tuple(v))) is not None
         ]
         order = _centralizer_order(batch.cycle_type)
         if per_class:
@@ -683,6 +680,7 @@ def _batch_scan(d: int, orders: Sequence[int], per_class: bool = False) -> tuple
             kernel - start, orbit_filter - kernel, propagation - orbit_filter, test - propagation,
         )
         hits += witnesses
+        start = time.perf_counter()
     return scanned, hits
 
 
@@ -690,5 +688,5 @@ def _involution_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
     """spin.hyperelliptic_scan: the batch scan from _NUMPY_DEGREE on, the classes below it."""
     if d >= _NUMPY_DEGREE:
         return _batch_scan(d, orders, per_class=d < _RAW_DEGREE)
-    found = [_involution_core(d, o.h, o.v, o._hinv, o._vinv) for o in _classes(d, orders)]
+    found = [_involution_core(o) for o in _classes(d, orders)]
     return len(found), sum(sigma is not None for sigma in found)

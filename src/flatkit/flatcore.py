@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -352,24 +351,12 @@ class ConePoint(_Record):
         return self.angle_turns - 1
 
 
-def _rational_directions() -> Iterator[Fraction]:
-    """Deterministic scan 0, 1, 1/2, 2, 1/3, 3, 2/3, 3/2, ... of slopes."""
-    yield Fraction(0)
-    for total in count(2):
-        for num in range(1, total):
-            den = total - num
-            if gcd(num, den) == 1:
-                yield Fraction(num, den)
-
-
 def _reference_direction(edges: Sequence[Sequence[Point]]) -> Point:
-    """A direction (q, p) of slope p/q parallel to no vector of edges, to count angle sweeps."""
-    edge_vecs = {v for vs in edges for v in vs}
-    for slope in _rational_directions():
-        ref = (slope.denominator, slope.numerator)
-        if all(_cross(ref, v) != 0 for v in edge_vecs):
-            return ref
-    raise AssertionError("unreachable: finitely many edge directions")
+    """The direction (1, k), k = 1 + max |y| over the edge vectors (x, y), to count angle sweeps.
+
+    It is parallel to no edge: for x != 0, |kx| >= k > |y|, and for x = 0, y != 0 on a
+    validated surface."""
+    return (1, 1 + max(abs(y) for vs in edges for _, y in vs))
 
 
 def _sector_contains(ref: Point, start: Point, end: Point) -> bool:

@@ -4,11 +4,12 @@ An origami of degree d is d unit squares with the right edge of square s
 glued to the left edge of square h(s) and the top edge of s glued to the
 bottom edge of v(s); the pair must act transitively so the surface is
 connected.  Squares are 0-based internally; the text format is 1-based.
-Each Origami derives h^-1, v^-1 and the cycles of its corner permutation
-once, on first read, in private cached properties (_hinv, _vinv,
-_corner_cycles, and _signature from them), and every reader here and in
-flatkit.spin takes them from there (flatkit.spin also stores its _arf and
-_involution there); ==, hash and repr see d, h and v only.
+Each Origami derives h^-1, v^-1, the cycles of its corner permutation and
+the vertex of each square once, on first read, in private cached properties
+(_hinv, _vinv, _corner_cycles, and _signature and _vertex from them), and
+every reader here and in flatkit.spin takes them from there (flatkit.spin
+also stores its _arf and _involution there); ==, hash and repr see d, h and
+v only.
 
 Provides the polygon surface (to_polygons imports flatkit.flatcore when it
 runs), the stratum and cone angles from the corner permutation (the source
@@ -83,6 +84,15 @@ class Origami(_Record):
     def _signature(self) -> StratumSignature:
         orders = sorted((len(c) - 1 for c in self._corner_cycles if len(c) > 1), reverse=True)
         return StratumSignature(sum(orders) // 2 + 1, tuple(orders))
+
+    @cached_property
+    def _vertex(self) -> tuple[int, ...]:
+        """Per square, the index in _corner_cycles of the vertex at its bottom-left corner."""
+        vertex = [0] * self.d
+        for k, cycle in enumerate(self._corner_cycles):
+            for s in cycle:
+                vertex[s] = k
+        return tuple(vertex)
 
 
 def is_connected(o: Origami) -> bool:
@@ -294,10 +304,9 @@ def genus(o: Origami) -> int:
 def cone_angle_turns(o: Origami) -> list[int]:
     """Cone angles in turns, ordered as flatcore.singularities orders to_polygons(o): by each
     vertex's least corner (s, i), corner i being the bottom-left of s, h(s), h(v(s)), v(s)."""
-    cycles, h, v = o._corner_cycles, o.h, o.v
-    vertex = {s: k for k, cyc in enumerate(cycles) for s in cyc}
+    vertex, h, v = o._vertex, o.h, o.v
     first = dict.fromkeys(vertex[t] for s in range(o.d) for t in (s, h[s], h[v[s]], v[s]))
-    return [len(cycles[k]) for k in first]
+    return [len(o._corner_cycles[k]) for k in first]
 
 
 # --- canonical form and isomorphism ----------------------------------------

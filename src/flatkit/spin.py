@@ -17,9 +17,11 @@ cycles of a spanning tree are checked by the tree walk that builds them,
 not again by SimpleCycle.  The module also detects the 180-degree flat
 involution with sphere quotient and classifies the connected component of
 the ambient stratum; hyperelliptic_scan runs the scan of flatkit.census.
-h^-1, v^-1, the corner cycles and the stratum come from the origami's own
-cache (see flatkit.origami), once per origami, and spin_parity and
-hyperelliptic_involution store their answers there too.
+h^-1, v^-1, the corner cycles, the stratum and the vertex of each square
+come from the origami's own cache (see flatkit.origami), once per origami;
+the involution search and the zero-swap test of classify_component read
+them there, and spin_parity and hyperelliptic_involution store their answers
+there too.
 """
 
 from __future__ import annotations
@@ -353,19 +355,15 @@ def spin_parity(o: Origami, rng: Optional[random.Random] = None) -> int:
 # --- flat involution ---------------------------------------------------------
 
 
-def _involution_core(
-    d: int,
-    h: Sequence[int],
-    v: Sequence[int],
-    hinv: Sequence[int],
-    vinv: Sequence[int],
-) -> Optional[tuple[int, ...]]:
-    """Permutation-level involution search shared by the single-surface API
-    and the exhaustive scans.  A witness forces transitivity: the defining
-    propagation must reach every square, so feeding a non-transitive pair
-    just returns None.
+def _involution_core(o: Origami) -> Optional[tuple[int, ...]]:
+    """The involution search of hyperelliptic_involution, shared with the
+    exhaustive scans, which store nothing.  h^-1, v^-1, the corner cycles,
+    the vertex of each square and the genus come from the origami's cache,
+    the last three read once a candidate passes.  A witness forces
+    transitivity: the defining propagation must reach every square, so a
+    non-transitive pair just returns None.
     """
-    cycle_id: list[int] = []  # the corner cycles, built once a candidate passes
+    d, h, v, hinv, vinv = o.d, o.h, o.v, o._hinv, o._vinv
     squares = range(d)
     for t in squares:
         sigma = [-1] * d
@@ -399,27 +397,14 @@ def _involution_core(
             continue
         if any(sigma[h[s]] != hinv[sigma[s]] or sigma[v[s]] != vinv[sigma[s]] for s in squares):
             continue
-        if not cycle_id:
-            comm = [h[v[hinv[vinv[s]]]] for s in squares]
-            cycle_id = [-1] * d
-            cycle_reps = []
-            for s in squares:
-                if cycle_id[s] >= 0:
-                    continue
-                idx = len(cycle_reps)
-                cycle_reps.append(s)
-                u = s
-                while cycle_id[u] < 0:
-                    cycle_id[u] = idx
-                    u = comm[u]
-            g = (d - len(cycle_reps)) // 2 + 1
-            target = 2 * g + 2
+        g = o._signature.genus
+        target = 2 * g + 2
         fixed = sum(1 for s in squares if sigma[s] == s)
         fixed += sum(1 for s in squares if sigma[s] == h[s])
         fixed += sum(1 for s in squares if sigma[s] == v[s])
-        for s in cycle_reps:
-            if cycle_id[h[v[sigma[s]]]] == cycle_id[s]:
-                fixed += 1
+        # sigma turns the bottom-left corner of s into the top-right corner of sigma(s)
+        vertex = o._vertex
+        fixed += sum(vertex[h[v[sigma[c[0]]]]] == k for k, c in enumerate(o._corner_cycles))
         if (target - fixed) % 4 != 0:
             raise RuntimeError(
                 f"fixed-point count {fixed} incompatible with genus {g} (bookkeeping bug)"
@@ -439,14 +424,15 @@ def hyperelliptic_involution(o: Origami) -> Optional[tuple[int, ...]]:
     midpoints, and tiling vertices) reaches 2g+2, which forces quotient genus
     0.  Returns the first accepting sigma, or None.
 
-    This works at the permutation level throughout so that exhaustive scans
-    stay fast.  The genus comes from the corner permutation, the source of
-    truth for origami strata, which the tests check against the polygon
-    model.  The search runs once per origami and its answer, None included,
-    is stored as _involution; the scans call _involution_core directly.
+    The search reads h^-1, v^-1, the corner cycles, the vertex of each
+    square and the genus off the origami's cache, so no polygon is built.
+    The corner cycles are the source of truth for origami strata, which the
+    tests check against the polygon model.  The search runs once per
+    origami and its answer, None included, is stored as _involution; the
+    scans call _involution_core directly and store nothing.
     """
     if "_involution" not in vars(o):
-        vars(o)["_involution"] = _involution_core(o.d, o.h, o.v, o._hinv, o._vinv)
+        vars(o)["_involution"] = _involution_core(o)
     return vars(o)["_involution"]
 
 
@@ -457,7 +443,10 @@ def hyperelliptic_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
     the pairs are one per isomorphism class: below degree 8 those of
     origami.origamis_in_stratum, at degree 8 the connected kept rows of the
     numpy batches (_batch_scan with per_class), with no canonical form
-    computed.
+    computed.  Each pair that reaches the involution search is an Origami
+    (below degree 8 the class itself, from it on one built, unchecked, per
+    row that survives the vectorized propagation), so the search reads the
+    corner cycles off its cache.
     From degree 9 on the scan covers every labeled cycle-type match,
     including non-transitive pairs (_batch_scan): it tests one pair per
     orbit of the centralizer of h acting by conjugation and counts each
@@ -470,20 +459,6 @@ def hyperelliptic_scan(d: int, orders: Sequence[int]) -> tuple[int, int]:
     from . import census
 
     return census._involution_scan(d, orders)
-
-
-def _involution_swaps_singular_vertices(o: Origami, sigma: Sequence[int]) -> bool:
-    """Whether the involution exchanges the two cone points (when there are two)."""
-    comm_cycles = o._corner_cycles
-    cycle_id = {s: idx for idx, cyc in enumerate(comm_cycles) for s in cyc}
-    singular = [idx for idx, cyc in enumerate(comm_cycles) if len(cyc) > 1]
-    if len(singular) != 2:
-        return False
-    images = []
-    for idx in singular:
-        s = comm_cycles[idx][0]
-        images.append(cycle_id[o.h[o.v[sigma[s]]]])
-    return images == [singular[1], singular[0]]
 
 
 def classify_component(o: Origami) -> ComponentLabel:
@@ -505,12 +480,15 @@ def classify_component(o: Origami) -> ComponentLabel:
     if comps == (ComponentLabel.CONNECTED,):
         return ComponentLabel.CONNECTED
     witness = hyperelliptic_involution(o) if ComponentLabel.HYPERELLIPTIC in comps else None
-    # With two zeros the involution must swap them.  It can fix only zeros of
-    # even order, so in even genus, where both orders g - 1 are odd, it always
-    # swaps them.
-    if witness is not None and (
-        len(orders) == 1 or _involution_swaps_singular_vertices(o, witness)
-    ):
+    # With two zeros the involution must swap them.  It keeps cone angles, so it
+    # swaps them or fixes both, and it swaps them exactly when it moves the
+    # first zero's vertex.  It can fix only zeros of even order, so in even
+    # genus, where both orders g - 1 are odd, it always swaps them.
+    if witness is not None and len(orders) == 2:
+        k, zero = next((k, c) for k, c in enumerate(o._corner_cycles) if len(c) > 1)
+        if o._vertex[o.h[o.v[witness[zero[0]]]]] == k:
+            witness = None
+    if witness is not None:
         label = ComponentLabel.HYPERELLIPTIC
     elif ComponentLabel.NON_HYPERELLIPTIC in comps:
         label = ComponentLabel.NON_HYPERELLIPTIC

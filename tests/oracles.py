@@ -27,7 +27,9 @@ from the Murnaghan-Nakayama rule on beta-sets.
 reference_violations and reference_cone_points decide flatcore's polygon
 predicates directly on the Fraction coordinates, without the integer view
 of the surface: the violation strings in order, and the turn count of each
-corner orbit.
+corner orbit.  reference_cone_points counts the turns across the first
+slope 0, 1, 1/2, 2, 1/3, 3, 2/3, 3/2, ... parallel to no edge, not across
+flatcore's reference direction.
 
 validation_reference is flatcore's validation as it was written before each
 surface kept one list of edge vectors: on the integer view, with each edge
@@ -113,7 +115,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import combinations, count, groupby
 from typing import Optional, Sequence
 
 from flatkit import census, flatcore, origami, spin, strata
@@ -506,9 +508,15 @@ def _sector_contains(ref: PlanarVec, start: PlanarVec, end: PlanarVec) -> bool:
 def reference_cone_points(surf: flatcore.TranslationSurface) -> list[tuple[tuple, int]]:
     """(sorted corners, turns) of each corner orbit, counted on Fraction edge vectors."""
     edge_vecs = [surf.edge_vector(e) for e in surf.edge_refs()]
+    slopes = (
+        Fraction(num, total - num)
+        for total in count(1)
+        for num in range(total)
+        if math.gcd(num, total - num) == 1
+    )
     ref = next(
         ref
-        for ref in (PlanarVec(1, slope) for slope in flatcore._rational_directions())
+        for ref in (PlanarVec(1, slope) for slope in slopes)
         if all(ref.cross(v) != 0 for v in edge_vecs)
     )
     points = []

@@ -3,6 +3,7 @@
 import logging
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -181,10 +182,10 @@ def fresh_derived(o):
 
 
 def test_derived_data_is_cached_per_origami(l5, rng):
-    """The cached h^-1, v^-1 and stratum equal fresh results; filling the
-    cache, spin.py's stored spin parity and involution witness included,
-    changes neither ==, hash nor repr; and no origami that a move, a
-    relabeling or a decoding builds carries another origami's cache."""
+    """The cached h^-1, v^-1, stratum and vertex map equal fresh results;
+    filling the cache, spin.py's stored spin parity and involution witness
+    included, changes neither ==, hash nor repr; and no origami that a move,
+    a relabeling or a decoding builds carries another origami's cache."""
     cases = [l5] + [origami.random_origami(d, rng) for d in range(1, 10) for _ in range(3)]
     odd = 0
     for o in cases:
@@ -195,9 +196,10 @@ def test_derived_data_is_cached_per_origami(l5, rng):
         assert origami.singularity_orders(o) == signature
         assert (o._hinv, o._vinv, origami.commutator(o)) == (hinv, vinv, corner)
         assert o._corner_cycles == tuple(map(tuple, origami.cycles_of(corner)))
+        assert all(s in o._corner_cycles[k] for s, k in enumerate(o._vertex))
         for read in (origami.canonical_form, origami.cylinders, spin.hyperelliptic_involution):
             read(o)
-        cached = {"_hinv", "_vinv", "_corner_cycles", "_signature", "_involution"}
+        cached = {"_hinv", "_vinv", "_corner_cycles", "_signature", "_vertex", "_involution"}
         if any(m % 2 for m in signature.orders):
             odd += 1
             with pytest.raises(ValueError, match="spin undefined"):
@@ -304,6 +306,63 @@ def test_orbit_matches_reference(l3, l5):
     cases += [origami.random_origami(d, rng) for d in range(1, 8) for _ in range(3)]
     for o in cases:
         assert origami.orbit(o) == reference_orbit(o), origami.format_cycles(o.v)
+
+
+def matmul(a, b):
+    (p, q), (r, s) = a
+    (w, x), (y, z) = b
+    return ((p * w + q * y, p * x + q * z), (r * w + s * y, r * x + s * z))
+
+
+# The matrices of the moves on the plane.  act_T keeps h and sends the up step v to
+# h^-1 v: the unit shear (x, y) -> (x + y, y).  act_S sends (h, v) to (v, h^-1): the
+# new right step is the old up step and the new up step the old left step, so it turns
+# the plane a quarter clockwise.  A move after a move is the product of their matrices.
+MOVE_S, MOVE_T, MOVE_T_INV = ((0, 1), (-1, 0)), ((1, 1), (0, 1)), ((1, -1), (0, 1))
+
+
+def orbit_genus(data):
+    """Check S^4 = 1 and (S T^-1)^3 = S^2 on the elements of an orbit, as its edges give
+    S, T and T^-1, and return (N, c, genus): the index N in PSL(2,Z), after x is
+    identified with S^2 x when S^2 != 1, the number c of cusps, and the Riemann-Hurwitz
+    genus 1 + N/12 - e2/4 - e3/3 - c/2, e2 and e3 the fixed points of S and S T^-1."""
+    n = len(data.elements)
+    move = {label: [-1] * n for label in ("S", "T", "T^-1")}
+    for i, label, j in data.edges:
+        move[label][i] = j
+    s, t, t_inv = move["S"], move["T"], move["T^-1"]
+    u = [s[t_inv[x]] for x in range(n)]  # S T^-1: T^-1 first
+    assert all(t[t_inv[x]] == x for x in range(n))
+    assert all(s[s[s[s[x]]]] == x for x in range(n))
+    assert all(u[u[u[x]]] == s[s[x]] for x in range(n))
+    rep = [min(x, s[s[x]]) for x in range(n)]
+    classes = sorted(set(rep))
+    e2 = sum(rep[s[x]] == x for x in classes)
+    e3 = sum(rep[u[x]] == x for x in classes)
+    cusps, seen = 0, set()
+    for x in classes:
+        cusps += x not in seen
+        while x not in seen:
+            seen.add(x)
+            x = rep[t[x]]
+    genus = 1 + Fraction(len(classes), 12) - Fraction(e2, 4) - Fraction(e3, 3) - Fraction(cusps, 2)
+    assert genus.denominator == 1 and genus >= 0, (len(classes), e2, e3, cusps)
+    return len(classes), cusps, int(genus)
+
+
+def test_orbits_satisfy_the_modular_relations(l3, l5):
+    """Every orbit is a permutation representation of SL(2,Z): S^4 = 1 and
+    (S T^-1)^3 = S^2 hold on its elements, and its Teichmueller curve has a
+    non-negative integer genus, on l3, l5, the d = 9 orbit and seeded random orbits."""
+    identity, s2 = ((1, 0), (0, 1)), matmul(MOVE_S, MOVE_S)
+    u = matmul(MOVE_S, MOVE_T_INV)
+    assert matmul(s2, s2) == identity and matmul(MOVE_T, MOVE_T_INV) == identity
+    assert matmul(u, matmul(u, u)) == s2 != identity
+    rng = make_rng(salt=3401)
+    cases = [l3, l5] + [origami.random_origami(d, rng) for d in range(2, 9) for _ in range(6)]
+    for o in cases:
+        orbit_genus(origami.orbit(o))
+    assert orbit_genus(origami.orbit(make(9, *D9))) == (1572, 218, 23)
 
 
 def test_orbit_canonical_forms_once_per_move(monkeypatch):
@@ -992,6 +1051,23 @@ def relabeled_origamis(draw):
 @example(origami.random_origami(1000, make_rng(1001)))
 def test_commutator_stratum_matches_polygons_random(o):
     assert_invariants_match_polygons(o)
+
+
+def test_vertex_map_matches_polygon_corner_orbits():
+    """Two squares share a _vertex exactly when the bottom-left corners (s, 0) of
+    to_polygons(o) share a corner orbit, on every class with d <= 6 and on seeded
+    random origamis."""
+    rng = make_rng(salt=3400)
+    cases = [o for d in sorted(CLASSES_BY_DEGREE) for o in all_classes(d)]
+    cases += [origami.random_origami(d, rng) for d in range(1, 41) for _ in range(3)]
+    for o in cases:
+        orbit_of = {
+            corner: k
+            for k, orbit in enumerate(flatcore._corner_orbits(origami.to_polygons(o)))
+            for corner in orbit
+        }
+        orbits = [orbit_of[s, 0] for s in range(o.d)]
+        assert len(set(zip(o._vertex, orbits))) == len(set(o._vertex)) == len(set(orbits)), o
 
 
 @settings(max_examples=100, deadline=None)

@@ -380,7 +380,7 @@ def test_answers_are_computed_once_per_origami(searches):
         for _ in range(2):
             assert all(read(o) for read in order)
         assert [o] == [args[0] for args in searches["form"]]
-        assert [(o.d, o.h, o.v)] == [args[:3] for args in searches["involution"]]
+        assert [o] == [args[0] for args in searches["involution"]]
         assert (vars(o)["_arf"], vars(o)["_involution"]) == (1, None)
         searches["form"].clear()
         searches["involution"].clear()
@@ -442,8 +442,7 @@ def test_stored_answers_equal_a_fresh_twins():
         component = spin.classify_component(twin)
         witness = spin.hyperelliptic_involution(twin)
         assert read == (spin.spin_parity(twin), witness, component), moved
-        hinv, vinv = origami.invert_perm(twin.h), origami.invert_perm(twin.v)
-        search = spin._involution_core(twin.d, twin.h, twin.v, hinv, vinv)
+        search = spin._involution_core(origami.Origami(twin.d, twin.h, twin.v))
         assert (spin.build_quadratic_form(twin).arf, search) == read[:2], moved
 
 
@@ -489,11 +488,10 @@ def test_batch_scan_matches_per_pair_loop():
             pairs = witnesses = 0
             for batch in census._stratum_batches(d, orders):
                 survive = census._propagations(batch) > 0
-                h = batch.h.tolist()
-                hinv = origami.invert_perm(h)
+                h = tuple(batch.h.tolist())
                 for v, kept in zip(batch.v.tolist(), survive.tolist()):
                     pairs += 1
-                    if spin._involution_core(d, h, v, hinv, origami.invert_perm(v)) is not None:
+                    if spin._involution_core(origami.Origami._trusted(d, h, tuple(v))) is not None:
                         witnesses += 1
                         assert kept, (d, orders, h, v)
             scans[d, orders] = census._batch_scan(d, orders)
