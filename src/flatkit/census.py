@@ -628,7 +628,8 @@ def _batch_scan(d: int, orders: Sequence[int], per_class: bool = False) -> tuple
     so a flat involution exists on every row of a C(h)-orbit or on none.
     Only the kept rows of _orbit_representatives, one row per orbit, go to
     the involution propagation (_propagations), and only the rows with a
-    nonzero count go to _involution_core, each as an unchecked Origami.
+    nonzero count go to _involution_core, each as an unchecked Origami whose
+    cached inverses are filled from the batch rows.
     Disconnected rows never have a witness, so no step tests connectivity.
     Returns (rows, rows with a witness), a witness row counting
     |C(h)| / |Aut| times, |Aut| from the commuting propagation; with
@@ -655,12 +656,13 @@ def _batch_scan(d: int, orders: Sequence[int], per_class: bool = False) -> tuple
         orbit_filter = time.perf_counter()
         survive = _propagations(reps).nonzero()[0]
         propagation = time.perf_counter()
-        h = tuple(batch.h.tolist())
-        found = [
-            row
-            for row, v in zip(survive, reps.v[survive].tolist())
-            if _involution_core(Origami._trusted(d, h, tuple(v))) is not None
-        ]
+        h, hinv = tuple(batch.h.tolist()), tuple(batch.hinv.tolist())
+        found = []
+        for row, v, vinv in zip(survive, reps.v[survive].tolist(), reps.vinv[survive].tolist()):
+            o = Origami._trusted(d, h, tuple(v))
+            o.__dict__.update(_hinv=hinv, _vinv=tuple(vinv))  # the batch holds both inverses
+            if _involution_core(o) is not None:
+                found.append(row)
         order = _centralizer_order(batch.cycle_type)
         if per_class:
             scanned += int(_propagations(reps, commuting=True, starts=(0,)).sum())

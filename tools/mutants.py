@@ -2,8 +2,7 @@
 
 Run from anywhere, with pytest and hypothesis installed:
 
-    python3 tools/mutants.py          # every mutant in the table
-    python3 tools/mutants.py ID ...   # only the named ones
+    python3 tools/mutants.py
 
 For each mutant the runner copies src/ and tests/ to a temporary directory,
 applies the mutant's edits there (each old text must occur exactly once in its
@@ -153,22 +152,17 @@ def run(mutant: Mutant) -> tuple[str, float]:
     return {0: "survived", 1: "killed"}.get(done.returncode, error), seconds
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.id in argv]
-    unknown = set(argv) - {m.id for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant ids: {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     start = time.perf_counter()
     failures = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         verdict, seconds = run(mutant)
         failures += verdict != "killed"
         print(f"{mutant.id:28} {verdict:10} {seconds:6.1f} s", flush=True)
     seconds = time.perf_counter() - start
-    print(f"{len(chosen) - failures} of {len(chosen)} killed in {seconds:.1f} s")
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} killed in {seconds:.1f} s")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
